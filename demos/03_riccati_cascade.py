@@ -27,7 +27,7 @@ print("field at the initial condition:")
 print("  F(u) =", eval_F(p, u))
 print("  ||R(u)|| =", frob_norm(eval_R(p, u)))
 
-# direct solve of the limit equation (quadrature handles the singular ray)
+# direct solve of the limit equation (the Gauss-Jacobi ray rule holds the singular endpoint)
 sol = solve_riccati(p, u, 1.0, t_eval=np.linspace(0, 1, 5))
 print("\nlimit solve: phi(T) = %.8f, min eig psi = %.2e, %d steps"
       % (sol.phi_final, sol.min_eig[-1], sol.diagnostics["n_steps"]))

@@ -17,11 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .exceptions import CascadeError, RiccatiSolverError
 from . import symcone
-from .symcone import VecBasis, frob_norm, inner, min_eigenvalue
-from .params import radial_quad, truncate
+from .symcone import VecBasis, frob_norm, min_eigenvalue
+# radial_quad is not called here, but perfbench/tracer.py patches the
+# binding riccati.radial_quad when it installs, so the import stays.
+from .params import PowerLawDensity, radial_quad, truncate  # noqa: F401
 
 __all__ = [
     "RiccatiOptions",
@@ -32,6 +35,7 @@ __all__ = [
     "eval_Fk",
     "eval_Rk",
     "growth_rate",
+    "ray_rule",
     "rk_lipschitz_bound",
     "solve_riccati",
     "solve_cascade",
@@ -106,57 +110,24 @@ class CascadeDiagnostics:
 # F and R
 # ---------------------------------------------------------------------------
 
-def _bracket_scalar(m, u):
-    """integral of (e^{-<xi,u>} - 1 + <chi(xi),u>) m(dxi)."""
-    total = 0.0
-    for a in m.atoms:
-        s = inner(a.xi, u)
-        total += a.weight * (math.expm1(-s) + (s if a.norm <= 1.0 else 0.0))
-    for j, r in enumerate(m.rays):
-        slope = inner(r.direction, u)
-        if slope == 0.0:
-            continue
-        total += radial_quad(r.density, lambda rr: math.expm1(-slope * rr) + slope * rr,
-                             0.0, 1.0, ray_index=j)
-        total += radial_quad(r.density, lambda rr: math.expm1(-slope * rr),
-                             1.0, _INF, ray_index=j)
-    return total
-
-
-def _bracket_kernel(mu, u):
-    """integral of (e^{-<xi,u>} - 1 + <chi(xi),u>) mu(dxi)/||xi||^2, a matrix."""
-    out = np.zeros((mu.dim, mu.dim))
-    for a in mu.atoms:
-        s = inner(a.xi, u)
-        out += (math.expm1(-s) + (s if a.norm <= 1.0 else 0.0)) / a.norm ** 2 * a.weight
-    for j, r in enumerate(mu.rays):
-        slope = inner(r.direction, u)
-        if slope == 0.0:
-            continue
-        val = radial_quad(r.density, lambda rr: math.expm1(-slope * rr) + slope * rr,
-                          0.0, 1.0, ray_index=j)
-        val += radial_quad(r.density, lambda rr: math.expm1(-slope * rr),
-                           1.0, _INF, ray_index=j)
-        out += val * r.weight
-    return out
-
-
 def eval_F(p_set, u, check_bound=True):
     """F(u) = <b,u> - integral of the compensated exponential bracket against m."""
     u = symcone.check_symmetric(u)
-    val = inner(p_set.b, u) - _bracket_scalar(p_set.m, u)
+    field = _Field(p_set)
+    val = float(field.rhs(field.basis.vec(u))[0])
     if check_bound:
         cap = (frob_norm(p_set.b) + p_set.m.second_moment()) * (1.0 + frob_norm(u) ** 2)
         if abs(val) > cap * (1.0 + 1e-9) + 1e-12:
             raise RiccatiSolverError(
                 f"|F(u)| = {abs(val):.6g} exceeds its quadratic-growth cap {cap:.6g}")
-    return float(val)
+    return val
 
 
 def eval_R(p_set, u, check_bound=True):
     """R(u) = B*(u) - integral of the bracket against mu(dxi)/||xi||^2."""
     u = symcone.check_symmetric(u)
-    out = p_set.B.apply_adjoint(u) - _bracket_kernel(p_set.mu, u)
+    field = _Field(p_set)
+    out = field.basis.unvec(field.rhs(field.basis.vec(u))[1:])
     if check_bound:
         cap = (symcone.operator_norm(p_set.B) + frob_norm(p_set.mu.total_mass_matrix())) \
             * (1.0 + frob_norm(u) ** 2)
@@ -185,60 +156,113 @@ def rk_lipschitz_bound(p_set, k):
 
 
 # ---------------------------------------------------------------------------
+# ray quadrature rules
+# ---------------------------------------------------------------------------
+
+RAY_NODES = 24  # Gauss nodes per panel of every ray rule
+_LEG_X, _LEG_W = np.polynomial.legendre.leggauss(RAY_NODES)
+_LOG_PANEL = math.log(64.0)  # widest panel in log r
+_Y_EDGES = 10.0 ** -np.arange(9.0, -1.0, -1.0)  # decade panels 1e-9, ..., 1 in y
+
+
+def _legendre(edges):
+    """Composite Gauss-Legendre nodes and weights on consecutive panels."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((edges[:-1, None] + half) + half * _LEG_X).ravel(), (half * _LEG_W).ravel()
+
+
+def _piece_rule(density, a, b):
+    """Nodes r and weights W with sum W g(r) = integral of g(r) density(r) dr over [a, b].
+
+    Power law reaching 0: Gauss-Jacobi with weight r^(1-alpha), which holds
+    the r^(-1-alpha) r^2 behaviour of the bracket (alpha < 1 by admissibility).
+    Power law on [a, b], a > 0: Gauss-Legendre in log r.  Power-law tail and
+    every exponential piece: Gauss-Legendre on decade panels of a variable y
+    in (0, 1] in which the jump mass is uniform (exponential: y = e^(-lam(r-a)))
+    or the small-slope bracket is (power-law tail: y = (a/r)^(alpha-1)).
+    """
+    c = density.c
+    if isinstance(density, PowerLawDensity) and b < _INF:
+        alpha = density.alpha
+        if a == 0.0:
+            x, w = roots_jacobi(RAY_NODES, 0.0, 1.0 - alpha)
+            r = 0.5 * b * (1.0 + x)
+            return r, c * (0.5 * b) ** (2.0 - alpha) * w / (r * r)
+        span = math.log(b / a)
+        t, w = _legendre(math.log(a) + np.linspace(0.0, span, math.ceil(span / _LOG_PANEL) + 1))
+        r = np.exp(t)
+        return r, c * w * r ** -alpha
+    if isinstance(density, PowerLawDensity):
+        beta = 1.0 / (density.alpha - 1.0)
+        y, w = _legendre(np.concatenate([[0.0], _Y_EDGES]))
+        return a * y ** -beta, c * a ** -density.alpha * beta * w * y ** beta
+    y_b = math.exp(-density.lam * (b - a))
+    y, w = _legendre(np.concatenate([[y_b], _Y_EDGES[_Y_EDGES > y_b]]))
+    return a - np.log(y) / density.lam, (c * math.exp(-density.lam * a) / density.lam) * w
+
+
+def ray_rule(density):
+    """(r, W, small) for one ray: the jumps of norm <= 1 carry small = 1.
+
+    sum W (expm1(-s r) + small s r) is the compensated bracket
+    integral of (e^{-s r} - 1 + s r 1{r <= 1}) density(r) dr at slope s.
+    """
+    parts = []
+    for lo, hi, small in ((density.rmin, min(density.rmax, 1.0), 1.0),
+                          (max(density.rmin, 1.0), density.rmax, 0.0)):
+        if hi > lo:
+            r, w = _piece_rule(density, lo, hi)
+            parts.append((r, w, np.full(r.shape, small)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+# ---------------------------------------------------------------------------
 # vectorized right-hand side
 # ---------------------------------------------------------------------------
 
 class _Field:
-    """Precompiled (F, R) evaluation in VecBasis coordinates."""
+    """Precompiled (F, R) evaluation in VecBasis coordinates.
+
+    Every jump is a list of nodes: an atom is one node at its location, a
+    ray is its ray_rule along its direction.  Node j jumps by node_dirs[j]
+    and adds W_j (expm1(-x_j) + small_j x_j) times its output row to the
+    field, where x_j = <node_dirs[j], psi>; column 0 of the output is F, the
+    rest vec R.
+    """
 
     def __init__(self, p_set):
-        self.basis = VecBasis(p_set.dim)
-        n = self.basis.n
-        self.b_vec = self.basis.vec(p_set.b)
-        self.bstar = p_set.B.adjoint().to_dense(self.basis)
+        self.basis = basis = VecBasis(p_set.dim)
+        n = basis.n
+        self.lin = np.vstack([basis.vec(p_set.b), p_set.B.adjoint().to_dense(basis)])
 
-        m = p_set.m
-        self.m_xi = np.array([self.basis.vec(a.xi) for a in m.atoms]).reshape(len(m.atoms), n)
-        self.m_w = np.array([a.weight for a in m.atoms])
-        self.m_chi = np.array([a.norm <= 1.0 for a in m.atoms], dtype=float)
-        self.m_rays = m.rays
-        self.m_ray_dirs = np.array([self.basis.vec(r.direction) for r in m.rays]).reshape(len(m.rays), n)
+        one = np.ones(1)
+        f_row = np.eye(1, n + 1)[0]
 
-        mu = p_set.mu
-        self.mu_xi = np.array([self.basis.vec(a.xi) for a in mu.atoms]).reshape(len(mu.atoms), n)
-        self.mu_out = np.array([self.basis.vec(a.weight) / a.norm ** 2 for a in mu.atoms]).reshape(len(mu.atoms), n)
-        self.mu_chi = np.array([a.norm <= 1.0 for a in mu.atoms], dtype=float)
-        self.mu_rays = mu.rays
-        self.mu_ray_dirs = np.array([self.basis.vec(r.direction) for r in mu.rays]).reshape(len(mu.rays), n)
-        self.mu_ray_out = np.array([self.basis.vec(r.weight) for r in mu.rays]).reshape(len(mu.rays), n)
+        def r_row(weight):
+            return np.concatenate([[0.0], basis.vec(weight)])
+
+        # (direction, (r, W, small) nodes, output row) for every atom and ray
+        jumps = [(a.xi, (one, a.weight * one, float(a.norm <= 1.0) * one), f_row)
+                 for a in p_set.m.atoms]
+        jumps += [(ray.direction, ray_rule(ray.density), f_row) for ray in p_set.m.rays]
+        jumps += [(a.xi, (one, one / a.norm ** 2, float(a.norm <= 1.0) * one), r_row(a.weight))
+                  for a in p_set.mu.atoms]
+        jumps += [(ray.direction, ray_rule(ray.density), r_row(ray.weight))
+                  for ray in p_set.mu.rays]
+
+        sizes = [len(nodes[0]) for _, nodes, _ in jumps]
+        r, w, self.node_small = (np.concatenate([np.zeros(0)] + [nodes[i] for _, nodes, _ in jumps])
+                                 for i in range(3))
+        dirs = np.array([basis.vec(d) for d, _, _ in jumps]).reshape(-1, n)
+        outs = np.array([row for _, _, row in jumps]).reshape(-1, n + 1)
+        self.node_dirs = r[:, None] * np.repeat(dirs, sizes, axis=0)
+        self.node_out = w[:, None] * np.repeat(outs, sizes, axis=0)
 
     def rhs(self, psi_vec):
-        """Returns (F(psi), vec R(psi))."""
-        f_val = float(self.b_vec @ psi_vec)
-        if self.m_xi.size:
-            s = self.m_xi @ psi_vec
-            f_val -= float(self.m_w @ (np.expm1(-s) + self.m_chi * s))
-        for j, r in enumerate(self.m_rays):
-            f_val -= self._ray_bracket(r.density, float(self.m_ray_dirs[j] @ psi_vec), j)
-
-        r_vec = self.bstar @ psi_vec
-        if self.mu_xi.size:
-            s = self.mu_xi @ psi_vec
-            r_vec = r_vec - (np.expm1(-s) + self.mu_chi * s) @ self.mu_out
-        for j, r in enumerate(self.mu_rays):
-            val = self._ray_bracket(r.density, float(self.mu_ray_dirs[j] @ psi_vec), j)
-            if val != 0.0:
-                r_vec = r_vec - val * self.mu_ray_out[j]
-        return f_val, r_vec
-
-    @staticmethod
-    def _ray_bracket(density, slope, j):
-        if slope == 0.0:
-            return 0.0
-        small = radial_quad(density, lambda rr: math.expm1(-slope * rr) + slope * rr,
-                            0.0, 1.0, ray_index=j)
-        big = radial_quad(density, lambda rr: math.expm1(-slope * rr), 1.0, _INF, ray_index=j)
-        return small + big
+        """Returns (F(psi), vec R(psi)) as one vector."""
+        x = self.node_dirs @ psi_vec
+        return self.lin @ psi_vec - (np.expm1(-x) + self.node_small * x) @ self.node_out
 
 
 # Dormand-Prince 4(5) tableau
@@ -315,19 +339,16 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
     record(0, y, 0.0)
     next_out = 1
 
-    diag = {"n_steps": 0, "n_rejected_error": 0, "n_rejected_cone": 0,
-            "max_cone_violation": 0.0, "clip_total": 0.0}
+    diag = {"n_steps": 0, "n_rejected_error": 0, "n_rejected_cone": 0, "n_clipped": 0,
+            "n_rhs_evals": 0, "max_cone_violation": 0.0, "clip_total": 0.0}
 
     if T == 0.0:
         return RiccatiSolution(grid, out_phi[:1], out_psi[:1], out_me[:1], out_h[:1],
                                k, diag)
 
     def f(yv):
-        fv, rv = field.rhs(yv[1:])
-        out = np.empty_like(yv)
-        out[0] = fv
-        out[1:] = rv
-        return out
+        diag["n_rhs_evals"] += 1
+        return field.rhs(yv[1:])
 
     t = 0.0
     h_ctrl = min(opts.dt_init, T)
@@ -370,6 +391,7 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
             psi_new = symcone.symmetrize((v * w) @ v.T)
             y5 = np.concatenate([[y5[0]], basis.vec(psi_new)])
             clipped = True
+            diag["n_clipped"] += 1
         diag["max_cone_violation"] = max(diag["max_cone_violation"], max(0.0, -me))
 
         t_new = t + h

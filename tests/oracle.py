@@ -39,28 +39,31 @@ def scalar_atom_arrays(p_sets):
 def rk4_scalar_batch(p_sets, u0, T, dt):
     """Fixed-step RK4 for a batch of d = 1 atom-only sets.
 
-    Returns (phi, psi) arrays at time T, one entry per set.
+    Returns (phi, psi) arrays at time T, one entry per set.  The state is
+    carried as one (2, n_sets) array of (phi, psi), and the m and mu atoms
+    sit side by side so each stage makes one expm1 call.
     """
     b, bstar, (m_xi, m_w, m_chi), (mu_xi, mu_m, mu_chi) = scalar_atom_arrays(p_sets)
-    u0 = np.asarray(u0, dtype=float)
-    mu_coef = mu_m / mu_xi ** 2
+    xi = np.concatenate([m_xi, mu_xi], axis=1)
+    chi = np.concatenate([m_chi, mu_chi], axis=1).astype(float)
+    # coef[0] weighs the m atoms into F, coef[1] the mu atoms into R
+    coef = np.zeros((2,) + xi.shape)
+    coef[0, :, :m_xi.shape[1]] = m_w
+    coef[1, :, m_xi.shape[1]:] = mu_m / mu_xi ** 2
+    lin = np.stack([b, bstar])
 
     def field(u):
-        ucol = u[:, None]
-        br_m = np.expm1(-m_xi * ucol) + np.where(m_chi, m_xi * ucol, 0.0)
-        f_val = b * u - (m_w * br_m).sum(axis=1)
-        br_mu = np.expm1(-mu_xi * ucol) + np.where(mu_chi, mu_xi * ucol, 0.0)
-        r_val = bstar * u - (mu_coef * br_mu).sum(axis=1)
-        return f_val, r_val
+        x = xi * u[:, None]
+        return lin * u - (coef * (np.expm1(-x) + chi * x)).sum(axis=2)
 
     n_steps = int(round(T / dt))
-    u = u0.copy()
-    phi = np.zeros_like(u)
+    y = np.zeros((2, len(u0)))
+    y[1] = u0
+    half = 0.5 * dt
     for _ in range(n_steps):
-        f1, r1 = field(u)
-        f2, r2 = field(u + 0.5 * dt * r1)
-        f3, r3 = field(u + 0.5 * dt * r2)
-        f4, r4 = field(u + dt * r3)
-        phi += dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        u += dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-    return phi, u
+        k1 = field(y[1])
+        k2 = field(y[1] + half * k1[1])
+        k3 = field(y[1] + half * k2[1])
+        k4 = field(y[1] + dt * k3[1])
+        y += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y[0], y[1]

@@ -1,0 +1,48 @@
+"""perfbench's tracer must keep installing and uninstalling on the package.
+
+The tracer patches the layers' public functions by attribute, and it looks
+every target up when it installs; a refactor that drops one of the bindings
+it reads breaks `perfbench/run.py --trace 1`.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import affinehs
+from affinehs import library, moments, riccati
+from affinehs.params import truncate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from tracer import Tracer, _targets  # noqa: E402
+
+
+def test_tracer_records_spans_and_restores_the_package():
+    bindings = [(owner, attr) for _, pairs, _ in _targets(affinehs) for owner, attr in pairs]
+    originals = [owner.__dict__[attr] for owner, attr in bindings]
+
+    tracer = Tracer(affinehs)
+    tracer.install()
+    try:
+        s = library.get("cascade-00")
+        riccati.solve_cascade(s.params, s.u, 0.5, t_eval=(0.0, 0.5))
+        rayed = library.get("mc2-00")
+        p = truncate(rayed.params, 4)
+        assert p.m.rays or p.mu.rays
+        value = moments.laplace(p, rayed.x0, 0.5, rayed.u)
+    finally:
+        tracer.uninstall()
+
+    assert 0.0 < value <= 1.0
+    totals = tracer.layer_totals()
+    assert totals["riccati.solve_cascade"][0] == 1
+    assert totals["riccati.solve_riccati"][0] == 7 + 1
+    assert totals["moments.laplace"][0] == 1
+    assert tracer.counts["rk_steps"] > 0
+    assert tracer.counts["cascade_levels"] == 7
+    assert len(tracer.start) == sum(calls for calls, _ in totals.values())
+    assert np.all(np.frombuffer(tracer.end, dtype=float) >= np.frombuffer(tracer.start, dtype=float))
+    for (owner, attr), original in zip(bindings, originals):
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} left patched"

@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,6 +9,7 @@ import scipy.linalg
 
 from affinehs import library
 from affinehs.params import (
+    ExponentialDensity,
     OperatorAtom,
     OperatorJumpMeasure,
     OperatorRay,
@@ -16,6 +18,7 @@ from affinehs.params import (
     ScalarJumpMeasure,
     build_admissible,
     orthogonal_psd_pair,
+    radial_quad,
     truncate,
 )
 from affinehs.riccati import (
@@ -25,6 +28,7 @@ from affinehs.riccati import (
     eval_R,
     eval_Rk,
     growth_rate,
+    ray_rule,
     rk_lipschitz_bound,
     solution_to_csv,
     solve_cascade,
@@ -115,6 +119,136 @@ def test_rk_to_r_tail_bound(rng):
             u = random_psd(rng, 2)
             gap = frob_norm(eval_Rk(p, k, u) - eval_R(p, u))
             assert gap <= frob_norm(tail) * frob_norm(u) ** 2 * (1 + 1e-6) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# ray quadrature rules
+# ---------------------------------------------------------------------------
+
+SLOPES = np.geomspace(1e-4, 4.0, 42)
+
+
+def rule_bracket(density, slopes):
+    """integral of (e^{-s r} - 1 + s r 1{r <= 1}) density(r) dr by the ray's rule."""
+    r, w, small = ray_rule(density)
+    x = np.outer(slopes, r)
+    return (np.expm1(-x) + small * x) @ w
+
+
+def exp_bracket_closed_form(den, s):
+    """The exponential ray's bracket in closed form, evaluated at 30 digits."""
+    c, lam, s = mpmath.mpf(den.c), mpmath.mpf(den.lam), mpmath.mpf(s)
+
+    def mass(rate, a, b):  # integral of e^{-rate r} over [a, b]
+        return (mpmath.exp(-rate * a) - (0 if b == math.inf else mpmath.exp(-rate * b))) / rate
+
+    def first(a, b):  # integral of r e^{-lam r} over [a, b]
+        def prim(r):
+            return 0 if r == math.inf else -(r / lam + 1 / lam ** 2) * mpmath.exp(-lam * r)
+        return prim(b) - prim(a)
+
+    total = mpmath.mpf(0)
+    for a, b, small in ((den.rmin, min(den.rmax, 1.0), True), (max(den.rmin, 1.0), den.rmax, False)):
+        if b > a:
+            total += c * (mass(lam + s, a, b) - mass(lam, a, b) + (s * first(a, b) if small else 0))
+    return float(total)
+
+
+def power_bracket_series(den, s):
+    """Termwise power series of a finite power-law ray's bracket, at 30 digits.
+
+    On [a, b] the term n is (-s)^n c (b^(n-alpha) - a^(n-alpha)) / (n! (n-alpha)),
+    summed from n = 2 on the compensated piece r <= 1 and from n = 1 above it.
+    """
+    c, alpha, s = mpmath.mpf(den.c), mpmath.mpf(den.alpha), mpmath.mpf(s)
+    total = mpmath.mpf(0)
+    for a, b, n0 in ((den.rmin, min(den.rmax, 1.0), 2), (max(den.rmin, 1.0), den.rmax, 1)):
+        if b <= a:
+            continue
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        for n in range(n0, 200):
+            term = (-s) ** n * c * (b ** (n - alpha) - a ** (n - alpha)) \
+                / (mpmath.factorial(n) * (n - alpha))
+            total += term
+            if abs(term) < mpmath.mpf(10) ** -40 * abs(total):
+                break
+    return float(total)
+
+
+def test_ray_rule_exponential_closed_form():
+    with mpmath.workdps(30):
+        for den in (ExponentialDensity(0.7, 2.3),
+                    ExponentialDensity(0.4, 1.0, 1.0 / 64, 1.0),
+                    ExponentialDensity(0.9, 3.0, 0.25, 2.5),
+                    ExponentialDensity(0.5, 0.3, 1.0 / 8),
+                    ExponentialDensity(1.2, 40.0, 0.0, 7.0)):
+            got = rule_bracket(den, SLOPES)
+            ref = np.array([exp_bracket_closed_form(den, s) for s in SLOPES])
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0, err_msg=str(den))
+
+
+def test_field_assembles_ray_brackets(rng):
+    # F and R of one m ray and one mu ray against the closed form at the
+    # slope <direction, u>: checks how the field places the rule's nodes
+    from affinehs.params import ParameterSet, ScalarJumpMeasure, ScalarRay
+    from affinehs.symcone import ZeroOperator
+    den = ExponentialDensity(0.8, 1.7, 0.0, 3.0)
+    direction, weight = unit_dir(), np.array([[0.5, 0.1], [0.1, 0.4]])
+    p = ParameterSet(2, np.zeros((2, 2)), ZeroOperator(2),
+                     ScalarJumpMeasure(2, (), (ScalarRay(direction, den),)),
+                     OperatorJumpMeasure(2, (), (OperatorRay(direction, weight, den),)))
+    with mpmath.workdps(30):
+        for _ in range(5):
+            u = random_psd(rng, 2, scale=2.0)
+            bracket = exp_bracket_closed_form(den, inner(direction, u))
+            assert eval_F(p, u) == pytest.approx(-bracket, rel=1e-10)
+            np.testing.assert_allclose(eval_R(p, u), -bracket * weight, rtol=1e-10)
+
+
+def test_ray_rule_power_law_series():
+    with mpmath.workdps(30):
+        for den in (PowerLawDensity(0.5, 0.5, 0.0, 1.0),
+                    PowerLawDensity(0.3, 0.3, 0.0, 1.5),
+                    PowerLawDensity(0.6, 0.7, 1.0 / 64, 1.0),
+                    PowerLawDensity(0.4, -1.5, 0.0, 1.5),
+                    PowerLawDensity(0.4, -1.5, 1.0 / 16, 1.5),
+                    PowerLawDensity(0.8, 0.9, 0.2, 1.3)):
+            got = rule_bracket(den, SLOPES)
+            ref = np.array([power_bracket_series(den, s) for s in SLOPES])
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0, err_msg=str(den))
+
+
+def test_ray_rule_power_law_tail_to_infinity():
+    # alpha > 2 keeps the second moment finite; the library has no such ray
+    with mpmath.workdps(30):
+        for den in (PowerLawDensity(0.7, 2.2, 1.0 / 16, math.inf),
+                    PowerLawDensity(0.5, 3.5, 1.0, math.inf),
+                    PowerLawDensity(0.3, 2.05, 2.0, math.inf)):
+            for s in SLOPES[::4]:
+                def integrand(r, s=s):
+                    chi = s * r if r <= 1 else 0
+                    return (mpmath.expm1(-s * r) + chi) * den.c * r ** (-1 - den.alpha)
+                a = den.rmin
+                knots = sorted({a, max(a, 1.0), 2 * max(a, 1.0), max(a, 1.0, 1 / s), max(a, 1.0, 10 / s)})
+                ref = float(mpmath.quad(integrand, knots + [mpmath.inf]))
+                got = rule_bracket(den, np.array([s]))[0]
+                assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (den, s)
+
+
+def test_ray_rules_match_radial_quad_on_library_rays(bench):
+    densities = {}
+    for s in bench:
+        for k in (None, 1, 2, 4, 8, 16, 32, 64):
+            p = truncate(s.params, k) if k else s.params
+            densities.update((r.density, None) for r in p.m.rays + p.mu.rays)
+    worst = 0.0
+    for den in densities:
+        got = rule_bracket(den, SLOPES)
+        for s, g in zip(SLOPES, got):
+            ref = radial_quad(den, lambda r: math.expm1(-s * r) + s * r, 0.0, 1.0) \
+                + radial_quad(den, lambda r: math.expm1(-s * r), 1.0, math.inf)
+            worst = max(worst, abs(g - ref) / abs(ref))
+    assert worst <= 5e-8
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +374,26 @@ def test_clip_policy_logs(atom_p1):
     opts = RiccatiOptions(projection="clip")
     sol = solve_riccati(atom_p1, np.array([[0.5]]), 1.0, opts=opts)
     assert sol.diagnostics["clip_total"] >= 0.0
+
+
+def test_rhs_eval_count():
+    # a u on the cone's boundary and a vanishing cone tolerance make the
+    # rounding of the step land outside the cone now and then
+    clipped = 0
+    for name in ("cascade-00", "mc2-01", "mixed-d2-01"):
+        s = library.get(name)
+        u = np.zeros((s.params.dim,) * 2)
+        u[0, 0] = 1.0
+        for policy in ("reject", "clip"):
+            opts = RiccatiOptions(projection=policy, cone_tol=1e-300)
+            diag = solve_riccati(s.params, u, 1.0, opts=opts, k=4).diagnostics
+            attempts = diag["n_steps"] + diag["n_rejected_error"] + diag["n_rejected_cone"]
+            assert diag["n_rhs_evals"] == 1 + 6 * attempts + diag["n_clipped"]
+            if policy == "reject":
+                assert diag["n_clipped"] == 0
+            clipped += diag["n_clipped"]
+    assert clipped > 0
+    assert solve_riccati(library.get("mc2-01").params, np.eye(2), 0.0).diagnostics["n_rhs_evals"] == 0
 
 
 def test_options_validation():
