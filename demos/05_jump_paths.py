@@ -9,8 +9,8 @@ import numpy as np
 from affinehs import library
 from affinehs.params import truncate
 from affinehs.pdmpsim import (
+    CounterStream,
     PathSimulator,
-    _path_rng,
     drift_data,
     jump_intensity,
     simulate_path,
@@ -40,10 +40,15 @@ stats = terminal_statistics(p_k, s.x0, 1.0, n, seed=11, workers=2)
 counts = stats[:, -1]
 print(f"\n{n} paths: mean jumps {counts.mean():.3f}, variance {counts.var(ddof=1):.3f}")
 
-# the per-path streams are keyed by (seed, index): rerunning one index
-# reproduces that path bit for bit
+# every uniform of path i is a Philox4x32-10 draw keyed by (seed, i, draw
+# index), and terminal_statistics simulates its paths in lockstep on those
+# streams: a path run alone repeats its row of the 5000-path run
+i = int(np.argmax(counts >= 2))
 sim = PathSimulator(p_k)
-a = sim.run(s.x0, 1.0, _path_rng(11, 42))
-b = sim.run(s.x0, 1.0, _path_rng(11, 42))
-print("path 42 reproducible:", np.array_equal(a.terminal, b.terminal)
+a = sim.run(s.x0, 1.0, CounterStream(11, i))
+b = sim.run(s.x0, 1.0, CounterStream(11, i))
+row = sim.basis.unvec(stats[i, :-1])
+print(f"path {i} reproducible:", np.array_equal(a.terminal, b.terminal)
       and np.array_equal(a.times, b.times))
+print(f"path {i} alone vs row {i}: {a.n_jumps} vs {int(counts[i])} jumps, "
+      f"max terminal difference {np.abs(a.terminal - row).max():.1e}")

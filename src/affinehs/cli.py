@@ -147,7 +147,7 @@ def cmd_simulate(args):
                               + [f"{v:.17g}" for v in vals]) + "\n")
 
         for pid in range(args.n_paths):
-            path = sim.run(x0, args.T, _pdmp._path_rng(args.seed, pid), stream_id=pid)
+            path = sim.run(x0, args.T, _pdmp.CounterStream(args.seed, pid), stream_id=pid)
             emit(pid, 0, 0.0, "flow-sample", np.asarray(x0, dtype=float))
             for j in range(path.n_jumps):
                 emit(pid, j + 1, path.times[j], "jump", path.states[j])

@@ -128,11 +128,30 @@ class PowerLawDensity:
         """Vectorized integral of rho over [rmin, r]."""
         r = np.minimum(np.asarray(r, dtype=float), self.rmax)
         q = -self.alpha
-        if abs(q) < 1e-13:
-            out = self.c * np.log(np.maximum(r, self.rmin) / self.rmin)
+        if self.rmin == 0.0:
+            out = self.c * np.maximum(r, 0.0) ** q / q
         else:
-            out = self.c * (np.maximum(r, self.rmin) ** q - self.rmin ** q) / q
+            # c (r^q - rmin^q) / q through expm1, without cancellation near rmin
+            lr = np.log(np.maximum(r, self.rmin) / self.rmin)
+            out = self.c * lr if abs(q) < 1e-13 else self.c * self.rmin ** q * np.expm1(q * lr) / q
         return np.where(r <= self.rmin, 0.0, out)
+
+    def inverse_cdf_mass(self, m):
+        """Vectorized radius r with cdf_mass(r) = m, for m in [0, total mass].
+
+        r = (rmin^q + q m / c)^(1/q) with q = -alpha, written through log1p so
+        that it keeps its precision at both ends; r = rmin e^(m/c) at alpha = 0.
+        """
+        m = np.asarray(m, dtype=float)
+        q = -self.alpha
+        if abs(q) < 1e-13:
+            r = self.rmin * np.exp(m / self.c)
+        elif self.rmin > 0.0:
+            with np.errstate(divide="ignore"):  # m = total mass with rmax = inf gives r = inf
+                r = self.rmin * np.exp(np.log1p(np.maximum(q * m / (self.c * self.rmin ** q), -1.0)) / q)
+        else:
+            r = (q * m / self.c) ** (1.0 / q)
+        return np.minimum(r, self.rmax)
 
     def restricted(self, lo, hi):
         a = max(lo, self.rmin)
@@ -177,8 +196,17 @@ class ExponentialDensity:
 
     def cdf_mass(self, r):
         r = np.minimum(np.asarray(r, dtype=float), self.rmax)
-        out = (self.c / self.lam) * (np.exp(-self.lam * self.rmin) - np.exp(-self.lam * np.maximum(r, self.rmin)))
+        out = -(self.c / self.lam) * math.exp(-self.lam * self.rmin) * np.expm1(
+            -self.lam * (np.maximum(r, self.rmin) - self.rmin))
         return np.where(r <= self.rmin, 0.0, out)
+
+    def inverse_cdf_mass(self, m):
+        """Vectorized radius r with cdf_mass(r) = m: rmin - log1p(-lam m e^(lam rmin) / c) / lam."""
+        m = np.asarray(m, dtype=float)
+        y = np.maximum(-self.lam * m * math.exp(self.lam * self.rmin) / self.c, -1.0)
+        with np.errstate(divide="ignore"):  # m = total mass with rmax = inf gives r = inf
+            r = self.rmin - np.log1p(y) / self.lam
+        return np.minimum(r, self.rmax)
 
     def restricted(self, lo, hi):
         a = max(lo, self.rmin)

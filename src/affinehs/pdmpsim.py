@@ -3,15 +3,19 @@
 Between jumps the state follows the linear flow driven by the compensated
 drift pair (btilde, Btilde); jumps arrive with the affine intensity
 lambda(x) = m(total) + <kernel mass, x> and are drawn from the normalized
-state-dependent kernel.  The jump clock is realized by thinning: on short
+state-dependent kernel, with radii from the closed-form inverse CDFs of the
+radial densities.  The jump clock is realized by thinning: on short
 lookahead windows a dominating rate is taken as the grid maximum of the
 intensity along the flow times a safety factor, proposals are accepted with
 probability lambda/lambda_bar, and a proposal that lands above the bound
 restarts the window with the safety factor doubled.
 
-Estimators draw one counter-based RNG stream per path index, so results
-are bitwise identical for a fixed (seed, n_paths) regardless of how many
-worker processes are used.
+The paths of a block are simulated in lockstep: every step advances all live
+paths at once (one batched flow in the eigen-coordinates of the augmented
+generator) and every random number comes from a counter-based stream.  Draw
+j of path i is a pure function of (seed, i, j), and blocks of _BLOCK paths
+have fixed boundaries, so results are bitwise identical for a fixed
+(seed, n_paths) regardless of how many worker processes are used.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .exceptions import SimulationError
 from . import symcone
@@ -37,6 +40,8 @@ __all__ = [
     "jump_intensity",
     "RadialSampler",
     "sample_jump",
+    "philox4x32",
+    "CounterStream",
     "SimPath",
     "PathSimulator",
     "simulate_path",
@@ -48,7 +53,6 @@ __all__ = [
     "mc_second_moment",
 ]
 
-_INF = math.inf
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
@@ -90,11 +94,15 @@ def drift_data(p_set):
 class FlowPropagator:
     """Evaluates the closed-form flow e^{t Btilde} x + int_0^t e^{(t-s)Btilde} btilde ds.
 
-    The drift integral uses the resolvent identity through the eigenvalues
-    of Btilde when the eigenbasis is well conditioned, and a 16-panel
-    Gauss-Legendre rule otherwise.  When the augmented block matrix
-    [[Btilde, btilde], [0, 0]] is diagonalizable the whole affine flow is a
-    single eigen-propagated matvec, which is what the simulation loop hits.
+    The affine flow is the linear flow of the augmented block matrix
+    [[Btilde, btilde], [0, 0]] acting on (x, 1).  `coords` maps states to
+    the eigen-coordinates of that matrix, and `advance` moves any number of
+    them, each by its own time, with one elementwise exponential and one
+    product; a defective block matrix falls back to one dense exponential
+    per state.  `drift_vec` and `prop` (the exponential of Btilde alone)
+    serve the thinning bounds: the drift integral uses the resolvent
+    identity through the eigenvalues of Btilde when its eigenbasis is well
+    conditioned, and a 16-panel Gauss-Legendre rule otherwise.
     """
 
     def __init__(self, drift):
@@ -109,6 +117,10 @@ class FlowPropagator:
         aug[:n, n] = self.b_vec
         self._aug = ExpPropagator(aug)
         self._n = n
+        if self._aug.use_eig:
+            self._to_coords = self._aug._vinv[:, :n].T.copy()
+            self._coords_of_one = self._aug._vinv[:, n].copy()
+            self._from_coords = self._aug._vr[:n].T.copy()
 
     def drift_vec(self, t):
         """integral_0^t e^{s Btilde} btilde ds in coordinates."""
@@ -123,13 +135,29 @@ class FlowPropagator:
             out += w * self.prop.dot(s, self.b_vec)
         return half * out
 
-    def flow_vec(self, x_vec, t):
+    def coords(self, x_vec):
+        """States (..., n) as anchors (..., n + 1) for `advance`."""
+        x_vec = np.asarray(x_vec, dtype=float)
         if self._aug.use_eig:
-            aug = np.empty(self._n + 1)
-            aug[: self._n] = x_vec
-            aug[self._n] = 1.0
-            return self._aug.dot(t, aug)[: self._n]
-        return self.prop.dot(t, x_vec) + self.drift_vec(t)
+            z = x_vec @ self._to_coords
+            z += self._coords_of_one
+            return z
+        return np.concatenate([x_vec, np.ones(x_vec.shape[:-1] + (1,))], axis=-1)
+
+    def advance(self, z, t):
+        """States (..., n) reached from anchors z (..., n + 1) after times t (...)."""
+        t = np.asarray(t, dtype=float)
+        if self._aug.use_eig:
+            e = np.exp(t[..., None] * self._aug._w)
+            e *= z
+            return np.real(e @ self._from_coords)
+        n1 = self._n + 1
+        flat = [self._aug.dot(ti, zi) for ti, zi in zip(np.broadcast_to(t, z.shape[:-1]).ravel(),
+                                                         z.reshape(-1, n1))]
+        return np.reshape(flat, z.shape)[..., : self._n]
+
+    def flow_vec(self, x_vec, t):
+        return self.advance(self.coords(x_vec), t)
 
     def flow(self, x, t):
         out = self.basis.unvec(self.flow_vec(self.basis.vec(np.asarray(x, dtype=float)), t))
@@ -157,95 +185,101 @@ def jump_intensity(p_set, x):
 
 
 class RadialSampler:
-    """Inverse-CDF sampling of a radial density, tabulated and PCHIP-inverted."""
-
-    TABLE = 4096
+    """Inverse-CDF sampling of a radial density through its closed-form inverse."""
 
     def __init__(self, density):
-        total = density.partial_moment(0)
-        if not math.isfinite(total):
+        if not math.isfinite(density.partial_moment(0)):
             raise SimulationError("cannot sample an infinite-activity radial density")
         self.density = density
-        self.total = float(total)
-        lo = density.rmin
-        hi = density.rmax
-        if hi == _INF:
-            hi = max(lo + 1.0, 2.0 * lo)
-            while total - density.partial_moment(0, lo, hi) > 1e-12 * total:
-                hi *= 2.0
-        if lo > 0.0:
-            grid = np.geomspace(lo, hi, self.TABLE)
-        else:
-            grid = np.linspace(lo, hi, self.TABLE)
-        grid[0], grid[-1] = lo, hi
-        cdf = np.asarray(density.cdf_mass(grid), dtype=float)
-        keep = np.concatenate([[True], np.diff(cdf) > 0.0])
-        self._cdf_hi = cdf[keep][-1]
-        self._inv = PchipInterpolator(cdf[keep], grid[keep])
+        self.total = float(density.cdf_mass(density.rmax))
+
+    def inverse(self, m):
+        """Radii whose cumulative mass is m, vectorized over m in [0, total]."""
+        return self.density.inverse_cdf_mass(m)
 
     def draw(self, rng):
-        q = min(rng.random() * self.total, self._cdf_hi)
-        return float(self._inv(q))
+        return float(self.inverse(rng.random() * self.total))
 
 
 class _JumpTable:
-    """Component masses and samplers for the state-dependent kernel."""
+    """Component masses and jump sizes of the state-dependent kernel.
+
+    Component c has mass const[c] + rows[c] @ x and jump size
+    scale * directions[c], where scale is 1 for an atom and, for a ray, a
+    radius drawn by samplers[c].
+    """
 
     def __init__(self, p_set, basis):
         self.basis = basis
-        const, rows, payload = [], [], []
+        const, rows, directions, samplers = [], [], [], []
         for a in p_set.m.atoms:
             const.append(a.weight)
             rows.append(np.zeros(basis.n))
-            payload.append(("atom", a.xi, None))
+            directions.append(a.xi)
+            samplers.append(None)
         for r in p_set.m.rays:
             mass = r.density.partial_moment(0)
             if not math.isfinite(mass):
                 raise SimulationError("jump activity is infinite: truncate first")
             const.append(mass)
             rows.append(np.zeros(basis.n))
-            payload.append(("ray", r.direction, RadialSampler(r.density)))
+            directions.append(r.direction)
+            samplers.append(RadialSampler(r.density))
         for a in p_set.mu.atoms:
             const.append(0.0)
             rows.append(basis.vec(a.weight) / a.norm ** 2)
-            payload.append(("atom", a.xi, None))
+            directions.append(a.xi)
+            samplers.append(None)
         for r in p_set.mu.rays:
             mass = r.density.partial_moment(0)
             if not math.isfinite(mass):
                 raise SimulationError("jump activity is infinite: truncate first")
             const.append(0.0)
             rows.append(mass * basis.vec(r.weight))
-            payload.append(("ray", r.direction, RadialSampler(r.density)))
+            directions.append(r.direction)
+            samplers.append(RadialSampler(r.density))
         self.const = np.asarray(const)
         self.rows = np.asarray(rows).reshape(len(const), basis.n)
-        self.payload = payload
+        self.directions = directions
+        self.size_vecs = np.asarray([basis.vec(dm) for dm in directions]).reshape(len(const), basis.n)
+        self.samplers = samplers
+        self.is_ray = np.array([sp is not None for sp in samplers], dtype=bool)
         self.m_total = float(sum(c for c in const))
         self.kappa_vec = self.rows.sum(axis=0)
 
     @property
     def is_empty(self):
-        return not self.payload
+        return not self.directions
 
     def intensity(self, x_vec):
         return self.m_total + float(self.kappa_vec @ x_vec)
 
-    def draw(self, x_vec, rng):
-        masses = self.const + self.rows @ x_vec
-        total = float(masses.sum())
-        if total <= 0.0:
+    def choose(self, x_vecs, u):
+        """Jump component at each state of x_vecs (J, n): the first whose
+        cumulative mass reaches u times the total."""
+        cum = np.cumsum(self.const + x_vecs @ self.rows.T, axis=1)
+        total = cum[:, -1]
+        if not np.all(total > 0.0):
             raise SimulationError("jump drawn at zero intensity")
-        u = rng.random() * total
-        acc = 0.0
-        idx = len(masses) - 1
-        for i, mass in enumerate(masses):
-            acc += mass
-            if u <= acc:
-                idx = i
-                break
-        kind, direction, sampler = self.payload[idx]
-        if kind == "atom":
-            return direction
-        return sampler.draw(rng) * direction
+        return np.minimum((cum < (u * total)[:, None]).sum(axis=1), len(self.const) - 1)
+
+    def scales(self, comp, uniforms):
+        """Size factor of each jump of components comp: 1 for an atom, and for
+        a ray the radius whose cumulative mass is u times the ray's, with the
+        u of the ray jumps at positions sel given by uniforms(sel)."""
+        scale = np.ones(len(comp))
+        ray = np.flatnonzero(self.is_ray[comp])
+        if ray.size:
+            u = uniforms(ray)
+            for c in np.unique(comp[ray]):
+                sampler = self.samplers[c]
+                sel = comp[ray] == c
+                scale[ray[sel]] = sampler.inverse(u[sel] * sampler.total)
+        return scale
+
+    def draw(self, x_vec, rng):
+        comp = self.choose(np.asarray(x_vec)[None], rng.random(1))
+        return self.scales(comp, lambda sel: rng.random(len(sel)))[0] * self.directions[comp[0]]
 
 
 def sample_jump(p_set, x, rng):
@@ -256,6 +290,118 @@ def sample_jump(p_set, x, rng):
     if table.intensity(x_vec) <= 0.0:
         raise SimulationError("jump intensity vanishes at this state")
     return table.draw(x_vec, rng)
+
+
+# ---------------------------------------------------------------------------
+# counter-based random streams
+# ---------------------------------------------------------------------------
+
+_M32 = 0xFFFFFFFF
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+
+
+def philox4x32(counter, key):
+    """Philox4x32-10 (Salmon et al., SC 2011) of many counters under one key.
+
+    counter holds four arrays of 32-bit words (c0, c1, c2, c3) and key two
+    32-bit words; returns the (4, N) output words as uint64.  Products of
+    32-bit words are exact in uint64, so each round is a few array ops.
+    """
+    c0, c1, c2, c3 = (np.array(w, dtype=_U64) for w in counter)
+    k0, k1 = int(key[0]), int(key[1])
+    m0, m1 = _U64(_PHILOX_M[0]), _U64(_PHILOX_M[1])
+    p0, p1 = np.empty_like(c0), np.empty_like(c0)
+    for _ in range(10):
+        # (c0, c1, c2, c3) <- (hi(p1) ^ c1 ^ k0, lo(p1), hi(p0) ^ c3 ^ k1, lo(p0)),
+        # in place: c1 and c3 are read before they are overwritten
+        np.multiply(c0, m0, out=p0)
+        np.multiply(c2, m1, out=p1)
+        np.right_shift(p1, 32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.bitwise_and(p1, _M32, out=c1)
+        np.right_shift(p0, 32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(p0, _M32, out=c3)
+        k0 = (k0 + _PHILOX_W[0]) & _M32
+        k1 = (k1 + _PHILOX_W[1]) & _M32
+    return np.stack([c0, c1, c2, c3])
+
+
+class CounterStream:
+    """Uniforms of paths start, ..., start + count - 1 of one seed, by counter.
+
+    Draw j of path i is a pure function of (seed, i, j): the Philox4x32-10
+    block with key (seed mod 2^32, seed >> 32) and counter
+    (j // 2, 0, i mod 2^32, i >> 32) holds draws j & ~1 and j | 1, made of
+    its output word pairs (w0, w1) and (w2, w3) as
+    (w_hi * 2^21 + floor(w_lo / 2^11)) / 2^53, a double in [0, 1).
+    A path's draws therefore do not depend on the other paths of its block.
+    Every path starts reading at `draw`; `snapshot` gives a one-path stream
+    that resumes a path where it stands.
+    """
+
+    REFILL = 32        # draws buffered per path
+    REFILL_ROWS = 256  # paths per Philox call, which bounds its temporary arrays
+
+    def __init__(self, seed, start=0, count=1, draw=0):
+        self.seed = int(seed) & _MASK64
+        self.start = int(start)
+        self._key = (self.seed & _M32, self.seed >> 32)
+        self._path = np.arange(self.start, self.start + count, dtype=_U64)
+        self._cursor = np.full(count, int(draw), dtype=np.int64)
+        self._base = self._cursor - self.REFILL   # empty buffers: the first take fills them
+        self._buf = np.empty((count, self.REFILL))
+
+    def _refill(self, rows):
+        self._base[rows] = self._cursor[rows] & ~1
+        for lo in range(0, len(rows), self.REFILL_ROWS):
+            part = rows[lo: lo + self.REFILL_ROWS]
+            blocks = (self._base[part, None] // 2 + np.arange(self.REFILL // 2)).astype(_U64)
+            path = np.broadcast_to(self._path[part, None], blocks.shape)
+            out = philox4x32((blocks.ravel(), np.zeros(blocks.size, dtype=_U64),
+                              (path & _M32).ravel(), (path >> 32).ravel()), self._key)
+            words = (out[0::2] << 21) | (out[1::2] >> 11)
+            self._buf[part] = words.T.reshape(len(part), self.REFILL) * 2.0 ** -53
+
+    def take(self, rows):
+        """The next draw of each path in rows (positions within the stream).
+
+        Buffers are refilled when a path of rows has fewer than four draws
+        left, the most one thinning step takes; every path of rows past half
+        its buffer is refilled with it, so refills come in few large batches.
+        """
+        cur = self._cursor[rows]
+        used = cur - self._base[rows]
+        if np.any(used > self.REFILL - 4):
+            self._refill(rows[used > self.REFILL // 2])
+        self._cursor[rows] = cur + 1
+        return self._buf[rows, cur - self._base[rows]]
+
+    def snapshot(self, row):
+        return CounterStream(self.seed, self.start + row, 1, draw=self._cursor[row])
+
+    def describe(self, row):
+        return f"seed {self.seed}, path {self.start + row}"
+
+
+class _GeneratorStream:
+    """The uniforms of one path from a numpy Generator, in draw order."""
+
+    def __init__(self, rng, stream_id):
+        self.rng = rng
+        self.stream_id = stream_id
+
+    def take(self, rows):
+        return self.rng.random(len(rows))
+
+    def snapshot(self, row):
+        return self.rng.bit_generator.state
+
+    def describe(self, row):
+        return f"stream {self.stream_id!r}" if self.stream_id is not None else "numpy Generator stream"
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +433,14 @@ class SimPath:
 _WINDOW_GRID = 16
 _BASE_SAFETY = 1.5
 _MAX_ESCALATIONS = 6
+_BLOCK = 4096   # paths simulated in lockstep; fixed, so rows do not depend on workers
+
+
+def _initial_state(x0):
+    x0 = symcone.check_symmetric(x0)
+    if min_eigenvalue(x0) < -1e-9 * (1.0 + frob_norm(x0)):
+        raise SimulationError("initial state must be PSD")
+    return x0
 
 
 class PathSimulator:
@@ -312,90 +466,119 @@ class PathSimulator:
                 e_mat = self.flowprop.prop.mat_exp(s)
                 rows[j] = e_mat.T @ self.table.kappa_vec
                 consts[j] = self.table.kappa_vec @ self.flowprop.drift_vec(s) + self.table.m_total
-            data = (rows, consts)
+            data = (rows.T.copy(), consts)
             self._window_cache[delta] = data
         return data
 
-    def _loop(self, x_vec, T, rng, delta, events=None, snaps=None):
-        """Thinning core; returns (terminal vec, n_proposals, n_accepted, n_breaches)."""
-        rows, consts = self._window_data(delta)
-        flow_vec = self.flowprop.flow_vec
-        kappa = self.table.kappa_vec
-        m_total = self.table.m_total
-        n_prop = n_acc = n_breach = 0
-        t = 0.0
-        while t < T:
-            wend = min(t + delta, T)
-            anchor_t = t
-            anchor_x = x_vec
-            safety = _BASE_SAFETY
-            lam_bar = safety * float((rows @ anchor_x + consts).max())
-            if lam_bar <= 0.0:
-                x_vec = flow_vec(anchor_x, wend - anchor_t)
-                t = wend
-                continue
-            while True:
-                gap = rng.exponential(1.0 / lam_bar)
-                if t + gap >= wend:
-                    x_vec = flow_vec(anchor_x, wend - anchor_t)
-                    t = wend
-                    break
-                t = t + gap
-                x_vec = flow_vec(anchor_x, t - anchor_t)
-                lam = m_total + float(kappa @ x_vec)
-                if lam > lam_bar:
-                    n_breach += 1
-                    safety *= 2.0
-                    if safety > _BASE_SAFETY * 2 ** _MAX_ESCALATIONS:
-                        raise SimulationError(
-                            f"intensity bound failed after {_MAX_ESCALATIONS} escalations at t = {t:.6g}")
-                    anchor_t, anchor_x = t, x_vec
-                    lam_bar = safety * float((rows @ anchor_x + consts).max())
-                    continue
-                n_prop += 1
-                if rng.random() * lam_bar <= lam:
-                    size = self.table.draw(x_vec, rng)
-                    x_vec = x_vec + self.basis.vec(size)
-                    n_acc += 1
-                    if events is not None:
-                        events.append((t, size, x_vec.copy()))
-                    if snaps is not None:
-                        snaps.append(rng.bit_generator.state)
-                    break
-        return x_vec, n_prop, n_acc, n_breach
+    def _lockstep(self, x_vecs, T, stream, window=None, record=None):
+        """Thin every path of a block at once.
 
-    def terminal_vec(self, x_vec, T, rng, window=None):
-        """Terminal state in coordinates plus the jump count; no event records."""
-        if self.table.is_empty or T == 0.0:
-            term = self.flowprop.flow_vec(x_vec, T) if T > 0.0 else x_vec
-            return term, 0
+        Path i starts at row i of x_vecs and reads its uniforms from
+        stream.take.  Each step moves every live path to its next event: the
+        end of its window, a breach of its bound (the window re-anchors there
+        with the safety factor doubled), or a proposal, accepted with
+        probability lambda / lambda_bar.  A new window opens where a step
+        ended one or made a jump.  Returns the terminal states and the
+        (proposals, jumps, breaches) of each path; with `record`, every jump
+        is appended as (t, size, post-jump state, stream snapshot).
+        """
+        fp, table = self.flowprop, self.table
+        n_paths = len(x_vecs)
+        counts = np.zeros((n_paths, 3), dtype=np.int64)
+        if table.is_empty or T == 0.0:
+            if T == 0.0:
+                return np.array(x_vecs, dtype=float), counts
+            return fp.advance(fp.coords(x_vecs), np.full(n_paths, T)), counts
         delta = window if window is not None else min(0.1, T / 10.0)
-        term, _, n_acc, _ = self._loop(x_vec, T, rng, delta)
-        return term, n_acc
+        base = _BASE_SAFETY
+        max_safety = base * 2 ** _MAX_ESCALATIONS
+        grid_rows, grid_consts = self._window_data(delta)
+        kappa, m_total = table.kappa_vec, table.m_total
+
+        def bound(xs):
+            """Grid maximum of the intensity over a window from each state of xs."""
+            lam = xs @ grid_rows
+            lam += grid_consts
+            return lam.max(axis=1)
+
+        terminal = np.empty((n_paths, self.basis.n))
+        live = np.arange(n_paths)
+        x = np.array(x_vecs, dtype=float)
+        z = np.empty((n_paths, self.basis.n + 1), dtype=fp.coords(x[:0]).dtype)
+        t = np.zeros(n_paths)
+        t0, wend, safety, lam_bar = (np.empty(n_paths) for _ in range(4))
+        tally = np.zeros((n_paths, 3), dtype=np.int64)
+        opening = np.ones(n_paths, dtype=bool)
+        while live.size:
+            o = np.flatnonzero(opening)
+            if o.size:
+                t0[o] = t[o]
+                wend[o] = np.minimum(t[o] + delta, T)
+                z[o] = fp.coords(x[o])
+                safety[o] = base
+                lam_bar[o] = base * bound(x[o])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_next = t - np.log1p(-stream.take(live)) / lam_bar
+            end = (lam_bar <= 0.0) | ~(t_next < wend)
+            t = np.where(end, wend, t_next)
+            x = fp.advance(z, t - t0)
+            lam = m_total + x @ kappa
+            over = ~end & (lam > lam_bar)
+            if over.any():
+                b = np.flatnonzero(over)
+                safety[b] *= 2.0
+                worst = b[np.argmax(safety[b])]
+                if safety[worst] > max_safety:
+                    raise SimulationError(
+                        f"intensity bound failed after {_MAX_ESCALATIONS} escalations "
+                        f"({stream.describe(live[worst])}, t = {t[worst]!r}, "
+                        f"safety factor {safety[worst]:g})")
+                t0[b] = t[b]
+                z[b] = fp.coords(x[b])
+                lam_bar[b] = safety[b] * bound(x[b])
+                tally[:, 2] += over
+            proposal = ~end & ~over
+            tally[:, 0] += proposal
+            p = np.flatnonzero(proposal)
+            hit = p[stream.take(live[p]) * lam_bar[p] <= lam[p]]
+            opening = end
+            if hit.size:
+                comp = table.choose(x[hit], stream.take(live[hit]))
+                scale = table.scales(comp, lambda sel: stream.take(live[hit[sel]]))
+                x[hit] += scale[:, None] * table.size_vecs[comp]
+                tally[hit, 1] += 1
+                opening[hit] = True
+                if record is not None:
+                    for r, c, a in zip(hit, comp, scale):
+                        record.append((t[r], a * table.directions[c], x[r].copy(),
+                                       stream.snapshot(live[r])))
+            done = end & (t >= T)
+            if done.any():
+                terminal[live[done]] = x[done]
+                counts[live[done]] = tally[done]
+                keep = ~done
+                live, x, z, t, t0, wend, safety, lam_bar, tally, opening = (
+                    a[keep] for a in (live, x, z, t, t0, wend, safety, lam_bar, tally, opening))
+        return terminal, counts
 
     def run(self, x0, T, rng, window=None, record_rng_states=False, stream_id=None):
+        """One path with its jump events.
+
+        rng is a CounterStream (its first path is simulated) or a numpy
+        Generator, which feeds the path's uniforms in draw order.  With
+        record_rng_states, rng_states[j] resumes the stream after jump j.
+        """
         basis = self.basis
-        x0 = symcone.check_symmetric(x0)
-        if min_eigenvalue(x0) < -1e-9 * (1.0 + frob_norm(x0)):
-            raise SimulationError("initial state must be PSD")
+        x0 = _initial_state(x0)
         if T < 0:
             raise ValueError("T must be >= 0")
-        x_vec = basis.vec(x0)
-        worst_eig = min_eigenvalue(x0)
-        d = self.p_set.dim
-
+        stream = rng if isinstance(rng, CounterStream) else _GeneratorStream(rng, stream_id)
         events = []
-        snaps = [] if record_rng_states else None
-        if self.table.is_empty or T == 0.0:
-            term = self.flowprop.flow_vec(x_vec, T) if T > 0.0 else x_vec
-            n_prop = n_acc = n_breach = 0
-        else:
-            delta = window if window is not None else min(0.1, T / 10.0)
-            term, n_prop, n_acc, n_breach = self._loop(
-                x_vec, T, rng, delta, events=events, snaps=snaps)
-
-        term_mat = symcone.symmetrize(basis.unvec(term))
-        worst_eig = min(worst_eig, min_eigenvalue(term_mat))
+        term, counts = self._lockstep(basis.vec(x0)[None], T, stream, window, events)
+        n_prop, n_acc, n_breach = (int(c) for c in counts[0])
+        d = self.p_set.dim
+        term_mat = symcone.symmetrize(basis.unvec(term[0]))
+        worst_eig = min(min_eigenvalue(x0), min_eigenvalue(term_mat))
         times = np.asarray([e[0] for e in events])
         sizes = np.asarray([e[1] for e in events]).reshape(len(events), d, d)
         states = np.asarray([symcone.symmetrize(basis.unvec(e[2])) for e in events]).reshape(
@@ -404,11 +587,11 @@ class PathSimulator:
             worst_eig = min(worst_eig, min_eigenvalue(st))
         return SimPath(times, sizes, states, term_mat, stream_id,
                        n_prop, n_acc, n_breach, worst_eig,
-                       tuple(snaps) if record_rng_states else None)
+                       tuple(e[3] for e in events) if record_rng_states else None)
 
 
 def simulate_path(p_set, x0, T, rng, window=None, record_rng_states=False, simulator=None):
-    """Simulate one path; rng may be a numpy Generator or an int seed."""
+    """Simulate one path; rng may be a numpy Generator, a CounterStream or an int seed."""
     sim = simulator or PathSimulator(p_set)
     stream_id = None
     if isinstance(rng, (int, np.integer)):
@@ -436,37 +619,38 @@ def _path_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_rows(p_set, x0, T, seed, start, stop, window):
+def _chunk_rows(p_set, x0, T, seed, start, stop, window, block):
+    """Rows start..stop-1 of terminal_statistics, in lockstep blocks of `block` paths."""
     sim = PathSimulator(p_set)
-    basis = sim.basis
-    x0 = symcone.check_symmetric(x0)
-    if min_eigenvalue(x0) < -1e-9 * (1.0 + frob_norm(x0)):
-        raise SimulationError("initial state must be PSD")
-    x_vec = basis.vec(x0)
-    out = np.empty((stop - start, basis.n + 1))
-    for i in range(start, stop):
-        term, n_jumps = sim.terminal_vec(x_vec, T, _path_rng(seed, i), window=window)
-        out[i - start, : basis.n] = term
-        out[i - start, basis.n] = n_jumps
+    n = sim.basis.n
+    x_vec = sim.basis.vec(_initial_state(x0))
+    out = np.empty((stop - start, n + 1))
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        term, counts = sim._lockstep(np.broadcast_to(x_vec, (hi - lo, n)), T,
+                                     CounterStream(seed, lo, hi - lo), window)
+        out[lo - start: hi - start, :n] = term
+        out[lo - start: hi - start, n] = counts[:, 1]
     return start, out
 
 
 def terminal_statistics(p_set, x0, T, n_paths, seed, workers=1, window=None):
     """Terminal states (vectorized) and jump counts, one row per path index.
 
-    Row i is produced from the stream keyed by (seed, i); the output is
-    independent of the worker count.
+    Row i is produced from the stream keyed by (seed, i) inside the block of
+    _BLOCK paths that holds it; worker tasks are runs of whole blocks, so the
+    output is independent of the worker count.
     """
-    basis = VecBasis(p_set.dim)
-    out = np.empty((n_paths, basis.n + 1))
-    if workers <= 1:
-        _, rows = _chunk_rows(p_set, x0, T, seed, 0, n_paths, window)
-        out[:] = rows
-        return out
-    chunk = max(64, -(-n_paths // (workers * 8)))
-    ranges = [(s, min(s + chunk, n_paths)) for s in range(0, n_paths, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_chunk_rows, p_set, x0, T, seed, s, e, window) for s, e in ranges]
+    block = _BLOCK
+    n_blocks = -(-n_paths // block)
+    if workers <= 1 or n_blocks <= 1:
+        return _chunk_rows(p_set, x0, T, seed, 0, n_paths, window, block)[1]
+    span = block * -(-n_blocks // (workers * 4))
+    ranges = [(s, min(s + span, n_paths)) for s in range(0, n_paths, span)]
+    out = np.empty((n_paths, VecBasis(p_set.dim).n + 1))
+    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
+        futures = [pool.submit(_chunk_rows, p_set, x0, T, seed, s, e, window, block)
+                   for s, e in ranges]
         for fut in futures:
             start, rows = fut.result()
             out[start: start + len(rows)] = rows

@@ -6,8 +6,9 @@ import pytest
 
 from affinehs import library
 from affinehs.cli import main
-from affinehs.params import save_params
-from affinehs.symcone import sym_to_json
+from affinehs.params import load_params, save_params, truncate
+from affinehs.pdmpsim import terminal_statistics
+from affinehs.symcone import VecBasis, sym_to_json
 
 
 @pytest.fixture
@@ -126,6 +127,29 @@ def test_simulate_paths_csv(mc_param_file, tmp_path):
         assert events[-1]["event_type"] == "flow-sample" and float(events[-1]["time"]) == 1.0
         times = [float(r["time"]) for r in events]
         assert times == sorted(times)
+
+
+def test_simulate_path_is_terminal_statistics_row(mc_param_file, tmp_path):
+    # `simulate` path pid reads the counter stream of row pid of
+    # terminal_statistics: same jumps, same terminal state
+    _, pfile = mc_param_file
+    n = 6
+    assert main(["simulate", "--params", pfile, "--k", "4", "--T", "1.0",
+                 "--n-paths", str(n), "--seed", "3", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "paths.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    p_k = truncate(load_params(pfile), 4)
+    stats = terminal_statistics(p_k, np.eye(p_k.dim), 1.0, n, seed=3)
+    basis = VecBasis(p_k.dim)
+    assert stats[:, -1].sum() > 0
+    for pid in range(n):
+        events = [r for r in rows if int(r["path_id"]) == pid]
+        assert sum(r["event_type"] == "jump" for r in events) == stats[pid, -1]
+        term = basis.unvec(stats[pid, :-1])
+        for i in range(p_k.dim):
+            for j in range(i, p_k.dim):
+                assert float(events[-1][f"x_{i + 1}{j + 1}"]) == pytest.approx(
+                    term[i, j], rel=1e-12, abs=1e-12)
 
 
 def test_verify_deterministic_set(tmp_path):

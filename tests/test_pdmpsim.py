@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from affinehs.params import (
     truncate,
 )
 from affinehs.pdmpsim import (
+    CounterStream,
     FlowPropagator,
     PathSimulator,
     RadialSampler,
@@ -28,6 +30,7 @@ from affinehs.pdmpsim import (
     mc_laplace,
     mc_mean,
     mc_summary,
+    philox4x32,
     sample_jump,
     simulate_path,
     terminal_statistics,
@@ -185,6 +188,30 @@ def test_radial_sampler_ks(rng):
         assert ks < 1.63 / math.sqrt(n)  # 1% level
 
 
+def test_radial_inverse_cdf_round_trip():
+    # closed-form inverse CDFs of every library ray density: cdf_mass(r(m)) = m
+    # to 1e-12 relative, beyond the one rounding of r itself (slope r * pdf(r))
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    n_dens = 0
+    for k in (1, 4, 16):
+        for s in library.benchmark_sets():
+            p = truncate(s.params, k)
+            for ray in p.m.rays + p.mu.rays:
+                sampler = RadialSampler(ray.density)
+                m = sampler.total * (1.0 - rng.random(64))   # (0, total]
+                m[0] = sampler.total
+                r = sampler.inverse(m)
+                assert np.all((r >= ray.density.rmin) & (r <= ray.density.rmax))
+                fin = np.isfinite(r)
+                slack = np.zeros_like(m)
+                slack[fin] = 2.0 * eps * r[fin] * ray.density.pdf(r[fin])
+                err = np.abs(ray.density.cdf_mass(r) - m)
+                assert np.all(err <= 1e-12 * m + slack), (s.name, k, ray.density)
+                n_dens += 1
+    assert n_dens > 50
+
+
 def test_radial_sampler_rejects_infinite_activity():
     with pytest.raises(SimulationError):
         RadialSampler(PowerLawDensity(1.0, 0.5, 0.0, 1.0))
@@ -261,6 +288,20 @@ def test_markov_restart_reproduces_suffix():
         pytest.fail("no path with jumps found")
 
 
+def test_markov_restart_from_counter_stream_snapshot():
+    # a CounterStream snapshot resumes the path at its draw index
+    s = library.get("mc2-03")
+    p = truncate(s.params, 4)
+    sim = PathSimulator(p)
+    path = next(pth for pth in (sim.run(s.x0, 1.0, CounterStream(77, i), record_rng_states=True)
+                                for i in range(200)) if pth.n_jumps >= 3)
+    j = 0
+    tail = sim.run(path.states[j], 1.0 - path.times[j], path.rng_states[j], window=0.1)
+    assert tail.n_jumps == path.n_jumps - (j + 1)
+    np.testing.assert_allclose(tail.times + path.times[j], path.times[j + 1:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tail.terminal, path.terminal, rtol=1e-10, atol=1e-12)
+
+
 def test_simulate_rejects_bad_inputs(rng):
     p = poisson_set(1.0)
     with pytest.raises(SimulationError):
@@ -315,12 +356,17 @@ def test_intensity_bound_breach_escalates_safely(monkeypatch):
         breaches += path.n_breaches
     assert breaches > 0
 
-    # with no escalation headroom the same squeeze is a hard error
+    # with no escalation headroom the same squeeze is a hard error, and the
+    # message names the stream, the path, t and the final safety factor; the
+    # named path fails again when it is run alone
     monkeypatch.setattr(mod, "_MAX_ESCALATIONS", 0)
+    message = r"escalations \(seed 13, path (\d+), t = \S+, safety factor 1\.4\)"
+    with pytest.raises(SimulationError, match=message) as err:
+        terminal_statistics(p, np.array([[1.0]]), 1.0, 100, seed=13)
+    path_id = int(re.search(message, str(err.value)).group(1))
     sim2 = PathSimulator(p)
-    with pytest.raises(SimulationError, match="escalation"):
-        for i in range(100):
-            sim2.run(np.array([[1.0]]), 1.0, _path_rng(13, i))
+    with pytest.raises(SimulationError, match=rf"seed 13, path {path_id}, t = "):
+        sim2.run(np.array([[1.0]]), 1.0, CounterStream(13, path_id))
 
 
 def test_mc_laplace_scalar_compound_poisson():
@@ -339,6 +385,55 @@ def test_mc_worker_reproducibility():
     runs = [terminal_statistics(p, s.x0, 1.0, 1200, seed=3, workers=w) for w in (1, 4, 8)]
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
+
+
+def test_mc_worker_reproducibility_across_blocks(monkeypatch):
+    # many small lockstep blocks, spread over workers in whole blocks
+    import affinehs.pdmpsim as mod
+    monkeypatch.setattr(mod, "_BLOCK", 128)
+    s = library.get("mc2-02")
+    p = truncate(s.params, 4)
+    runs = [terminal_statistics(p, s.x0, 1.0, 1000, seed=8, workers=w) for w in (1, 3, 4)]
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], runs[2])
+
+
+def test_philox4x32_known_answers():
+    # Random123's known-answer vectors for Philox4x32-10: (counter; key) -> output
+    cases = [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    ]
+    out = philox4x32(np.array([c for c, _, _ in cases]).T, (0, 0))
+    assert tuple(out[:, 0]) == cases[0][2]
+    for ctr, key, expected in cases:
+        assert tuple(int(w) for w in philox4x32([[c] for c in ctr], key)[:, 0]) == expected
+
+
+def test_counter_stream_draws_do_not_depend_on_the_batch():
+    # u[i, j] is the same whether path i is read alone or inside any batch,
+    # whatever the other paths of the batch read in between
+    seed, n_draws = 2 ** 40 + 5, 150
+    alone = {}
+    for i in (0, 3, 7, 2 ** 33 + 1):
+        st = CounterStream(seed, i)
+        alone[i] = np.array([st.take(np.array([0]))[0] for _ in range(n_draws)])
+    rng = np.random.default_rng(0)
+    batch = CounterStream(seed, 0, 8)
+    seen = {i: [] for i in range(8)}
+    while min(len(v) for v in seen.values()) < n_draws:
+        rows = np.flatnonzero(rng.random(8) < 0.6)
+        for r, u in zip(rows, batch.take(rows)):
+            seen[r].append(u)
+    for i in (0, 3, 7):
+        np.testing.assert_array_equal(np.array(seen[i][:n_draws]), alone[i])
+    far = CounterStream(seed, 2 ** 33, 2)
+    far_draws = np.array([far.take(np.array([1]))[0] for _ in range(n_draws)])
+    np.testing.assert_array_equal(far_draws, alone[2 ** 33 + 1])
+    assert 0.0 <= alone[0].min() and alone[0].max() < 1.0
+    assert len(np.unique(np.concatenate(list(alone.values())))) == 4 * n_draws
 
 
 def test_mc_matches_analytics_one_set():
