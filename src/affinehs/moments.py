@@ -3,9 +3,12 @@
 Everything here is driven by the derivative data of (F, R) at the origin:
 a linear operator dR0, a linear functional dF0 (stored through its Riesz
 representative matrix), and the negative-definite bilinear tails d2R0 and
-d2F0.  First moments propagate through e^{t dR0}; second moments add a
-convolution against d2R0, evaluated with composite Gauss-Legendre panels
-that double until the result is stable to 1e-9.
+d2F0.  Affine processes are polynomial processes: the generator maps the
+polynomials of degree <= 2 in x into themselves, so E[p(X_t) | X_0 = x] is
+the polynomial e^{tG} p evaluated at x, where G is the generator's matrix on
+the coefficients of the monomials (1, x_k, x_i x_j for i <= j) in VecBasis
+coordinates.  Means, second moments and the derivatives of psi at 0 are all
+read off one matrix exponential of G.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import QuadratureError
 from . import symcone
-from .symcone import ExpPropagator, RankOneSum, VecBasis, frob_norm, inner
+from .symcone import RankOneSum, VecBasis, expm_checked, frob_norm, inner
 from . import riccati as _riccati
 
 __all__ = [
@@ -33,40 +35,6 @@ __all__ = [
     "fit_growth_envelope",
 ]
 
-_INF = math.inf
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
-
-def _gl_integral(f, a, b, n_panels):
-    """Composite 8-point Gauss-Legendre of a scalar- or vector-valued f."""
-    edges = np.linspace(a, b, n_panels + 1)
-    total = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for x, w in zip(_GL_X, _GL_W):
-            val = np.asarray(f(mid + half * x), dtype=float) * (w * half)
-            total = val if total is None else total + val
-    return total
-
-
-def _adaptive_gl(f, a, b, tol=1e-9, max_doublings=12):
-    """Panel-doubling Gauss-Legendre until the result moves less than tol."""
-    if b <= a:
-        probe = np.asarray(f(a), dtype=float)
-        return np.zeros_like(probe)
-    n = 1
-    prev = _gl_integral(f, a, b, n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = _gl_integral(f, a, b, n)
-        if np.max(np.abs(cur - prev)) <= tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"panel-doubling quadrature did not stabilize to {tol} within {n} panels")
-
 
 @dataclass(eq=False)
 class DerivativeBundle:
@@ -74,7 +42,7 @@ class DerivativeBundle:
 
     d2R0(v, w) = -sum_i coef_i <A_i, v> <A_i, w> W_i and similarly for
     d2F0 without the output matrix; both are symmetric in (v, w) and
-    negative on the cone.
+    negative on the cone.  G is the generator on polynomial coefficients.
     """
 
     dim: int
@@ -87,12 +55,12 @@ class DerivativeBundle:
     d2r_w: np.ndarray       # (K, n) vec'd output matrices
     d2f_coefs: np.ndarray   # (L,)
     d2f_a: np.ndarray       # (L, n)
-    prop: ExpPropagator = field(init=False)
     dF0_vec: np.ndarray = field(init=False)
+    G: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.prop = ExpPropagator(self.dR0_mat)
         self.dF0_vec = self.basis.vec(self.dF0_mat)
+        self.G = self._generator(drift=True)
 
     def dF0(self, v):
         return float(inner(self.dF0_mat, v))
@@ -100,13 +68,8 @@ class DerivativeBundle:
     def d2R0(self, v, w):
         vv = self.basis.vec(np.asarray(v, dtype=float))
         wv = self.basis.vec(np.asarray(w, dtype=float))
-        return self.basis.unvec(self._d2r_vec(vv, wv))
-
-    def _d2r_vec(self, v_vec, w_vec):
-        if not self.d2r_coefs.size:
-            return np.zeros(self.basis.n)
-        c = self.d2r_coefs * (self.d2r_a @ v_vec) * (self.d2r_a @ w_vec)
-        return -(c @ self.d2r_w)
+        c = self.d2r_coefs * (self.d2r_a @ vv) * (self.d2r_a @ wv)
+        return self.basis.unvec(-(c @ self.d2r_w))
 
     def d2F0(self, v, w):
         if not self.d2f_coefs.size:
@@ -114,6 +77,73 @@ class DerivativeBundle:
         vv = self.basis.vec(np.asarray(v, dtype=float))
         wv = self.basis.vec(np.asarray(w, dtype=float))
         return float(-np.sum(self.d2f_coefs * (self.d2f_a @ vv) * (self.d2f_a @ wv)))
+
+    def _generator(self, drift):
+        """Matrix of the generator on the coefficients of (1, x_k, x_i x_j for i <= j).
+
+        A<x, v> = dF0(v) + <x, dR0 v>, and A(<x, v><x, w>) =
+        -d2F0(v, w) - <x, d2R0(v, w)> + A<x, v> <x, w> + A<x, w> <x, v>.
+        drift=False leaves out the dF0 and d2F0 terms, so that e^{tG} moves
+        the coefficients by psi alone.
+        """
+        n = self.basis.n
+        iu, ju = np.triu_indices(n)
+        cols = np.arange(iu.size)
+        sym = np.zeros((n, n, iu.size))   # x_i x_j = x^T sym[:, :, p] x for p = (i, j)
+        sym[iu, ju, cols] = 0.5
+        sym[ju, iu, cols] += 0.5
+        lin, quad = slice(1, n + 1), slice(n + 1, None)
+        gen = np.zeros((1 + n + iu.size,) * 2)
+        gen[lin, lin] = self.dR0_mat
+        # x^T Q x -> x^T (dR0 Q + Q dR0^T) x
+        gen[quad, quad] = _fold(2.0 * np.einsum("ka,alp->pkl", self.dR0_mat, sym)).T
+        gen[lin, quad] = self.d2r_w.T @ (self.d2r_coefs[:, None] * _monomials(self.d2r_a))
+        if drift:
+            gen[0, lin] = self.dF0_vec
+            gen[0, quad] = self.d2f_coefs @ _monomials(self.d2f_a)
+            gen[lin, quad] += 2.0 * np.einsum("klp,l->kp", sym, self.dF0_vec)
+        return gen
+
+
+def _monomials(y):
+    """Quadratic monomials y_i y_j, i <= j, of the rows of y (..., n)."""
+    iu, ju = np.triu_indices(y.shape[-1])
+    return y[..., iu] * y[..., ju]
+
+
+def _fold(mat):
+    """Coefficients on the monomials x_i x_j, i <= j, of x^T mat x, for a stack (..., n, n)."""
+    iu, ju = np.triu_indices(mat.shape[-1])
+    return (mat[..., iu, ju] + mat[..., ju, iu]) * np.where(iu == ju, 0.5, 1.0)
+
+
+def _transport(gen, t, coefs):
+    """e^{t gen} coefs: the coefficients of x -> E[p(X_t) | X_0 = x].
+
+    A coefficient vector of length 1 + n (a polynomial of degree <= 1) uses
+    the leading block of gen, which the generator maps into itself.  Raises
+    OperatorExpError when the exponential is not finite.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    k = len(coefs)
+    return expm_checked(gen[:k, :k], t) @ coefs
+
+
+def _at(x_vec, coefs):
+    """A polynomial with coefficients coefs on (1, x_k, x_i x_j) evaluated at x."""
+    mono = np.concatenate([[1.0], x_vec, _monomials(x_vec)])
+    return float(mono[: len(coefs)] @ coefs)
+
+
+def _quadratic(mat):
+    """Coefficients of x^T mat x on (1, x_k, x_i x_j)."""
+    return np.concatenate([np.zeros(1 + len(mat)), _fold(mat)])
+
+
+def _product(bundle, v, w):
+    """Coefficients of <x, v><x, w>."""
+    return _quadratic(np.outer(bundle.basis.vec(v), bundle.basis.vec(w)))
 
 
 def derivative_bundle(p_set):
@@ -161,82 +191,37 @@ def derivative_bundle(p_set):
 
 def dpsi0(p_set, t, v, bundle=None):
     """Directional derivative of psi(t, .) at 0: e^{t dR0} v; PSD for PSD v."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
     bundle = bundle or derivative_bundle(p_set)
-    out = bundle.prop.dot(t, bundle.basis.vec(np.asarray(v, dtype=float)))
+    out = _transport(bundle.G, t, np.concatenate([[0.0], bundle.basis.vec(v)]))[1:]
     return symcone.symmetrize(bundle.basis.unvec(out))
-
-
-def _d2psi_vec(bundle, t, v_vec, w_vec, tol=1e-9):
-    prop = bundle.prop
-
-    def integrand(s):
-        ev = prop.dot(s, v_vec)
-        ew = prop.dot(s, w_vec)
-        return prop.dot(t - s, bundle._d2r_vec(ev, ew))
-
-    if t == 0.0:
-        return np.zeros(bundle.basis.n)
-    return _adaptive_gl(integrand, 0.0, t, tol=tol)
 
 
 def d2psi0(p_set, t, v, w, bundle=None):
     """Second directional derivative of psi(t, .) at 0 along (v, w).
 
-    Convolution of e^{(t-s) dR0} against d2R0 evaluated on the propagated
-    directions; symmetric in (v, w) by construction.
+    Transported by the generator without the dF0 and d2F0 terms,
+    <x, v><x, w> becomes <x, dpsi0(v)><x, dpsi0(w)> - <x, d2psi0(v, w)>, so
+    d2psi0 is minus the linear block; symmetric in (v, w) by construction.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
     bundle = bundle or derivative_bundle(p_set)
-    v_vec = bundle.basis.vec(np.asarray(v, dtype=float))
-    w_vec = bundle.basis.vec(np.asarray(w, dtype=float))
-    return symcone.symmetrize(bundle.basis.unvec(_d2psi_vec(bundle, t, v_vec, w_vec)))
+    n = bundle.basis.n
+    out = _transport(bundle._generator(drift=False), t, _product(bundle, v, w))
+    return symcone.symmetrize(bundle.basis.unvec(-out[1: n + 1]))
 
 
 def mean(p_set, x, t, v, bundle=None):
-    """E[<X_t, v> | X_0 = x]: drift term integrated along e^{s dR0} v plus <x, e^{t dR0} v>."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """E[<X_t, v> | X_0 = x]: <x, v> transported by e^{tG}, evaluated at x."""
     bundle = bundle or derivative_bundle(p_set)
     basis = bundle.basis
-    v_vec = basis.vec(np.asarray(v, dtype=float))
-    x_vec = basis.vec(np.asarray(x, dtype=float))
-    if t == 0.0:
-        return float(x_vec @ v_vec)
-    drift = _adaptive_gl(lambda s: bundle.dF0_vec @ bundle.prop.dot(s, v_vec), 0.0, t)
-    return float(drift + x_vec @ bundle.prop.dot(t, v_vec))
+    coefs = _transport(bundle.G, t, np.concatenate([[0.0], basis.vec(v)]))
+    return _at(basis.vec(x), coefs)
 
 
 def second_moment(p_set, x, t, v, w=None, bundle=None):
-    """E[<X_t, v><X_t, w> | X_0 = x] from the five-term derivative formula."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """E[<X_t, v><X_t, w> | X_0 = x]: <x, v><x, w> transported by e^{tG}, evaluated at x."""
     bundle = bundle or derivative_bundle(p_set)
-    basis = bundle.basis
-    w = v if w is None else w
-    v_vec = basis.vec(np.asarray(v, dtype=float))
-    w_vec = basis.vec(np.asarray(w, dtype=float))
-    x_vec = basis.vec(np.asarray(x, dtype=float))
-    if t == 0.0:
-        return float((x_vec @ v_vec) * (x_vec @ w_vec))
-    prop = bundle.prop
-
-    def f_quad(s):
-        ev = prop.dot(s, v_vec)
-        ew = prop.dot(s, w_vec)
-        if not bundle.d2f_coefs.size:
-            return 0.0
-        return -np.sum(bundle.d2f_coefs * (bundle.d2f_a @ ev) * (bundle.d2f_a @ ew))
-
-    term_f2 = -_adaptive_gl(f_quad, 0.0, t)
-    term_nested = -_adaptive_gl(
-        lambda s: bundle.dF0_vec @ _d2psi_vec(bundle, s, v_vec, w_vec, tol=1e-10), 0.0, t)
-    term_x = -float(x_vec @ _d2psi_vec(bundle, t, v_vec, w_vec))
-    mean_v = mean(p_set, x, t, basis.unvec(v_vec), bundle=bundle)
-    mean_w = mean_v if w is v or np.array_equal(v, w) else mean(p_set, x, t, basis.unvec(w_vec), bundle=bundle)
-    return float(term_f2 + term_nested + term_x + mean_v * mean_w)
+    coefs = _transport(bundle.G, t, _product(bundle, v, v if w is None else w))
+    return _at(bundle.basis.vec(x), coefs)
 
 
 def laplace(p_set, x, t, u, opts=None):
@@ -283,16 +268,10 @@ def fit_growth_envelope(p_set, x, t_grid, bundle=None):
     form, so this reports the observed growth of the second moment.
     """
     bundle = bundle or derivative_bundle(p_set)
-    basis = bundle.basis
     t_grid = np.asarray(t_grid, dtype=float)
-    vals = []
-    for t in t_grid:
-        total = 0.0
-        for j in range(basis.n):
-            e_j = basis.basis_matrix(j)
-            total += second_moment(p_set, x, t, e_j, e_j, bundle=bundle)
-        vals.append(total)
-    vals = np.asarray(vals)
+    norm2 = _quadratic(np.eye(bundle.basis.n))   # ||x||^2 = sum_k x_k^2
+    x_vec = bundle.basis.vec(x)
+    vals = np.asarray([_at(x_vec, _transport(bundle.G, t, norm2)) for t in t_grid])
     denom = frob_norm(x) ** 2 + 1.0
     logs = np.log(np.maximum(vals / denom, 1e-300))
     coef = np.polyfit(t_grid, logs, 1)

@@ -56,8 +56,6 @@ __all__ = [
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-
 
 # ---------------------------------------------------------------------------
 # compensated drift and the deterministic flow
@@ -95,45 +93,26 @@ class FlowPropagator:
     """Evaluates the closed-form flow e^{t Btilde} x + int_0^t e^{(t-s)Btilde} btilde ds.
 
     The affine flow is the linear flow of the augmented block matrix
-    [[Btilde, btilde], [0, 0]] acting on (x, 1).  `coords` maps states to
-    the eigen-coordinates of that matrix, and `advance` moves any number of
-    them, each by its own time, with one elementwise exponential and one
-    product; a defective block matrix falls back to one dense exponential
-    per state.  `drift_vec` and `prop` (the exponential of Btilde alone)
-    serve the thinning bounds: the drift integral uses the resolvent
-    identity through the eigenvalues of Btilde when its eigenbasis is well
-    conditioned, and a 16-panel Gauss-Legendre rule otherwise.
+    [[Btilde, btilde], [0, 0]] acting on (x, 1), which `_aug` exponentiates.
+    `coords` maps states to the eigen-coordinates of that matrix, and
+    `advance` moves any number of them, each by its own time, with one
+    elementwise exponential and one product; a defective block matrix falls
+    back to one dense exponential per state.
     """
 
     def __init__(self, drift):
         self.dim = drift.dim
         self.basis = VecBasis(drift.dim)
-        self.mat = drift.Btilde.to_dense(self.basis)
-        self.b_vec = self.basis.vec(drift.btilde)
-        self.prop = ExpPropagator(self.mat)
         n = self.basis.n
         aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = self.mat
-        aug[:n, n] = self.b_vec
+        aug[:n, :n] = drift.Btilde.to_dense(self.basis)
+        aug[:n, n] = self.basis.vec(drift.btilde)
         self._aug = ExpPropagator(aug)
         self._n = n
         if self._aug.use_eig:
             self._to_coords = self._aug._vinv[:, :n].T.copy()
             self._coords_of_one = self._aug._vinv[:, n].copy()
             self._from_coords = self._aug._vr[:n].T.copy()
-
-    def drift_vec(self, t):
-        """integral_0^t e^{s Btilde} btilde ds in coordinates."""
-        if t == 0.0:
-            return np.zeros_like(self.b_vec)
-        if self.prop.use_eig:
-            return self.prop.phi1_dot(t, self.b_vec)
-        half = 0.5 * t
-        nodes = half * (_GL16_X + 1.0)
-        out = np.zeros_like(self.b_vec)
-        for s, w in zip(nodes, _GL16_W):
-            out += w * self.prop.dot(s, self.b_vec)
-        return half * out
 
     def coords(self, x_vec):
         """States (..., n) as anchors (..., n + 1) for `advance`."""
@@ -457,16 +436,14 @@ class PathSimulator:
         self._window_cache = {}
 
     def _window_data(self, delta):
+        """Rows and constants of the intensity m_total + [kappa, 0] e^{s Aug} (x, 1)
+        along the flow, at the grid points s of a window of length delta."""
         data = self._window_cache.get(delta)
         if data is None:
-            grid = np.linspace(0.0, delta, _WINDOW_GRID)
-            rows = np.empty((_WINDOW_GRID, self.basis.n))
-            consts = np.empty(_WINDOW_GRID)
-            for j, s in enumerate(grid):
-                e_mat = self.flowprop.prop.mat_exp(s)
-                rows[j] = e_mat.T @ self.table.kappa_vec
-                consts[j] = self.table.kappa_vec @ self.flowprop.drift_vec(s) + self.table.m_total
-            data = (rows.T.copy(), consts)
+            kappa = np.append(self.table.kappa_vec, 0.0)
+            lam = np.array([kappa @ self.flowprop._aug.mat_exp(s)
+                            for s in np.linspace(0.0, delta, _WINDOW_GRID)])
+            data = (lam[:, :-1].T.copy(), lam[:, -1] + self.table.m_total)
             self._window_cache[delta] = data
         return data
 

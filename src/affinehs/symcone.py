@@ -39,6 +39,7 @@ __all__ = [
     "DenseOperator",
     "OperatorSum",
     "operator_norm",
+    "expm_checked",
     "expm_action",
     "ExpPropagator",
     "random_symmetric",
@@ -405,20 +406,25 @@ def operator_norm(op, basis=None):
 # operator exponentials
 # ---------------------------------------------------------------------------
 
-def expm_action(op, t, v, basis=None):
-    """e^{t op} v via the dense coordinate matrix and scaling-and-squaring.
+def expm_checked(mat, t):
+    """Dense e^{t mat} by scaling-and-squaring.
 
-    Requires t >= 0.  Raises OperatorExpError when the result is not finite
-    (operator too large for the requested horizon).
+    Raises OperatorExpError when the result is not finite (matrix too large
+    for the requested horizon).
     """
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = scipy.linalg.expm(t * mat)
+    if not np.all(np.isfinite(out)):
+        raise OperatorExpError(f"e^(tL) overflowed for t={t} and ||L||={np.linalg.norm(mat, 2):.3e}")
+    return out
+
+
+def expm_action(op, t, v, basis=None):
+    """e^{t op} v via the dense coordinate matrix and `expm_checked`; requires t >= 0."""
     if t < 0:
         raise ValueError(f"expm_action requires t >= 0, got {t}")
     basis = basis or VecBasis(op.dim)
-    mat = op.to_dense(basis)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = scipy.linalg.expm(t * mat) @ basis.vec(np.asarray(v, dtype=float))
-    if not np.all(np.isfinite(out)):
-        raise OperatorExpError(f"e^(tL)v overflowed for t={t} and ||L||={np.linalg.norm(mat, 2):.3e}")
+    out = expm_checked(op.to_dense(basis), t) @ basis.vec(np.asarray(v, dtype=float))
     return symmetrize(basis.unvec(out))
 
 
@@ -457,23 +463,6 @@ class ExpPropagator:
         if self.use_eig:
             return np.real(self._vr @ (np.exp(t * self._w) * (self._vinv @ y)))
         return scipy.linalg.expm(t * self.mat) @ np.asarray(y, dtype=float)
-
-    def phi1_dot(self, t, y):
-        """(integral_0^t e^{sM} ds) y; exact via eigenvalues, (e^{tl}-1)/l with l=0 limit t."""
-        y = np.asarray(y, dtype=float)
-        if self.use_eig:
-            z = t * self._w
-            small = np.abs(z) < 1e-4
-            safe = np.where(small, 1.0, self._w)
-            taylor = t * (1.0 + z / 2.0 + z * z / 6.0)  # rel. error < 5e-14 for |z| < 1e-4
-            f = np.where(small, taylor, (np.exp(z) - 1.0) / safe)
-            return np.real(self._vr @ (f * (self._vinv @ y)))
-        # defective fallback: augmented block exponential
-        n = self.mat.shape[0]
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = self.mat
-        aug[:n, n] = y
-        return scipy.linalg.expm(t * aug)[:n, n]
 
 
 # ---------------------------------------------------------------------------

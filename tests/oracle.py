@@ -5,6 +5,11 @@ atom data of a d = 1 parameter set (no code shared with the production
 right-hand side) and integrates with the classic fourth-order scheme.  It
 is vectorized across parameter sets so a dt = 1e-5 run over a batch stays
 fast.
+
+The moment oracle evaluates the derivative formulas for the first and
+second moments (derivatives of the Laplace transform at u = 0) by
+composite Gauss-Legendre quadrature, without the polynomial generator that
+the production code exponentiates.
 """
 
 import numpy as np
@@ -67,3 +72,69 @@ def rk4_scalar_batch(p_sets, u0, T, dt):
         k4 = field(y[1] + dt * k3[1])
         y += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y[0], y[1]
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+
+def composite_gauss_legendre(panels):
+    """Nodes and weights of 8-point Gauss-Legendre on `panels` equal panels of [0, 1]."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * _GL_X).ravel(), (half * _GL_W).ravel()
+
+
+def moments_by_quadrature(bundle, x, t, v, w):
+    """Moments of X_t from the five-term derivative formula, by quadrature.
+
+    With E(s) = e^{s dR0} and g(r) = d2R0(E(r) v, E(r) w):
+
+        dpsi0(t, v)     = E(t) v
+        d2psi0(t, v, w) = int_0^t E(t - r) g(r) dr
+        mean_v          = int_0^t dF0(E(s) v) ds + <x, E(t) v>
+        second          = -int_0^t d2F0(E(s) v, E(s) w) ds
+                          - int_0^t dF0(d2psi0(s, v, w)) ds
+                          - <x, d2psi0(t, v, w)> + mean_v mean_w
+
+    E(s) goes through the eigenvectors of dR0, which must be well
+    conditioned.  The integrands grow at most like e^{3 rho s}, rho the
+    spectral radius of dR0, so every integral, the nested one in both
+    variables, uses composite 8-point Gauss-Legendre on panels no wider than
+    1 / (3 rho).  Returns (mean_v, mean_w, second, dpsi0(t, v), d2psi0(t, v, w)),
+    the last two in VecBasis coordinates.
+    """
+    basis = bundle.basis
+    x, v, w = (basis.vec(np.asarray(a, dtype=float)) for a in (x, v, w))
+    lam, vr = np.linalg.eig(bundle.dR0_mat)
+    assert np.linalg.cond(vr) < 1e4, "the oracle needs a well-conditioned eigenbasis of dR0"
+    vinv_t, vr_t = np.linalg.inv(vr).T, vr.T
+
+    def prop(s, y):
+        """E(s) y for times s (...) and vectors y (..., n)."""
+        return np.real((np.exp(np.asarray(s)[..., None] * lam) * (y @ vinv_t)) @ vr_t)
+
+    def d2r(y, z):
+        a = bundle.d2r_a.T
+        return -((y @ a) * (z @ a) * bundle.d2r_coefs) @ bundle.d2r_w
+
+    def d2f(y, z):
+        a = bundle.d2f_a.T
+        return -((y @ a) * (z @ a)) @ bundle.d2f_coefs
+
+    nodes, weights = composite_gauss_legendre(int(np.ceil(3.0 * np.abs(lam).max() * t)) + 1)
+
+    def d2psi(tau):
+        """d2psi0(tau_i, v, w) for the times tau (S,) as rows (S, n)."""
+        r = tau[:, None] * nodes
+        g = d2r(prop(r, v), prop(r, w))
+        return np.einsum("su,sun->sn", tau[:, None] * weights, prop(tau[:, None] - r, g))
+
+    s, ws = t * nodes, t * weights
+    ev, ew = prop(s, v), prop(s, w)
+    df0 = bundle.dF0_vec
+    mean_v = ws @ (ev @ df0) + x @ prop(t, v)
+    mean_w = ws @ (ew @ df0) + x @ prop(t, w)
+    d2psi_t = d2psi(np.array([t]))[0]
+    second = -(ws @ d2f(ev, ew)) - ws @ (d2psi(s) @ df0) - x @ d2psi_t + mean_v * mean_w
+    return mean_v, mean_w, second, prop(t, v), d2psi_t

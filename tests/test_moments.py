@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracle import moments_by_quadrature
 
 from affinehs import library
+from affinehs.exceptions import OperatorExpError
 from affinehs.moments import (
     d2psi0,
     derivative_bundle,
@@ -16,10 +19,15 @@ from affinehs.moments import (
     second_moment,
 )
 from affinehs.params import (
+    ExponentialDensity,
     OperatorAtom,
     OperatorJumpMeasure,
+    OperatorRay,
     ParameterSet,
+    PowerLawDensity,
+    ScalarAtom,
     ScalarJumpMeasure,
+    ScalarRay,
     build_admissible,
     integrate_kernel,
     integrate_scalar,
@@ -33,6 +41,7 @@ from affinehs.symcone import (
     inner,
     min_eigenvalue,
     random_psd,
+    symmetrize,
 )
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -276,3 +285,90 @@ def test_fit_growth_envelope(mc_truncated):
     m_const, omega = fit_growth_envelope(p, x, np.linspace(0.1, 1.0, 4))
     assert m_const >= 1.0
     assert math.isfinite(omega)
+
+
+def test_moments_overflow_raises_operator_exp_error():
+    # e^{tG} is not finite: the error names t and ||G||
+    p = build_admissible(2, beta=20.0 * np.eye(2), b_extra=np.eye(2))
+    x = v = np.eye(2)
+    with pytest.raises(OperatorExpError, match=r"t=50\b.*\|\|L\|\|="):
+        mean(p, x, 50.0, v)
+    with pytest.raises(OperatorExpError, match=r"t=50\b"):
+        second_moment(p, x, 50.0, v)
+
+
+# ---------------------------------------------------------------------------
+# generator route against the quadrature of the derivative formulas
+# ---------------------------------------------------------------------------
+
+def assert_matches_oracle(p, bundle, x, t, v, w, rel=1e-9):
+    ref = moments_by_quadrature(bundle, x, t, v, w)
+    vec = bundle.basis.vec
+    got = (mean(p, x, t, v, bundle=bundle), mean(p, x, t, w, bundle=bundle),
+           second_moment(p, x, t, v, w, bundle=bundle),
+           vec(dpsi0(p, t, v, bundle=bundle)), vec(d2psi0(p, t, v, w, bundle=bundle)))
+    for name, a, b in zip(("mean_v", "mean_w", "second", "dpsi0", "d2psi0"), got, ref):
+        err = np.linalg.norm(np.asarray(a) - b)
+        assert err <= rel * np.linalg.norm(b), (name, t, err, np.linalg.norm(b))
+
+
+def test_generator_route_matches_quadrature_oracle(bench, rng):
+    for s in bench:
+        p = truncate(s.params, 4)
+        bundle = derivative_bundle(p)
+        w = random_psd(rng, p.dim)
+        for t in (0.25, 1.0, 2.0):
+            assert_matches_oracle(p, bundle, s.x0, t, s.u, w)
+
+
+DENSITIES = st.one_of(
+    st.builds(ExponentialDensity, c=st.floats(0.2, 1.0), lam=st.floats(1.0, 3.0)),
+    # power laws reaching 0: infinite activity
+    st.builds(PowerLawDensity, c=st.floats(0.2, 0.6), alpha=st.floats(0.3, 0.7),
+              rmax=st.floats(1.0, 2.0)),
+    st.builds(PowerLawDensity, c=st.floats(0.2, 0.6), alpha=st.just(-1.5),
+              rmax=st.floats(1.0, 2.0)),
+)
+
+
+@st.composite
+def admissible_cases(draw):
+    """(p_set, x, u, w, t): a set from build_admissible with atoms and rays."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def unit():
+        a = random_psd(rng, d) + 0.05 * np.eye(d)
+        return a / frob_norm(a)
+
+    m_atoms = tuple(ScalarAtom(rng.uniform(0.2, 2.0) * unit(), rng.uniform(0.2, 1.0))
+                    for _ in range(draw(st.integers(0, 2))))
+    mu_atoms = tuple(OperatorAtom(rng.uniform(0.3, 1.8) * unit(), rng.uniform(0.1, 0.5) * unit())
+                     for _ in range(draw(st.integers(0, 2))))
+    m_rays = tuple(ScalarRay(unit(), den) for den in draw(st.lists(DENSITIES, max_size=2)))
+    mu_rays = tuple(OperatorRay(unit(), rng.uniform(0.1, 0.6) * unit(), den)
+                    for den in draw(st.lists(DENSITIES, max_size=2)))
+    beta = -rng.uniform(0.4, 1.0) * np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    gs = (0.3 * rng.standard_normal((d, d)),) if draw(st.booleans()) else ()
+    p = build_admissible(d, beta=beta, gs=gs, m=ScalarJumpMeasure(d, m_atoms, m_rays),
+                         mu=OperatorJumpMeasure(d, mu_atoms, mu_rays),
+                         b_extra=0.2 * np.eye(d) + 0.2 * random_psd(rng, d))
+    x = symmetrize(0.5 * np.eye(d) + 0.4 * random_psd(rng, d))
+    return p, x, rng.uniform(0.1, 1.0) * unit(), random_psd(rng, d), draw(st.floats(0.1, 2.0))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_generator_route_on_random_admissible_sets(case):
+    p, x, u, w, t = case
+    assert_matches_oracle(p, derivative_bundle(p), x, t, u, w)
+    mv = mean(p, x, t, u)
+    assert second_moment(p, x, t, u) - mv * mv >= -1e-12 * (1.0 + mv * mv)
+    # the Laplace bounds on the finite-activity truncation, which the
+    # transform ODEs solve directly
+    q = truncate(p, 4)
+    mv, sm = mean(q, x, t, u), second_moment(q, x, t, u)
+    lap = laplace(q, x, t, u)
+    assert math.exp(-mv) <= lap * (1.0 + 1e-7)
+    assert lap <= 1.0 - mv + 0.5 * sm + 1e-7

@@ -39,6 +39,7 @@ from affinehs.pdmpsim import (
 from affinehs.symcone import (
     DenseOperator,
     LyapunovOperator,
+    VecBasis,
     ZeroOperator,
     frob_norm,
     inner,
@@ -99,35 +100,59 @@ def test_flow_examples(rng):
     assert min_eigenvalue(flow(d2, x, 1.3)) >= -1e-9
 
 
-def test_flow_routes_agree(bench, rng):
-    # augmented eigen route vs explicit exponential + drift integral
-    for s in bench[:5]:
-        dd = drift_data(truncate(s.params, 4))
+FLOW_SETS = ("scalar-00", "mc2-00", "mixed-d3-01", "mixed-d5-01")
+
+
+def flow_reference(dd, x_vec, t, n_steps=4000):
+    """e^{t Btilde} x plus a fine trapezoid of int_0^t e^{s Btilde} btilde ds."""
+    basis = VecBasis(dd.dim)
+    mat = dd.Btilde.to_dense(basis)
+    step = scipy.linalg.expm(t / n_steps * mat)
+    vals = np.empty((n_steps + 1, basis.n))
+    vals[0] = basis.vec(dd.btilde)
+    for k in range(n_steps):
+        vals[k + 1] = step @ vals[k]
+    return scipy.linalg.expm(t * mat) @ x_vec + np.trapezoid(vals, dx=t / n_steps, axis=0)
+
+
+def test_flow_matches_expm_and_drift_integral(rng):
+    # eigen-coordinates of the augmented generator
+    for name in FLOW_SETS:
+        dd = drift_data(truncate(library.get(name).params, 4))
         prop = FlowPropagator(dd)
+        assert prop._aug.use_eig
         x_vec = prop.basis.vec(random_psd(rng, dd.dim))
         for t in (0.1, 0.7):
-            a = prop.flow_vec(x_vec, t)
-            b = prop.prop.dot(t, x_vec) + prop.drift_vec(t)
-            np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-12)
+            np.testing.assert_allclose(prop.flow_vec(x_vec, t), flow_reference(dd, x_vec, t),
+                                       rtol=1e-7, atol=1e-9)
 
 
-def test_flow_defective_generator_uses_quadrature(rng):
-    # Jordan-block coordinate matrix: no eigenbasis, so the drift integral
-    # falls back to 16-panel Gauss-Legendre; compare to fine quadrature
+def test_flow_defective_generator_matches_expm(rng):
+    # Jordan-block coordinate matrix: no eigenbasis, so the flow takes the
+    # dense exponential of the augmented matrix
     n = 3  # d = 2 -> n = 3 coordinates
     mat = np.zeros((n, n))
     mat[0, 1] = 1.0
-    op = DenseOperator(2, mat)
     b_mat = np.array([[0.5, 0.0], [0.0, 0.2]])
-    dd = drift_data(ParameterSet(2, b_mat, op, ScalarJumpMeasure.empty(2),
+    dd = drift_data(ParameterSet(2, b_mat, DenseOperator(2, mat), ScalarJumpMeasure.empty(2),
                                  OperatorJumpMeasure.empty(2)))
     prop = FlowPropagator(dd)
-    assert not prop.prop.use_eig
-    t = 0.9
-    ss = np.linspace(0.0, t, 2001)
-    vals = np.stack([scipy.linalg.expm(s * mat) @ prop.b_vec for s in ss])
-    ref = np.trapezoid(vals, ss, axis=0)
-    np.testing.assert_allclose(prop.drift_vec(t), ref, rtol=1e-9, atol=1e-11)
+    assert not prop._aug.use_eig
+    x_vec = prop.basis.vec(random_psd(rng, 2))
+    for t in (0.1, 0.9):
+        np.testing.assert_allclose(prop.flow_vec(x_vec, t), flow_reference(dd, x_vec, t),
+                                   rtol=1e-7, atol=1e-9)
+
+
+def test_window_rows_give_intensity_along_flow(rng):
+    for name in FLOW_SETS:
+        sim = PathSimulator(truncate(library.get(name).params, 4))
+        x_vec = sim.basis.vec(random_psd(rng, sim.p_set.dim))
+        delta = 0.3
+        rows, consts = sim._window_data(delta)
+        expected = [sim.table.m_total + sim.table.kappa_vec @ sim.flowprop.flow_vec(x_vec, s)
+                    for s in np.linspace(0.0, delta, 16)]
+        np.testing.assert_allclose(x_vec @ rows + consts, expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

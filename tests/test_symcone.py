@@ -178,12 +178,6 @@ def test_exp_propagator_matches_expm(rng):
         for t in (0.0, 0.3, 1.7):
             np.testing.assert_allclose(prop.dot(t, y), scipy.linalg.expm(t * mat) @ y,
                                        rtol=1e-10, atol=1e-12)
-        # phi1: integral of the exponential, checked against fine quadrature
-        t = 0.9
-        ss = np.linspace(0.0, t, 4001)
-        vals = np.stack([scipy.linalg.expm(s * mat) @ y for s in ss])
-        ref = np.trapezoid(vals, ss, axis=0)
-        np.testing.assert_allclose(prop.phi1_dot(t, y), ref, rtol=1e-6, atol=1e-8)
 
 
 def test_sym_json_roundtrip(rng):
