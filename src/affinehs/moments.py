@@ -158,7 +158,7 @@ def derivative_bundle(p_set):
     dr0 = p_set.B.adjoint()
     if tail_pairs:
         dr0 = dr0 + RankOneSum(tail_pairs)
-    dr0_mat = dr0.to_dense(basis)
+    dr0_mat = dr0.mat
 
     df0_mat = p_set.b + p_set.m.tail_first_moment_matrix()
 

@@ -737,10 +737,11 @@ def validate_admissibility(p_set, tol=None, n_pairs=50, seed=0):
         f"kernel small-jump moments finite; max sampled compensator = {max_comp:.6g}",
         0.0 if ray_ok else _INF))
 
+    basis = symcone.VecBasis(p_set.dim)
     worst = _INF
     worst_pair = None
     for (u, x), comp in zip(pairs, comp_vals):
-        q = inner(p_set.B.apply_adjoint(u), x) - comp
+        q = float(basis.vec(u) @ p_set.B.mat @ basis.vec(x)) - comp
         if q < worst:
             worst = q
             worst_pair = (u, x)
@@ -823,24 +824,23 @@ def _plain_matrix(a):
 
 
 def params_to_json(p_set):
+    """JSON object of a parameter set; the terms of B of one kind merge into one entry."""
     b_obj = {}
     terms = p_set.B.terms if isinstance(p_set.B, OperatorSum) else (p_set.B,)
     comp_pairs = p_set.mu.chi_compensator_pairs()
     for t in terms:
         if isinstance(t, LyapunovOperator):
-            b_obj["lyapunov"] = _plain_matrix(t.beta)
+            b_obj["lyapunov"] = b_obj["lyapunov"] + t.beta if "lyapunov" in b_obj else t.beta
         elif isinstance(t, CongruenceSum):
-            b_obj["conjugations"] = [_plain_matrix(g) for g in t.gs]
-        elif isinstance(t, RankOneSum) and _pairs_match(t.pairs, comp_pairs):
+            b_obj["conjugations"] = b_obj.get("conjugations", []) + [_plain_matrix(g) for g in t.gs]
+        elif (isinstance(t, RankOneSum) and "compensate_mu" not in b_obj
+              and _pairs_match(t.pairs, comp_pairs)):
             b_obj["compensate_mu"] = True
-        elif isinstance(t, ZeroOperator):
-            pass
-        else:
-            dense = b_obj.get("_dense_acc")
-            mat = t.to_dense()
-            b_obj["_dense_acc"] = mat if dense is None else dense + mat
-    if "_dense_acc" in b_obj:
-        b_obj["dense"] = _plain_matrix(b_obj.pop("_dense_acc"))
+        elif not isinstance(t, ZeroOperator):
+            b_obj["dense"] = b_obj["dense"] + t.mat if "dense" in b_obj else t.mat
+    for key in ("lyapunov", "dense"):
+        if key in b_obj:
+            b_obj[key] = _plain_matrix(b_obj[key])
     return {
         "dim": p_set.dim,
         "b": sym_to_json(p_set.b),

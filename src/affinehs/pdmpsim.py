@@ -105,7 +105,7 @@ class FlowPropagator:
         self.basis = VecBasis(drift.dim)
         n = self.basis.n
         aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = drift.Btilde.to_dense(self.basis)
+        aug[:n, :n] = drift.Btilde.mat
         aug[:n, n] = self.basis.vec(drift.btilde)
         self._aug = ExpPropagator(aug)
         self._n = n

@@ -4,13 +4,14 @@ Real symmetric d x d matrices with the Frobenius pairing are the state
 space everywhere in this package.  This module provides the cone tests,
 the small-jump cutoff map, an orthonormal coordinate chart for the
 n = d(d+1)/2 dimensional symmetric-matrix space, and structured linear
-operators on that space (Lyapunov, congruence sums, rank-one sums, dense)
-together with their adjoints and exponentials.
+operators on that space (Lyapunov, congruence sums, rank-one sums, dense),
+each held as its coordinate matrix, together with their exponentials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -177,38 +178,61 @@ class VecBasis:
         a[self._di] = v[: self.dim]
         return a
 
-    def basis_matrix(self, j):
-        e = np.zeros(self.n)
-        e[j] = 1.0
-        return self.unvec(e)
 
-    def dense_matrix(self, op):
-        """n x n coordinate matrix of a linear map on symmetric matrices."""
-        cols = [self.vec(op.apply(self.basis_matrix(j))) for j in range(self.n)]
-        return np.column_stack(cols)
+@functools.cache
+def _embedding(dim):
+    """d^2 x n isometry P with P vec(a) = a.ravel() for symmetric a (read-only)."""
+    basis = VecBasis(dim)
+    p = np.zeros((dim, dim, basis.n))
+    p[basis._di + (np.arange(dim),)] = 1.0
+    i, j = basis._iu
+    cols = np.arange(dim, basis.n)
+    p[i, j, cols] = p[j, i, cols] = 1.0 / _SQRT2
+    return _freeze(p.reshape(dim * dim, basis.n))
+
+
+def _kron_coordinates(dim, factors):
+    """n x n matrix P^T (sum of a (x) b over the pairs (a, b) in `factors`) P.
+
+    (a (x) b) x.ravel() = (a @ x @ b.T).ravel(), so each term multiplies the
+    columns of P, reshaped to d x d matrices, from both sides; the
+    d^2 x d^2 Kronecker product is never formed.
+    """
+    p = _embedding(dim)
+    n = p.shape[1]
+    full_p = sum(b @ (a @ p.reshape(dim, dim * n)).reshape(dim, dim, n) for a, b in factors)
+    return _freeze(p.T @ full_p.reshape(dim * dim, n))
 
 
 # ---------------------------------------------------------------------------
-# structured linear operators with explicit adjoints
+# linear operators, each held as its n x n coordinate matrix
 # ---------------------------------------------------------------------------
 
 class SuperOperator:
-    """Linear map on symmetric matrices with an explicitly available adjoint."""
+    """Linear map on symmetric matrices.
+
+    Every kind builds `mat`, its n x n matrix in VecBasis coordinates, once
+    and in closed form when it is constructed; the action, the adjoint and
+    sums all go through `mat`.  Because VecBasis is an isometry, the adjoint
+    with respect to the Frobenius pairing is `mat.T`.
+    """
 
     dim: int
+    mat: np.ndarray
 
     def apply(self, x):
-        raise NotImplementedError
+        basis = VecBasis(self.dim)
+        return basis.unvec(self.mat @ basis.vec(x))
 
     def apply_adjoint(self, x):
-        return self.adjoint().apply(x)
+        basis = VecBasis(self.dim)
+        return basis.unvec(self.mat.T @ basis.vec(x))
 
     def adjoint(self):
-        raise NotImplementedError
+        return DenseOperator(self.dim, self.mat.T)
 
-    def to_dense(self, basis=None):
-        basis = basis or VecBasis(self.dim)
-        return basis.dense_matrix(self)
+    def to_dense(self):
+        return np.array(self.mat)
 
     def __add__(self, other):
         if not isinstance(other, SuperOperator):
@@ -231,13 +255,9 @@ def _freeze(a):
 class ZeroOperator(SuperOperator):
     dim: int
 
-    def apply(self, x):
-        return np.zeros((self.dim, self.dim))
-
-    apply_adjoint = apply
-
-    def adjoint(self):
-        return self
+    def __post_init__(self):
+        n = VecBasis(self.dim).n
+        object.__setattr__(self, "mat", _freeze(np.zeros((n, n))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,21 +270,12 @@ class LyapunovOperator(SuperOperator):
         object.__setattr__(self, "beta", _freeze(self.beta))
         if self.beta.ndim != 2 or self.beta.shape[0] != self.beta.shape[1]:
             raise DimensionMismatchError(f"beta must be square, got {self.beta.shape}")
+        eye = np.eye(self.dim)
+        object.__setattr__(self, "mat", _kron_coordinates(self.dim, [(self.beta, eye), (eye, self.beta)]))
 
     @property
     def dim(self):
         return self.beta.shape[0]
-
-    def apply(self, x):
-        bx = self.beta @ x
-        return bx + bx.T
-
-    def apply_adjoint(self, x):
-        bx = self.beta.T @ x
-        return bx + bx.T
-
-    def adjoint(self):
-        return LyapunovOperator(self.beta.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,19 +292,11 @@ class CongruenceSum(SuperOperator):
         for g in self.gs:
             if g.shape != (d, d):
                 raise DimensionMismatchError("congruence factors must share one square shape")
+        object.__setattr__(self, "mat", _kron_coordinates(d, [(g, g) for g in self.gs]))
 
     @property
     def dim(self):
         return self.gs[0].shape[0]
-
-    def apply(self, x):
-        return sum(g @ x @ g.T for g in self.gs)
-
-    def apply_adjoint(self, x):
-        return sum(g.T @ x @ g for g in self.gs)
-
-    def adjoint(self):
-        return CongruenceSum(tuple(g.T for g in self.gs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,25 +314,14 @@ class RankOneSum(SuperOperator):
         for a, c in frozen:
             if a.shape != (d, d) or c.shape != (d, d):
                 raise DimensionMismatchError("rank-one pairs must share one square shape")
+        # rows vec(A_i) and vec(C_i); the matrix is sum_i vec(C_i) vec(A_i)^T
+        a_vecs, c_vecs = (np.reshape(side, (len(frozen), d * d)) @ _embedding(d)
+                          for side in zip(*frozen))
+        object.__setattr__(self, "mat", _freeze(c_vecs.T @ a_vecs))
 
     @property
     def dim(self):
         return self.pairs[0][0].shape[0]
-
-    def apply(self, x):
-        out = np.zeros((self.dim, self.dim))
-        for a, c in self.pairs:
-            out += float(np.tensordot(a, x)) * c
-        return out
-
-    def apply_adjoint(self, x):
-        out = np.zeros((self.dim, self.dim))
-        for a, c in self.pairs:
-            out += float(np.tensordot(c, x)) * a
-        return out
-
-    def adjoint(self):
-        return RankOneSum(tuple((c, a) for a, c in self.pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,27 +330,13 @@ class DenseOperator(SuperOperator):
 
     dim: int
     mat: np.ndarray
-    _basis: VecBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _freeze(self.mat))
-        basis = VecBasis(self.dim)
-        if self.mat.shape != (basis.n, basis.n):
+        n = VecBasis(self.dim).n
+        if self.mat.shape != (n, n):
             raise DimensionMismatchError(
-                f"expected a {basis.n} x {basis.n} coordinate matrix for dim {self.dim}, got {self.mat.shape}")
-        object.__setattr__(self, "_basis", basis)
-
-    def apply(self, x):
-        return self._basis.unvec(self.mat @ self._basis.vec(x))
-
-    def apply_adjoint(self, x):
-        return self._basis.unvec(self.mat.T @ self._basis.vec(x))
-
-    def adjoint(self):
-        return DenseOperator(self.dim, self.mat.T)
-
-    def to_dense(self, basis=None):
-        return np.array(self.mat)
+                f"expected a {n} x {n} coordinate matrix for dim {self.dim}, got {self.mat.shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,34 +350,20 @@ class OperatorSum(SuperOperator):
         for t in self.terms:
             if t.dim != d:
                 raise DimensionMismatchError("operator sum terms must share the dimension")
+        object.__setattr__(self, "mat", _freeze(sum(t.mat for t in self.terms)))
 
     @property
     def dim(self):
         return self.terms[0].dim
 
-    def apply(self, x):
-        out = np.zeros((self.dim, self.dim))
-        for t in self.terms:
-            out += t.apply(x)
-        return out
 
-    def apply_adjoint(self, x):
-        out = np.zeros((self.dim, self.dim))
-        for t in self.terms:
-            out += t.apply_adjoint(x)
-        return out
-
-    def adjoint(self):
-        return OperatorSum(tuple(t.adjoint() for t in self.terms))
-
-
-def operator_norm(op, basis=None):
+def operator_norm(op):
     """Operator norm of a SuperOperator w.r.t. the Frobenius pairing.
 
     Equals the spectral norm of the coordinate matrix because VecBasis is an
     isometry.
     """
-    return float(np.linalg.norm(op.to_dense(basis), 2))
+    return float(np.linalg.norm(op.mat, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +383,12 @@ def expm_checked(mat, t):
     return out
 
 
-def expm_action(op, t, v, basis=None):
-    """e^{t op} v via the dense coordinate matrix and `expm_checked`; requires t >= 0."""
+def expm_action(op, t, v):
+    """e^{t op} v via the coordinate matrix and `expm_checked`; requires t >= 0."""
     if t < 0:
         raise ValueError(f"expm_action requires t >= 0, got {t}")
-    basis = basis or VecBasis(op.dim)
-    out = expm_checked(op.to_dense(basis), t) @ basis.vec(np.asarray(v, dtype=float))
+    basis = VecBasis(op.dim)
+    out = expm_checked(op.mat, t) @ basis.vec(np.asarray(v, dtype=float))
     return symmetrize(basis.unvec(out))
 
 

@@ -10,9 +10,51 @@ The moment oracle evaluates the derivative formulas for the first and
 second moments (derivatives of the Laplace transform at u = 0) by
 composite Gauss-Legendre quadrature, without the polynomial generator that
 the production code exponentiates.
+
+The operator oracle applies each linear-operator kind by its defining
+formula (beta x + x beta^T, sum g x g^T, sum <A, x> C) and assembles the
+coordinate matrix column by column from the n basis matrices, the way the
+package did before it built the matrices in closed form.
 """
 
 import numpy as np
+
+from affinehs.symcone import (
+    CongruenceSum,
+    DenseOperator,
+    LyapunovOperator,
+    OperatorSum,
+    RankOneSum,
+    VecBasis,
+    ZeroOperator,
+)
+
+
+def structured_apply(op, x, adjoint=False):
+    """op(x), or its adjoint at x, from the defining formula of each operator kind."""
+    if isinstance(op, OperatorSum):
+        return sum(structured_apply(t, x, adjoint) for t in op.terms)
+    if isinstance(op, ZeroOperator):
+        return np.zeros_like(x)
+    if isinstance(op, LyapunovOperator):
+        beta = op.beta.T if adjoint else op.beta
+        return beta @ x + x @ beta.T
+    if isinstance(op, CongruenceSum):
+        return sum(g.T @ x @ g if adjoint else g @ x @ g.T for g in op.gs)
+    if isinstance(op, RankOneSum):
+        pairs = [(c, a) if adjoint else (a, c) for a, c in op.pairs]
+        return sum(np.tensordot(a, x) * c for a, c in pairs)
+    if isinstance(op, DenseOperator):
+        basis = VecBasis(op.dim)
+        return basis.unvec((op.mat.T if adjoint else op.mat) @ basis.vec(x))
+    raise TypeError(f"no structured formula for {type(op).__name__}")
+
+
+def matrix_by_basis_loop(op, adjoint=False):
+    """Coordinate matrix of op (or its adjoint): structured_apply on each basis matrix."""
+    basis = VecBasis(op.dim)
+    return np.column_stack([basis.vec(structured_apply(op, basis.unvec(e), adjoint))
+                            for e in np.eye(basis.n)])
 
 
 def scalar_atom_arrays(p_sets):
@@ -31,7 +73,7 @@ def scalar_atom_arrays(p_sets):
         assert p.dim == 1
         assert not p.m.rays and not p.mu.rays, "scalar oracle handles atoms only"
         b[i] = p.b[0, 0]
-        bstar[i] = p.B.apply_adjoint(one)[0, 0]
+        bstar[i] = structured_apply(p.B, one, adjoint=True)[0, 0]
         for j, a in enumerate(p.m.atoms):
             m_xi[i, j] = a.xi[0, 0]
             m_w[i, j] = a.weight

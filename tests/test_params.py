@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from strategies import admissible_cases
 
 from affinehs.exceptions import MeasureError, ParameterFileError
 from affinehs.params import (
@@ -11,6 +13,7 @@ from affinehs.params import (
     OperatorAtom,
     OperatorJumpMeasure,
     OperatorRay,
+    ParameterSet,
     PowerLawDensity,
     ScalarAtom,
     ScalarJumpMeasure,
@@ -24,12 +27,14 @@ from affinehs.params import (
     norm_leq,
     orthogonal_psd_pair,
     params_from_json,
+    params_to_json,
     radial_quad,
     save_params,
     truncate,
     validate_admissibility,
 )
 from affinehs.symcone import (
+    CongruenceSum,
     LyapunovOperator,
     chi,
     frob_norm,
@@ -299,6 +304,43 @@ def test_params_json_roundtrip(tmp_path, bench):
         np.testing.assert_allclose(back.B.apply(x), src.B.apply(x), rtol=1e-12, atol=1e-13)
         assert len(back.m.atoms) == len(src.m.atoms)
         assert len(back.mu.rays) == len(src.mu.rays)
+
+
+def json_roundtrip(p_set):
+    return params_from_json(json.loads(json.dumps(params_to_json(p_set))))
+
+
+def test_params_json_merges_repeated_operator_kinds(rng):
+    # both terms of one kind must survive the round trip
+    d = 2
+    empty = (ScalarJumpMeasure.empty(d), OperatorJumpMeasure.empty(d))
+    lyap = LyapunovOperator(rng.standard_normal((d, d))) + LyapunovOperator(rng.standard_normal((d, d)))
+    cong = (CongruenceSum((rng.standard_normal((d, d)),))
+            + CongruenceSum(tuple(rng.standard_normal((d, d)) for _ in range(2))))
+    for op in (lyap, cong, lyap + cong):
+        src = ParameterSet(d, np.eye(d), op, *empty)
+        back = json_roundtrip(src)
+        np.testing.assert_allclose(back.B.mat, src.B.mat, rtol=0, atol=1e-14 * np.abs(src.B.mat).max())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_params_json_roundtrip_is_exact(case):
+    src = case[0]
+    back = json_roundtrip(src)
+    assert back.dim == src.dim
+    np.testing.assert_array_equal(back.b, src.b)
+    np.testing.assert_array_equal(back.B.mat, src.B.mat)
+    for got, want in ((back.m, src.m), (back.mu, src.mu)):
+        assert len(got.atoms) == len(want.atoms) and len(got.rays) == len(want.rays)
+        for a, b in zip(got.atoms, want.atoms):
+            np.testing.assert_array_equal(a.xi, b.xi)
+            np.testing.assert_array_equal(a.weight, b.weight)
+        for a, b in zip(got.rays, want.rays):
+            np.testing.assert_array_equal(a.direction, b.direction)
+            np.testing.assert_array_equal(getattr(a, "weight", 0.0), getattr(b, "weight", 0.0))
+            assert a.density == b.density
 
 
 def test_params_json_rejects_malformed(tmp_path):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from oracle import matrix_by_basis_loop
 
 from affinehs import library
 from affinehs.exceptions import SimulationError
@@ -106,7 +107,7 @@ FLOW_SETS = ("scalar-00", "mc2-00", "mixed-d3-01", "mixed-d5-01")
 def flow_reference(dd, x_vec, t, n_steps=4000):
     """e^{t Btilde} x plus a fine trapezoid of int_0^t e^{s Btilde} btilde ds."""
     basis = VecBasis(dd.dim)
-    mat = dd.Btilde.to_dense(basis)
+    mat = matrix_by_basis_loop(dd.Btilde)
     step = scipy.linalg.expm(t / n_steps * mat)
     vals = np.empty((n_steps + 1, basis.n))
     vals[0] = basis.vec(dd.btilde)

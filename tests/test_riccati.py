@@ -370,35 +370,24 @@ def test_growth_bound_tight_linear_case():
     assert sol.psi_final[0, 0] == pytest.approx(math.exp(3.0), rel=1e-8)
 
 
-def test_clip_policy_logs(atom_p1):
-    opts = RiccatiOptions(projection="clip")
-    sol = solve_riccati(atom_p1, np.array([[0.5]]), 1.0, opts=opts)
-    assert sol.diagnostics["clip_total"] >= 0.0
-
-
 def test_rhs_eval_count():
     # a u on the cone's boundary and a vanishing cone tolerance make the
     # rounding of the step land outside the cone now and then
-    clipped = 0
+    rejected = 0
     for name in ("cascade-00", "mc2-01", "mixed-d2-01"):
         s = library.get(name)
         u = np.zeros((s.params.dim,) * 2)
         u[0, 0] = 1.0
-        for policy in ("reject", "clip"):
-            opts = RiccatiOptions(projection=policy, cone_tol=1e-300)
-            diag = solve_riccati(s.params, u, 1.0, opts=opts, k=4).diagnostics
-            attempts = diag["n_steps"] + diag["n_rejected_error"] + diag["n_rejected_cone"]
-            assert diag["n_rhs_evals"] == 1 + 6 * attempts + diag["n_clipped"]
-            if policy == "reject":
-                assert diag["n_clipped"] == 0
-            clipped += diag["n_clipped"]
-    assert clipped > 0
+        opts = RiccatiOptions(cone_tol=1e-300)
+        diag = solve_riccati(s.params, u, 1.0, opts=opts, k=4).diagnostics
+        attempts = diag["n_steps"] + diag["n_rejected_error"] + diag["n_rejected_cone"]
+        assert diag["n_rhs_evals"] == 1 + 6 * attempts
+        rejected += diag["n_rejected_cone"]
+    assert rejected > 0
     assert solve_riccati(library.get("mc2-01").params, np.eye(2), 0.0).diagnostics["n_rhs_evals"] == 0
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        RiccatiOptions(projection="banana")
     with pytest.raises(ValueError):
         RiccatiOptions(k_schedule=(4, 2))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from oracle import matrix_by_basis_loop, structured_apply
 
 from affinehs.exceptions import DimensionMismatchError, OperatorExpError
 from affinehs.symcone import (
@@ -122,13 +123,23 @@ def test_operator_linearity(rng):
             rtol=1e-12, atol=1e-12)
 
 
-def test_dense_matrix_matches_apply(rng):
-    basis = VecBasis(3)
-    for op in _operators(rng, 3):
-        mat = op.to_dense(basis)
-        x = random_symmetric(rng, 3)
-        np.testing.assert_allclose(basis.unvec(mat @ basis.vec(x)), op.apply(x),
-                                   rtol=1e-12, atol=1e-12)
+def assert_matches_basis_loop(op, rel=1e-14):
+    for adjoint, mat in ((False, op.mat), (True, op.adjoint().mat)):
+        ref = matrix_by_basis_loop(op, adjoint)
+        assert np.linalg.norm(mat - ref) <= rel * np.linalg.norm(ref), (op, adjoint)
+
+
+def test_closed_form_matrices_match_structured_oracle(rng):
+    for d in (1, 2, 4):
+        for op in _operators(rng, d):
+            assert_matches_basis_loop(op)
+            x = random_symmetric(rng, d)
+            np.testing.assert_allclose(op.apply(x), structured_apply(op, x), rtol=1e-13, atol=1e-13)
+
+
+def test_library_operators_match_structured_oracle(bench):
+    for s in bench:
+        assert_matches_basis_loop(s.params.B)
 
 
 def test_expm_action_zero_and_scalar(rng):
