@@ -13,6 +13,7 @@ read off one matrix exponential of G.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,9 +41,10 @@ __all__ = [
 class DerivativeBundle:
     """Derivative data of (F, R) at u = 0 for one parameter set.
 
-    d2R0(v, w) = -sum_i coef_i <A_i, v> <A_i, w> W_i and similarly for
-    d2F0 without the output matrix; both are symmetric in (v, w) and
-    negative on the cone.  G is the generator on polynomial coefficients.
+    Over the jumps j of both measures, (d2F0(v, w), vec d2R0(v, w)) =
+    -sum_j coefs[j] <D_j, v> <D_j, w> outs[j], with vec D_j = dirs[j]; it is
+    symmetric in (v, w) and negative on the cone.  G is the generator on
+    polynomial coefficients.
     """
 
     dim: int
@@ -50,11 +52,9 @@ class DerivativeBundle:
     dR0: symcone.SuperOperator
     dR0_mat: np.ndarray
     dF0_mat: np.ndarray
-    d2r_coefs: np.ndarray   # (K,)
-    d2r_a: np.ndarray       # (K, n) vec'd coefficient matrices
-    d2r_w: np.ndarray       # (K, n) vec'd output matrices
-    d2f_coefs: np.ndarray   # (L,)
-    d2f_a: np.ndarray       # (L, n)
+    coefs: np.ndarray   # (J,) second radial moments of the jumps' laws
+    dirs: np.ndarray    # (J, n) vec'd unit directions
+    outs: np.ndarray    # (J, 1 + n) output rows (F, vec R)
     dF0_vec: np.ndarray = field(init=False)
     G: np.ndarray = field(init=False)
 
@@ -65,18 +65,16 @@ class DerivativeBundle:
     def dF0(self, v):
         return float(inner(self.dF0_mat, v))
 
+    def _d2(self, v, w):
+        """(d2F0(v, w), vec d2R0(v, w)) as one row."""
+        vv, wv = (self.dirs @ self.basis.vec(np.asarray(a, dtype=float)) for a in (v, w))
+        return -((self.coefs * vv * wv) @ self.outs)
+
     def d2R0(self, v, w):
-        vv = self.basis.vec(np.asarray(v, dtype=float))
-        wv = self.basis.vec(np.asarray(w, dtype=float))
-        c = self.d2r_coefs * (self.d2r_a @ vv) * (self.d2r_a @ wv)
-        return self.basis.unvec(-(c @ self.d2r_w))
+        return self.basis.unvec(self._d2(v, w)[1:])
 
     def d2F0(self, v, w):
-        if not self.d2f_coefs.size:
-            return 0.0
-        vv = self.basis.vec(np.asarray(v, dtype=float))
-        wv = self.basis.vec(np.asarray(w, dtype=float))
-        return float(-np.sum(self.d2f_coefs * (self.d2f_a @ vv) * (self.d2f_a @ wv)))
+        return float(self._d2(v, w)[0])
 
     def _generator(self, drift):
         """Matrix of the generator on the coefficients of (1, x_k, x_i x_j for i <= j).
@@ -87,7 +85,7 @@ class DerivativeBundle:
         the coefficients by psi alone.
         """
         n = self.basis.n
-        iu, ju = np.triu_indices(n)
+        iu, ju = _triu(n)
         cols = np.arange(iu.size)
         sym = np.zeros((n, n, iu.size))   # x_i x_j = x^T sym[:, :, p] x for p = (i, j)
         sym[iu, ju, cols] = 0.5
@@ -97,23 +95,34 @@ class DerivativeBundle:
         gen[lin, lin] = self.dR0_mat
         # x^T Q x -> x^T (dR0 Q + Q dR0^T) x
         gen[quad, quad] = _fold(2.0 * np.einsum("ka,alp->pkl", self.dR0_mat, sym)).T
-        gen[lin, quad] = self.d2r_w.T @ (self.d2r_coefs[:, None] * _monomials(self.d2r_a))
+        # the quadratic forcing of F (row 0) and R by the jumps' second moments
+        gen[: n + 1, quad] = self.outs.T @ (self.coefs[:, None] * _monomials(self.dirs))
         if drift:
             gen[0, lin] = self.dF0_vec
-            gen[0, quad] = self.d2f_coefs @ _monomials(self.d2f_a)
             gen[lin, quad] += 2.0 * np.einsum("klp,l->kp", sym, self.dF0_vec)
+        else:
+            gen[0, quad] = 0.0
         return gen
+
+
+@functools.cache
+def _triu(n):
+    """Index arrays (i, j), i <= j, of the quadratic monomials of n variables (read-only)."""
+    iu, ju = np.triu_indices(n)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def _monomials(y):
     """Quadratic monomials y_i y_j, i <= j, of the rows of y (..., n)."""
-    iu, ju = np.triu_indices(y.shape[-1])
+    iu, ju = _triu(y.shape[-1])
     return y[..., iu] * y[..., ju]
 
 
 def _fold(mat):
     """Coefficients on the monomials x_i x_j, i <= j, of x^T mat x, for a stack (..., n, n)."""
-    iu, ju = np.triu_indices(mat.shape[-1])
+    iu, ju = _triu(mat.shape[-1])
     return (mat[..., iu, ju] + mat[..., ju, iu]) * np.where(iu == ju, 0.5, 1.0)
 
 
@@ -162,30 +171,13 @@ def derivative_bundle(p_set):
 
     df0_mat = p_set.b + p_set.m.tail_first_moment_matrix()
 
-    d2r_coefs, d2r_a, d2r_w = [], [], []
-    for a in p_set.mu.atoms:
-        d2r_coefs.append(1.0 / a.norm ** 2)
-        d2r_a.append(basis.vec(a.xi))
-        d2r_w.append(basis.vec(a.weight))
-    for r in p_set.mu.rays:
-        d2r_coefs.append(r.density.partial_moment(2))
-        d2r_a.append(basis.vec(r.direction))
-        d2r_w.append(basis.vec(r.weight))
-
-    d2f_coefs, d2f_a = [], []
-    for a in p_set.m.atoms:
-        d2f_coefs.append(a.weight)
-        d2f_a.append(basis.vec(a.xi))
-    for r in p_set.m.rays:
-        d2f_coefs.append(r.density.partial_moment(2))
-        d2f_a.append(basis.vec(r.direction))
-
+    jumps = p_set.m.jumps + p_set.mu.jumps
     n = basis.n
     return DerivativeBundle(
         p_set.dim, basis, dr0, dr0_mat, df0_mat,
-        np.asarray(d2r_coefs), np.asarray(d2r_a, dtype=float).reshape(len(d2r_a), n),
-        np.asarray(d2r_w, dtype=float).reshape(len(d2r_w), n),
-        np.asarray(d2f_coefs), np.asarray(d2f_a, dtype=float).reshape(len(d2f_a), n),
+        np.array([j.law.partial_moment(2) for j in jumps]),
+        np.array([basis.vec(j.direction) for j in jumps]).reshape(len(jumps), n),
+        np.array([j.output_row(basis) for j in jumps]).reshape(len(jumps), n + 1),
     )
 
 
@@ -227,18 +219,15 @@ def second_moment(p_set, x, t, v, w=None, bundle=None):
 def laplace(p_set, x, t, u, opts=None):
     """E[e^{-<X_t, u>} | X_0 = x] = exp(-phi(t,u) - <x, psi(t,u)>), in (0, 1].
 
-    Solves the transform ODEs directly for finite-activity sets and through
-    the truncation cascade otherwise.
+    Solves the transform ODEs directly, also for infinite-activity sets:
+    the ray rules absorb the singular endpoint r = 0.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     x = symcone.check_symmetric(x)
     if t == 0.0:
         return math.exp(-inner(x, u))
-    if p_set.is_finite_activity:
-        sol = _riccati.solve_riccati(p_set, u, t, opts=opts, t_eval=(0.0, t))
-    else:
-        sol, _ = _riccati.solve_cascade(p_set, u, t, opts=opts, t_eval=(0.0, t))
+    sol = _riccati.solve_riccati(p_set, u, t, opts=opts, t_eval=(0.0, t))
     return math.exp(-sol.phi_final - inner(x, sol.psi_final))
 
 

@@ -10,6 +10,13 @@ quadrature while still allowing infinite activity near zero.
 For an operator ray the stored density is g(r), the radial density of the
 kernel mu(dxi)/||xi||^2 along the ray, so the mu-mass density is r^2 g(r).
 
+Both measures enter the Riccati system through one compensated bracket,
+integrated against m(dxi) for F and against mu(dxi)/||xi||^2 for R.  Each
+measure therefore also holds its atoms and rays as `jumps`: a unit
+direction, a radial law of that integrating mass (an atom's law is a
+PointMass) and an output weight.  Only this module maps atoms and rays to
+jumps; the rest of the package reads the jumps.
+
 At a fixed matrix dimension, weak and strong small-jump first moments
 coincide, so these measures can have infinite activity (power-law rays
 reaching radius zero with exponent in (0, 1)) but never infinite
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.integrate
@@ -51,11 +58,13 @@ from .symcone import (
 __all__ = [
     "PowerLawDensity",
     "ExponentialDensity",
+    "PointMass",
     "radial_quad",
     "ScalarAtom",
     "ScalarRay",
     "OperatorAtom",
     "OperatorRay",
+    "Jump",
     "ScalarJumpMeasure",
     "OperatorJumpMeasure",
     "ParameterSet",
@@ -216,6 +225,29 @@ class ExponentialDensity:
         return ExponentialDensity(self.c, self.lam, a, b)
 
 
+@dataclass(frozen=True)
+class PointMass:
+    """Mass c > 0 at the one radius r0 > 0: the radial law of an atom.
+
+    Like an atom under truncation, it lies in (lo, hi] when lo < r0 <= hi.
+    """
+
+    c: float
+    r0: float
+
+    def partial_moment(self, p, lo=0.0, hi=_INF):
+        return self.c * self.r0 ** p if lo < self.r0 <= hi else 0.0
+
+    def cdf_mass(self, r):
+        return np.where(np.asarray(r, dtype=float) >= self.r0, self.c, 0.0)
+
+    def inverse_cdf_mass(self, m):
+        return np.full(np.shape(m), self.r0)
+
+    def restricted(self, lo, hi):
+        return self if lo < self.r0 <= hi else None
+
+
 def radial_quad(density, fn, lo=0.0, hi=_INF, abs_tol=1e-10, rel_tol=1e-8, ray_index=None):
     """Adaptive quadrature of fn(r) * density(r) over [lo, hi] within the support.
 
@@ -338,172 +370,134 @@ class OperatorRay:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarJumpMeasure:
-    """Finite atoms plus radial rays; ray densities are the m-mass densities."""
+class Jump:
+    """One atom or ray in unit form: jumps r D along a unit PSD direction D.
+
+    law(dr) is the mass of radii in dr that the compensated bracket is
+    integrated against: the m-mass for m, the kernel mu(dxi)/||xi||^2 for
+    mu.  weight is where the bracket goes: the float 1 into F for m, a PSD
+    matrix into R for mu.
+    """
+
+    direction: np.ndarray
+    law: PointMass | PowerLawDensity | ExponentialDensity
+    weight: float | np.ndarray
+
+    def output_row(self, basis):
+        """Coefficients (F, vec R) of one unit of this jump's bracket."""
+        if np.ndim(self.weight) == 0:
+            return np.concatenate([[self.weight], np.zeros(basis.n)])
+        return np.concatenate([[0.0], basis.vec(self.weight)])
+
+
+@dataclass(frozen=True, eq=False)
+class _JumpMeasure:
+    """Finite atoms plus radial rays, each also held as one Jump in `jumps`.
+
+    The rule that maps them to jumps is `_jump`; everything past it reads
+    `jumps` alone.
+    """
 
     dim: int
     atoms: tuple = ()
     rays: tuple = ()
+    jumps: tuple = field(init=False, repr=False)
+
+    _kernel = False  # mu: laws are kernel masses and the bracket goes into R
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "rays", tuple(self.rays))
-        for a in self.atoms:
-            if a.xi.shape != (self.dim, self.dim):
-                raise DimensionMismatchError("atom dimension does not match the measure")
+        object.__setattr__(self, "jumps", tuple(map(self._jump, self.atoms + self.rays)))
+        shape = (self.dim, self.dim)
+        for jump in self.jumps:
+            if jump.direction.shape != shape or np.shape(jump.weight) not in ((), shape):
+                raise DimensionMismatchError("atom or ray dimension does not match the measure")
+        name = "mu" if self._kernel else "m"
         for j, r in enumerate(self.rays):
-            if r.direction.shape != (self.dim, self.dim):
-                raise DimensionMismatchError("ray dimension does not match the measure")
             if r.density.partial_moment(2) == _INF:
-                raise MeasureError(f"m-ray {j}: second moment is infinite")
+                raise MeasureError(f"{name}-ray {j}: second radial moment is infinite")
             if r.density.partial_moment(1, 0.0, 1.0) == _INF:
-                raise MeasureError(f"m-ray {j}: small-jump first moment is infinite")
+                raise MeasureError(f"{name}-ray {j}: small-jump first radial moment is infinite")
+
+    def _jump(self, item):
+        """An atom at xi is a point mass at r0 = ||xi|| along xi / ||xi||, of mass
+        w for m and 1/||xi||^2 for mu; a ray keeps its direction and density."""
+        weight = item.weight if self._kernel else 1.0
+        if isinstance(item, (ScalarAtom, OperatorAtom)):
+            mass = 1.0 / item.norm ** 2 if self._kernel else item.weight
+            return Jump(item.xi / item.norm, PointMass(mass, item.norm), weight)
+        return Jump(item.direction, item.density, weight)
 
     @classmethod
     def empty(cls, dim):
         return cls(dim)
 
     @property
-    def is_empty(self):
-        return not self.atoms and not self.rays
+    def is_finite_activity(self):
+        return all(c < _INF for c, _ in self._radial(0))
+
+    def _radial(self, p, lo=0.0, hi=_INF):
+        """(integral of r^p law(dr) over (lo, hi], jump) for every jump."""
+        return [(j.law.partial_moment(p, lo, hi), j) for j in self.jumps]
+
+    def _matrix(self, terms):
+        return sum(terms, np.zeros((self.dim, self.dim)))
+
+    def restricted(self, lo=0.0, hi=_INF):
+        """The measure on jump norms in (lo, hi]."""
+        atoms = tuple(a for a, j in zip(self.atoms, self.jumps) if j.law.restricted(lo, hi) is not None)
+        rays = tuple(replace(r, density=den) for r in self.rays
+                     if (den := r.density.restricted(lo, hi)) is not None)
+        return type(self)(self.dim, atoms, rays)
+
+
+class ScalarJumpMeasure(_JumpMeasure):
+    """Finite atoms plus radial rays; ray densities are the m-mass densities."""
 
     def total_mass(self):
         """Total activity; may be inf for power-law rays reaching r = 0."""
-        return float(sum(a.weight for a in self.atoms)) + sum(
-            r.density.partial_moment(0) for r in self.rays)
+        return float(sum(c for c, _ in self._radial(0)))
 
     def second_moment(self):
-        return float(sum(a.weight * a.norm ** 2 for a in self.atoms)) + sum(
-            r.density.partial_moment(2) for r in self.rays)
+        return float(sum(c for c, _ in self._radial(2)))
 
     def chi_integral(self):
         """integral of chi(xi) m(dxi): the small-jump mean, a symmetric matrix."""
-        out = np.zeros((self.dim, self.dim))
-        for a in self.atoms:
-            if a.norm <= 1.0:
-                out += a.weight * a.xi
-        for r in self.rays:
-            out += r.density.partial_moment(1, 0.0, 1.0) * r.direction
-        return out
+        return self._matrix(c * j.direction for c, j in self._radial(1, 0.0, 1.0))
 
     def tail_first_moment_matrix(self):
         """integral of xi over ||xi|| > 1 against m."""
-        out = np.zeros((self.dim, self.dim))
-        for a in self.atoms:
-            if a.norm > 1.0:
-                out += a.weight * a.xi
-        for r in self.rays:
-            out += r.density.partial_moment(1, 1.0, _INF) * r.direction
-        return out
-
-    def restricted(self, lo=0.0, hi=_INF):
-        atoms = tuple(a for a in self.atoms if lo < a.norm <= hi)
-        rays = []
-        for r in self.rays:
-            den = r.density.restricted(lo, hi)
-            if den is not None:
-                rays.append(ScalarRay(r.direction, den))
-        return ScalarJumpMeasure(self.dim, atoms, tuple(rays))
-
-    @property
-    def is_finite_activity(self):
-        return self.total_mass() < _INF
+        return self._matrix(c * j.direction for c, j in self._radial(1, 1.0, _INF))
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorJumpMeasure:
+class OperatorJumpMeasure(_JumpMeasure):
     """Finite atoms plus radial rays with PSD operator weights.
 
     Ray densities are stored in kernel form g(r) (density of mu/||xi||^2);
     the mu-mass density along a ray is r^2 g(r).
     """
 
-    dim: int
-    atoms: tuple = ()
-    rays: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "rays", tuple(self.rays))
-        for a in self.atoms:
-            if a.xi.shape != (self.dim, self.dim) or a.weight.shape != (self.dim, self.dim):
-                raise DimensionMismatchError("atom dimension does not match the measure")
-        for j, r in enumerate(self.rays):
-            if r.direction.shape != (self.dim, self.dim) or r.weight.shape != (self.dim, self.dim):
-                raise DimensionMismatchError("ray dimension does not match the measure")
-            if r.density.partial_moment(2) == _INF:
-                raise MeasureError(f"mu-ray {j}: total mass (kernel second moment) is infinite")
-            if r.density.partial_moment(1, 0.0, 1.0) == _INF:
-                raise MeasureError(f"mu-ray {j}: small-jump kernel first moment is infinite")
-
-    @classmethod
-    def empty(cls, dim):
-        return cls(dim)
-
-    @property
-    def is_empty(self):
-        return not self.atoms and not self.rays
+    _kernel = True
 
     def total_mass_matrix(self):
         """mu applied to everything: sum of atom weights plus ray masses; finite PSD."""
-        out = np.zeros((self.dim, self.dim))
-        for a in self.atoms:
-            out += a.weight
-        for r in self.rays:
-            out += r.density.partial_moment(2) * r.weight
-        return out
+        return self._matrix(c * j.weight for c, j in self._radial(2))
 
     def kernel_total_matrix(self):
         """integral of mu(dxi)/||xi||^2; None when the activity is infinite."""
-        out = np.zeros((self.dim, self.dim))
-        for a in self.atoms:
-            out += a.weight / a.norm ** 2
-        for r in self.rays:
-            mass = r.density.partial_moment(0)
-            if mass == _INF:
-                return None
-            out += mass * r.weight
-        return out
+        return self._matrix(c * j.weight for c, j in self._radial(0)) if self.is_finite_activity else None
 
     def chi_compensator_pairs(self):
         """Rank-one data for x -> integral chi(xi) <mu(dxi), x>/||xi||^2.
 
         Returns pairs (M, K) so the map is x -> sum <M, x> K.
         """
-        pairs = []
-        for a in self.atoms:
-            if a.norm <= 1.0:
-                pairs.append((a.weight, a.xi / a.norm ** 2))
-        for r in self.rays:
-            mom = r.density.partial_moment(1, 0.0, 1.0)
-            if mom > 0.0:
-                pairs.append((r.weight, mom * r.direction))
-        return tuple(pairs)
+        return tuple((j.weight, c * j.direction) for c, j in self._radial(1, 0.0, 1.0) if c > 0.0)
 
     def tail_pairs(self):
         """Rank-one data for v -> integral_{||xi||>1} <xi, v> mu(dxi)/||xi||^2."""
-        pairs = []
-        for a in self.atoms:
-            if a.norm > 1.0:
-                pairs.append((a.xi, a.weight / a.norm ** 2))
-        for r in self.rays:
-            mom = r.density.partial_moment(1, 1.0, _INF)
-            if mom > 0.0:
-                pairs.append((r.direction, mom * r.weight))
-        return tuple(pairs)
-
-    def restricted(self, lo=0.0, hi=_INF):
-        atoms = tuple(a for a in self.atoms if lo < a.norm <= hi)
-        rays = []
-        for r in self.rays:
-            den = r.density.restricted(lo, hi)
-            if den is not None:
-                rays.append(OperatorRay(r.direction, r.weight, den))
-        return OperatorJumpMeasure(self.dim, atoms, tuple(rays))
-
-    @property
-    def is_finite_activity(self):
-        return self.kernel_total_matrix() is not None
+        return tuple((j.direction, c * j.weight) for c, j in self._radial(1, 1.0, _INF) if c > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +697,7 @@ def validate_admissibility(p_set, tol=None, n_pairs=50, seed=0):
     results.append(ConditionResult(
         "i_a", second < _INF, f"m second moment = {second}", 0.0 if second < _INF else _INF))
 
-    small_first = float(sum(a.weight * a.norm for a in p_set.m.atoms if a.norm <= 1.0)) + sum(
-        r.density.partial_moment(1, 0.0, 1.0) for r in p_set.m.rays)
+    small_first = sum(c for c, _ in p_set.m._radial(1, 0.0, 1.0))
     if small_first < _INF:
         i_m = p_set.m.chi_integral()
         results.append(ConditionResult(
@@ -728,7 +721,7 @@ def validate_admissibility(p_set, tol=None, n_pairs=50, seed=0):
         results.append(ConditionResult(
             "ii", lam >= -tol_ii, f"min eig(b - I_m) = {lam:.6g}", max(0.0, -lam), witness))
 
-    ray_ok = all(r.density.partial_moment(1, 0.0, 1.0) < _INF for r in p_set.mu.rays)
+    ray_ok = all(c < _INF for c, _ in p_set.mu._radial(1, 0.0, 1.0))
     pairs = [orthogonal_psd_pair(rng, p_set.dim) for _ in range(n_pairs)]
     comp_vals = [_compensator_value(p_set.mu, u, x) for u, x in pairs]
     max_comp = max((abs(v) for v in comp_vals), default=0.0)
@@ -749,9 +742,11 @@ def validate_admissibility(p_set, tol=None, n_pairs=50, seed=0):
     witness = None
     if worst < -tol_iv and worst_pair is not None:
         witness = {"u": sym_to_json(worst_pair[0]), "x": sym_to_json(worst_pair[1])}
+    # build_admissible sets reach 0 up to rounding: show that as 0
+    shown = 0.0 if abs(worst) <= tol_iv else worst
     results.append(ConditionResult(
         "iv", worst >= -tol_iv,
-        f"min over {n_pairs} orthogonal pairs of <B*(u),x> - compensator = {worst:.6g}",
+        f"min over {n_pairs} orthogonal pairs of <B*(u),x> - compensator = {shown:.6g}",
         max(0.0, -worst), witness))
 
     return AdmissibilityReport(p_set.dim, seed, n_pairs, tuple(results))

@@ -30,6 +30,7 @@ import numpy as np
 
 from .exceptions import SimulationError
 from . import symcone
+from .params import PointMass
 from .symcone import ExpPropagator, RankOneSum, VecBasis, frob_norm, inner, min_eigenvalue
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "mc_summary",
     "mc_laplace",
     "mc_mean",
-    "mc_second_moment",
 ]
 
 _U64 = np.uint64
@@ -183,47 +183,27 @@ class RadialSampler:
 class _JumpTable:
     """Component masses and jump sizes of the state-dependent kernel.
 
-    Component c has mass const[c] + rows[c] @ x and jump size
-    scale * directions[c], where scale is 1 for an atom and, for a ray, a
-    radius drawn by samplers[c].
+    Component c is jump c of the parameter set.  It has mass const[c] +
+    rows[c] @ x and jump size scale * directions[c], where scale is an atom's
+    radius, taken without a draw, or a ray's radius drawn by samplers[c].
     """
 
     def __init__(self, p_set, basis):
         self.basis = basis
-        const, rows, directions, samplers = [], [], [], []
-        for a in p_set.m.atoms:
-            const.append(a.weight)
-            rows.append(np.zeros(basis.n))
-            directions.append(a.xi)
-            samplers.append(None)
-        for r in p_set.m.rays:
-            mass = r.density.partial_moment(0)
-            if not math.isfinite(mass):
-                raise SimulationError("jump activity is infinite: truncate first")
-            const.append(mass)
-            rows.append(np.zeros(basis.n))
-            directions.append(r.direction)
-            samplers.append(RadialSampler(r.density))
-        for a in p_set.mu.atoms:
-            const.append(0.0)
-            rows.append(basis.vec(a.weight) / a.norm ** 2)
-            directions.append(a.xi)
-            samplers.append(None)
-        for r in p_set.mu.rays:
-            mass = r.density.partial_moment(0)
-            if not math.isfinite(mass):
-                raise SimulationError("jump activity is infinite: truncate first")
-            const.append(0.0)
-            rows.append(mass * basis.vec(r.weight))
-            directions.append(r.direction)
-            samplers.append(RadialSampler(r.density))
-        self.const = np.asarray(const)
-        self.rows = np.asarray(rows).reshape(len(const), basis.n)
-        self.directions = directions
-        self.size_vecs = np.asarray([basis.vec(dm) for dm in directions]).reshape(len(const), basis.n)
-        self.samplers = samplers
-        self.is_ray = np.array([sp is not None for sp in samplers], dtype=bool)
-        self.m_total = float(sum(c for c in const))
+        jumps = p_set.m.jumps + p_set.mu.jumps
+        mass = np.array([j.law.partial_moment(0) for j in jumps])
+        if not np.all(np.isfinite(mass)):
+            raise SimulationError("jump activity is infinite: truncate first")
+        outs = np.array([j.output_row(basis) for j in jumps]).reshape(len(jumps), basis.n + 1)
+        outs *= mass[:, None]
+        self.const = outs[:, 0]
+        self.rows = outs[:, 1:]
+        self.directions = [j.direction for j in jumps]
+        self.size_vecs = np.array([basis.vec(j.direction) for j in jumps]).reshape(len(jumps), basis.n)
+        self.samplers = [None if isinstance(j.law, PointMass) else RadialSampler(j.law) for j in jumps]
+        self.is_ray = np.array([sp is not None for sp in self.samplers], dtype=bool)
+        self.atom_radius = np.array([1.0 if ray else j.law.r0 for j, ray in zip(jumps, self.is_ray)])
+        self.m_total = float(sum(self.const))
         self.kappa_vec = self.rows.sum(axis=0)
 
     @property
@@ -243,10 +223,10 @@ class _JumpTable:
         return np.minimum((cum < (u * total)[:, None]).sum(axis=1), len(self.const) - 1)
 
     def scales(self, comp, uniforms):
-        """Size factor of each jump of components comp: 1 for an atom, and for
-        a ray the radius whose cumulative mass is u times the ray's, with the
-        u of the ray jumps at positions sel given by uniforms(sel)."""
-        scale = np.ones(len(comp))
+        """Size factor of each jump of components comp: an atom's radius, and
+        for a ray the radius whose cumulative mass is u times the ray's, with
+        the u of the ray jumps at positions sel given by uniforms(sel)."""
+        scale = self.atom_radius[comp]
         ray = np.flatnonzero(self.is_ray[comp])
         if ray.size:
             u = uniforms(ray)
@@ -596,7 +576,7 @@ def _path_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_rows(p_set, x0, T, seed, start, stop, window, block):
+def _chunk_rows(p_set, x0, T, seed, start, stop, block):
     """Rows start..stop-1 of terminal_statistics, in lockstep blocks of `block` paths."""
     sim = PathSimulator(p_set)
     n = sim.basis.n
@@ -605,13 +585,13 @@ def _chunk_rows(p_set, x0, T, seed, start, stop, window, block):
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
         term, counts = sim._lockstep(np.broadcast_to(x_vec, (hi - lo, n)), T,
-                                     CounterStream(seed, lo, hi - lo), window)
+                                     CounterStream(seed, lo, hi - lo))
         out[lo - start: hi - start, :n] = term
         out[lo - start: hi - start, n] = counts[:, 1]
     return start, out
 
 
-def terminal_statistics(p_set, x0, T, n_paths, seed, workers=1, window=None):
+def terminal_statistics(p_set, x0, T, n_paths, seed, workers=1):
     """Terminal states (vectorized) and jump counts, one row per path index.
 
     Row i is produced from the stream keyed by (seed, i) inside the block of
@@ -621,12 +601,12 @@ def terminal_statistics(p_set, x0, T, n_paths, seed, workers=1, window=None):
     block = _BLOCK
     n_blocks = -(-n_paths // block)
     if workers <= 1 or n_blocks <= 1:
-        return _chunk_rows(p_set, x0, T, seed, 0, n_paths, window, block)[1]
+        return _chunk_rows(p_set, x0, T, seed, 0, n_paths, block)[1]
     span = block * -(-n_blocks // (workers * 4))
     ranges = [(s, min(s + span, n_paths)) for s in range(0, n_paths, span)]
     out = np.empty((n_paths, VecBasis(p_set.dim).n + 1))
     with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
-        futures = [pool.submit(_chunk_rows, p_set, x0, T, seed, s, e, window, block)
+        futures = [pool.submit(_chunk_rows, p_set, x0, T, seed, s, e, block)
                    for s, e in ranges]
         for fut in futures:
             start, rows = fut.result()
@@ -640,7 +620,7 @@ def _reduce(values, n_paths, seed, wall):
     return MCEstimate(est, se, n_paths, seed, wall)
 
 
-def mc_summary(p_set, x0, T, n_paths, seed, u=None, v=None, w=None, workers=1, window=None):
+def mc_summary(p_set, x0, T, n_paths, seed, u=None, v=None, w=None, workers=1):
     """Shared-paths Monte Carlo estimates.
 
     Returns a dict with keys among {"laplace", "mean", "second_moment",
@@ -651,7 +631,7 @@ def mc_summary(p_set, x0, T, n_paths, seed, u=None, v=None, w=None, workers=1, w
         raise ValueError("n_paths must be >= 100")
     basis = VecBasis(p_set.dim)
     tic = time.perf_counter()
-    stats = terminal_statistics(p_set, x0, T, n_paths, seed, workers=workers, window=window)
+    stats = terminal_statistics(p_set, x0, T, n_paths, seed, workers=workers)
     wall = time.perf_counter() - tic
 
     term = stats[:, : basis.n]
@@ -668,16 +648,12 @@ def mc_summary(p_set, x0, T, n_paths, seed, u=None, v=None, w=None, workers=1, w
     return out
 
 
-def mc_laplace(p_set, x0, T, u, n_paths, seed, workers=1, window=None):
-    return mc_summary(p_set, x0, T, n_paths, seed, u=u, workers=workers, window=window)["laplace"]
+def mc_laplace(p_set, x0, T, u, n_paths, seed, workers=1):
+    return mc_summary(p_set, x0, T, n_paths, seed, u=u, workers=workers)["laplace"]
 
 
-def mc_mean(p_set, x0, T, v, n_paths, seed, workers=1, window=None):
-    return mc_summary(p_set, x0, T, n_paths, seed, v=v, workers=workers, window=window)["mean"]
-
-
-def mc_second_moment(p_set, x0, T, v, w, n_paths, seed, workers=1, window=None):
-    return mc_summary(p_set, x0, T, n_paths, seed, v=v, w=w, workers=workers, window=window)["second_moment"]
+def mc_mean(p_set, x0, T, v, n_paths, seed, workers=1):
+    return mc_summary(p_set, x0, T, n_paths, seed, v=v, workers=workers)["mean"]
 
 
 def worker_cap():

@@ -24,7 +24,7 @@ from . import symcone
 from .symcone import VecBasis, frob_norm, min_eigenvalue
 # radial_quad is not called here, but perfbench/tracer.py patches the
 # binding riccati.radial_quad when it installs, so the import stays.
-from .params import PowerLawDensity, radial_quad, truncate  # noqa: F401
+from .params import PointMass, PowerLawDensity, radial_quad, truncate  # noqa: F401
 
 __all__ = [
     "RiccatiOptions",
@@ -45,23 +45,26 @@ __all__ = [
 _INF = math.inf
 
 
+# step controller of the cone-aware integrator
+_DT_INIT = 1e-3
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+_MAX_T = 100.0
+_N_GRID = 33           # output times when t_eval is omitted
+_MAX_STEPS = 200_000
+_GROWTH_FUDGE = 1e-6   # relative slack of the growth-bound check
+
+
 @dataclass(frozen=True)
 class RiccatiOptions:
-    """Step-controller and cascade settings for the cone-aware integrator."""
+    """Cone tolerance and cascade schedule of the cone-aware integrator."""
 
-    dt_init: float = 1e-3
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_t: float = 100.0
     cone_tol: float = 1e-9
     k_schedule: tuple = (1, 2, 4, 8, 16, 32, 64)
-    n_grid: int = 33
-    max_steps: int = 200_000
-    growth_fudge: float = 1e-6
 
     def __post_init__(self):
-        if self.dt_init <= 0 or self.abs_tol <= 0 or self.rel_tol <= 0 or self.cone_tol <= 0:
-            raise ValueError("tolerances and the initial step must be positive")
+        if self.cone_tol <= 0:
+            raise ValueError("the cone tolerance must be positive")
         if any(k2 <= k1 for k1, k2 in zip(self.k_schedule, self.k_schedule[1:])):
             raise ValueError("k schedule must be strictly increasing")
 
@@ -200,11 +203,14 @@ def _piece_rule(density, a, b):
 
 
 def ray_rule(density):
-    """(r, W, small) for one ray: the jumps of norm <= 1 carry small = 1.
+    """(r, W, small) for one radial law: the jumps of norm <= 1 carry small = 1.
 
     sum W (expm1(-s r) + small s r) is the compensated bracket
     integral of (e^{-s r} - 1 + s r 1{r <= 1}) density(r) dr at slope s.
+    A PointMass is its one node.
     """
+    if isinstance(density, PointMass):
+        return np.array([density.r0]), np.array([density.c]), np.array([float(density.r0 <= 1.0)])
     parts = []
     for lo, hi, small in ((density.rmin, min(density.rmax, 1.0), 1.0),
                           (max(density.rmin, 1.0), density.rmax, 0.0)):
@@ -221,11 +227,10 @@ def ray_rule(density):
 class _Field:
     """Precompiled (F, R) evaluation in VecBasis coordinates.
 
-    Every jump is a list of nodes: an atom is one node at its location, a
-    ray is its ray_rule along its direction.  Node j jumps by node_dirs[j]
-    and adds W_j (expm1(-x_j) + small_j x_j) times its output row to the
-    field, where x_j = <node_dirs[j], psi>; column 0 of the output is F, the
-    rest vec R.
+    Every jump is the list of nodes of its ray_rule.  Node j jumps by
+    node_dirs[j] and adds W_j (expm1(-x_j) + small_j x_j) times its output
+    row to the field, where x_j = <node_dirs[j], psi>; column 0 of the
+    output is F, the rest vec R.
     """
 
     def __init__(self, p_set):
@@ -233,26 +238,13 @@ class _Field:
         n = basis.n
         self.lin = np.vstack([basis.vec(p_set.b), p_set.B.mat.T])
 
-        one = np.ones(1)
-        f_row = np.eye(1, n + 1)[0]
-
-        def r_row(weight):
-            return np.concatenate([[0.0], basis.vec(weight)])
-
-        # (direction, (r, W, small) nodes, output row) for every atom and ray
-        jumps = [(a.xi, (one, a.weight * one, float(a.norm <= 1.0) * one), f_row)
-                 for a in p_set.m.atoms]
-        jumps += [(ray.direction, ray_rule(ray.density), f_row) for ray in p_set.m.rays]
-        jumps += [(a.xi, (one, one / a.norm ** 2, float(a.norm <= 1.0) * one), r_row(a.weight))
-                  for a in p_set.mu.atoms]
-        jumps += [(ray.direction, ray_rule(ray.density), r_row(ray.weight))
-                  for ray in p_set.mu.rays]
-
-        sizes = [len(nodes[0]) for _, nodes, _ in jumps]
-        r, w, self.node_small = (np.concatenate([np.zeros(0)] + [nodes[i] for _, nodes, _ in jumps])
+        jumps = p_set.m.jumps + p_set.mu.jumps
+        nodes = [ray_rule(j.law) for j in jumps]
+        sizes = [len(r) for r, _, _ in nodes]
+        r, w, self.node_small = (np.concatenate([np.zeros(0)] + [nd[i] for nd in nodes])
                                  for i in range(3))
-        dirs = np.array([basis.vec(d) for d, _, _ in jumps]).reshape(-1, n)
-        outs = np.array([row for _, _, row in jumps]).reshape(-1, n + 1)
+        dirs = np.array([basis.vec(j.direction) for j in jumps]).reshape(-1, n)
+        outs = np.array([j.output_row(basis) for j in jumps]).reshape(-1, n + 1)
         self.node_dirs = r[:, None] * np.repeat(dirs, sizes, axis=0)
         self.node_out = w[:, None] * np.repeat(outs, sizes, axis=0)
 
@@ -298,8 +290,8 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
     opts = opts or RiccatiOptions()
     if T < 0:
         raise ValueError("T must be >= 0")
-    if T > opts.max_t:
-        raise ValueError(f"T = {T} exceeds opts.max_t = {opts.max_t}")
+    if T > _MAX_T:
+        raise ValueError(f"T = {T} exceeds the horizon limit {_MAX_T}")
     work = truncate(p_set, k) if k is not None else p_set
     u = symcone.check_symmetric(u)
     u_norm = frob_norm(u)
@@ -312,7 +304,7 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
     bound_slack = 1e-12 * (1.0 + u_norm)
 
     if t_eval is None:
-        grid = np.linspace(0.0, T, opts.n_grid)
+        grid = np.linspace(0.0, T, _N_GRID)
     else:
         grid = np.asarray(t_eval, dtype=float)
         grid = np.unique(np.concatenate([[0.0], grid[(grid >= 0) & (grid <= T)], [T]]))
@@ -348,7 +340,7 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
         return field.rhs(yv[1:])
 
     t = 0.0
-    h_ctrl = min(opts.dt_init, T)
+    h_ctrl = min(_DT_INIT, T)
     k1 = f(y)
     ks = np.empty((7, n + 1))
     h_floor = 1e-14 * T
@@ -365,7 +357,7 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
             ks[i] = f(yi)
         y5 = y + h * (_DP_B5 @ ks)
         err = h * (_DP_ERR @ ks)
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(y5))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
 
         if err_norm > 1.0:
@@ -382,7 +374,7 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
         diag["max_cone_violation"] = max(diag["max_cone_violation"], max(0.0, -me))
 
         t_new = t + h
-        cap = math.exp(rate * t_new) * u_norm * (1.0 + opts.growth_fudge) + bound_slack
+        cap = math.exp(rate * t_new) * u_norm * (1.0 + _GROWTH_FUDGE) + bound_slack
         if frob_norm(psi_new) > cap:
             raise RiccatiSolverError(
                 f"growth bound breached at t = {t_new:.6g}: ||psi|| = {frob_norm(psi_new):.6g} > {cap:.6g}")
@@ -391,8 +383,8 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
         y = y5
         k1 = ks[6].copy()
         diag["n_steps"] += 1
-        if diag["n_steps"] > opts.max_steps:
-            raise RiccatiSolverError(f"exceeded max_steps = {opts.max_steps}")
+        if diag["n_steps"] > _MAX_STEPS:
+            raise RiccatiSolverError(f"exceeded max_steps = {_MAX_STEPS}")
         if abs(t - target) <= 1e-12 * max(1.0, T):
             t = target
             record(next_out, y, h)
@@ -413,7 +405,7 @@ def solve_cascade(p_set, u, T, opts=None, t_eval=None):
     opts = opts or RiccatiOptions()
     if not opts.k_schedule:
         raise ValueError("k schedule must be nonempty")
-    grid = t_eval if t_eval is not None else np.linspace(0.0, T, opts.n_grid)
+    grid = t_eval if t_eval is not None else np.linspace(0.0, T, _N_GRID)
 
     residuals = {}
     worst = 0.0

@@ -28,7 +28,6 @@ __all__ = [
     "inner",
     "frob_norm",
     "min_eigenvalue",
-    "is_psd",
     "cone_leq",
     "chi",
     "VecBasis",
@@ -114,10 +113,6 @@ def min_eigenvalue(a):
         return float(np.linalg.eigvalsh(symmetrize(a))[0])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at desk scale
         raise EigenSolverError(f"symmetric eigensolver did not converge: {exc}") from exc
-
-
-def is_psd(a, tol=0.0):
-    return min_eigenvalue(a) >= -tol
 
 
 def cone_leq(a, b, tol=0.0):
@@ -392,6 +387,9 @@ def expm_action(op, t, v):
     return symmetrize(basis.unvec(out))
 
 
+_EIG_COND_LIMIT = 1e7  # eigenbases worse conditioned than this count as defective
+
+
 class ExpPropagator:
     """Repeated evaluation of e^{tM} y for one square matrix M and many t.
 
@@ -400,7 +398,7 @@ class ExpPropagator:
     with scipy.linalg.expm to ~1e-12 on well-conditioned eigenbases.
     """
 
-    def __init__(self, mat, cond_limit=1e7):
+    def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=float)
         n = self.mat.shape[0]
         if self.mat.shape != (n, n):
@@ -410,7 +408,7 @@ class ExpPropagator:
             cond = np.linalg.cond(vr)
         except np.linalg.LinAlgError:  # pragma: no cover
             cond = np.inf
-        self.use_eig = bool(np.isfinite(cond) and cond < cond_limit)
+        self.use_eig = bool(np.isfinite(cond) and cond < _EIG_COND_LIMIT)
         if self.use_eig:
             self._w = w
             self._vr = vr

@@ -11,14 +11,23 @@ second moments (derivatives of the Laplace transform at u = 0) by
 composite Gauss-Legendre quadrature, without the polynomial generator that
 the production code exponentiates.
 
+The per-kind sums rebuild what the package derives from its jumps (the
+measure helpers, the Riccati field, the simulator's jump table and the
+second-derivative tables of the moments) from the raw atoms and rays of
+each measure, with each kind's own rule: an m atom weighs w, a mu atom
+weighs its operator weight over ||xi||^2.
+
 The operator oracle applies each linear-operator kind by its defining
 formula (beta x + x beta^T, sum g x g^T, sum <A, x> C) and assembles the
 coordinate matrix column by column from the n basis matrices, the way the
 package did before it built the matrices in closed form.
 """
 
+import math
+
 import numpy as np
 
+from affinehs.riccati import ray_rule
 from affinehs.symcone import (
     CongruenceSum,
     DenseOperator,
@@ -127,7 +136,7 @@ def composite_gauss_legendre(panels):
     return (mid + half * _GL_X).ravel(), (half * _GL_W).ravel()
 
 
-def moments_by_quadrature(bundle, x, t, v, w):
+def moments_by_quadrature(p_set, bundle, x, t, v, w):
     """Moments of X_t from the five-term derivative formula, by quadrature.
 
     With E(s) = e^{s dR0} and g(r) = d2R0(E(r) v, E(r) w):
@@ -143,8 +152,9 @@ def moments_by_quadrature(bundle, x, t, v, w):
     conditioned.  The integrands grow at most like e^{3 rho s}, rho the
     spectral radius of dR0, so every integral, the nested one in both
     variables, uses composite 8-point Gauss-Legendre on panels no wider than
-    1 / (3 rho).  Returns (mean_v, mean_w, second, dpsi0(t, v), d2psi0(t, v, w)),
-    the last two in VecBasis coordinates.
+    1 / (3 rho).  The second derivatives come from d2_tables_by_kind, not
+    from the bundle.  Returns (mean_v, mean_w, second, dpsi0(t, v),
+    d2psi0(t, v, w)), the last two in VecBasis coordinates.
     """
     basis = bundle.basis
     x, v, w = (basis.vec(np.asarray(a, dtype=float)) for a in (x, v, w))
@@ -156,13 +166,13 @@ def moments_by_quadrature(bundle, x, t, v, w):
         """E(s) y for times s (...) and vectors y (..., n)."""
         return np.real((np.exp(np.asarray(s)[..., None] * lam) * (y @ vinv_t)) @ vr_t)
 
+    (f_coefs, f_a), (r_coefs, r_a, r_w) = d2_tables_by_kind(p_set, basis)
+
     def d2r(y, z):
-        a = bundle.d2r_a.T
-        return -((y @ a) * (z @ a) * bundle.d2r_coefs) @ bundle.d2r_w
+        return -((y @ r_a.T) * (z @ r_a.T) * r_coefs) @ r_w
 
     def d2f(y, z):
-        a = bundle.d2f_a.T
-        return -((y @ a) * (z @ a)) @ bundle.d2f_coefs
+        return -((y @ f_a.T) * (z @ f_a.T)) @ f_coefs
 
     nodes, weights = composite_gauss_legendre(int(np.ceil(3.0 * np.abs(lam).max() * t)) + 1)
 
@@ -180,3 +190,100 @@ def moments_by_quadrature(bundle, x, t, v, w):
     d2psi_t = d2psi(np.array([t]))[0]
     second = -(ws @ d2f(ev, ew)) - ws @ (d2psi(s) @ df0) - x @ d2psi_t + mean_v * mean_w
     return mean_v, mean_w, second, prop(t, v), d2psi_t
+
+
+def _moment(ray, p, lo=0.0, hi=math.inf):
+    return ray.density.partial_moment(p, lo, hi)
+
+
+def measure_helpers_by_kind(p_set):
+    """The eight measure helpers as sums over the atoms and the rays of each kind.
+
+    The rank-one pair lists are returned as the operators they define,
+    sum_k a_k (x) c_k, since atoms and jumps scale their two sides differently.
+    """
+    m, mu, d = p_set.m, p_set.mu, p_set.dim
+
+    def mat(terms):
+        return sum(terms, np.zeros((d, d)))
+
+    def rank_one(pairs):
+        return sum((np.multiply.outer(a, c) for a, c in pairs), np.zeros((d,) * 4))
+
+    kernel = [a.weight / a.norm ** 2 for a in mu.atoms] + [_moment(r, 0) * r.weight for r in mu.rays]
+    return {
+        "total_mass": sum(a.weight for a in m.atoms) + sum(_moment(r, 0) for r in m.rays),
+        "second_moment": sum(a.weight * a.norm ** 2 for a in m.atoms) + sum(_moment(r, 2) for r in m.rays),
+        "chi_integral": mat([a.weight * a.xi for a in m.atoms if a.norm <= 1.0]
+                            + [_moment(r, 1, 0.0, 1.0) * r.direction for r in m.rays]),
+        "tail_first_moment_matrix": mat([a.weight * a.xi for a in m.atoms if a.norm > 1.0]
+                                        + [_moment(r, 1, 1.0) * r.direction for r in m.rays]),
+        "total_mass_matrix": mat([a.weight for a in mu.atoms]
+                                 + [_moment(r, 2) * r.weight for r in mu.rays]),
+        "kernel_total_matrix": mat(kernel) if all(np.isfinite(k).all() for k in kernel) else None,
+        "chi_compensator_pairs": rank_one([(a.weight, a.xi / a.norm ** 2) for a in mu.atoms if a.norm <= 1.0]
+                                          + [(r.weight, _moment(r, 1, 0.0, 1.0) * r.direction)
+                                             for r in mu.rays]),
+        "tail_pairs": rank_one([(a.xi, a.weight / a.norm ** 2) for a in mu.atoms if a.norm > 1.0]
+                               + [(r.direction, _moment(r, 1, 1.0) * r.weight) for r in mu.rays]),
+    }
+
+
+def field_by_kind(p_set, psi):
+    """(F(psi), R(psi)): each atom's exact bracket and each ray's ray_rule bracket, by kind.
+
+    Returns the value and the sum of the magnitudes of its terms, the scale
+    that rounding errors are relative to.
+    """
+    m, mu = p_set.m, p_set.mu
+
+    def bracket(x, small):
+        return np.expm1(-x) + small * x
+
+    def ray_bracket(ray):
+        r, w, small = ray_rule(ray.density)
+        return float(w @ bracket(r * np.tensordot(ray.direction, psi), small))
+
+    f_terms = [np.tensordot(p_set.b, psi)]
+    f_terms += [-a.weight * bracket(np.tensordot(a.xi, psi), a.norm <= 1.0) for a in m.atoms]
+    f_terms += [-ray_bracket(r) for r in m.rays]
+    r_terms = [structured_apply(p_set.B, psi, adjoint=True)]
+    r_terms += [-bracket(np.tensordot(a.xi, psi), a.norm <= 1.0) / a.norm ** 2 * a.weight for a in mu.atoms]
+    r_terms += [-ray_bracket(r) * r.weight for r in mu.rays]
+    return ((sum(f_terms), sum(r_terms)),
+            (sum(map(abs, f_terms)), sum(np.abs(t) for t in r_terms)))
+
+
+def jump_table_by_kind(p_set, basis):
+    """(const, rows, sizes) of the simulator's components, by kind.
+
+    Components are the m atoms, m rays, mu atoms and mu rays in that order;
+    a component's mass at x is const + rows @ vec x, and its size is the
+    atom's location or the ray's direction in VecBasis coordinates.
+    """
+    m, mu, vec = p_set.m, p_set.mu, basis.vec
+    zero = np.zeros(basis.n)
+    comps = [(a.weight, zero, vec(a.xi)) for a in m.atoms]
+    comps += [(_moment(r, 0), zero, vec(r.direction)) for r in m.rays]
+    comps += [(0.0, vec(a.weight) / a.norm ** 2, vec(a.xi)) for a in mu.atoms]
+    comps += [(0.0, _moment(r, 0) * vec(r.weight), vec(r.direction)) for r in mu.rays]
+    const, rows, sizes = zip(*comps) if comps else ((), (), ())
+    return (np.array(const), np.array(rows).reshape(len(comps), basis.n),
+            np.array(sizes).reshape(len(comps), basis.n))
+
+
+def d2_tables_by_kind(p_set, basis):
+    """((coefs, a) of d2F0, (coefs, a, w) of d2R0) from the atoms and rays.
+
+    d2F0(v, w) = -sum coefs <A, v> <A, w> over the m atoms (coefficient w,
+    A = xi) and rays (second moment, A = direction); d2R0 likewise over the
+    mu atoms (1 / ||xi||^2) and rays, times the output weight.
+    """
+    m, mu, vec, n = p_set.m, p_set.mu, basis.vec, basis.n
+    f_coefs = [a.weight for a in m.atoms] + [_moment(r, 2) for r in m.rays]
+    f_a = [vec(a.xi) for a in m.atoms] + [vec(r.direction) for r in m.rays]
+    r_coefs = [1.0 / a.norm ** 2 for a in mu.atoms] + [_moment(r, 2) for r in mu.rays]
+    r_a = [vec(a.xi) for a in mu.atoms] + [vec(r.direction) for r in mu.rays]
+    r_w = [vec(a.weight) for a in mu.atoms] + [vec(r.weight) for r in mu.rays]
+    return ((np.array(f_coefs), np.reshape(f_a, (len(f_a), n))),
+            (np.array(r_coefs), np.reshape(r_a, (len(r_a), n)), np.reshape(r_w, (len(r_w), n))))

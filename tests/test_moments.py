@@ -30,7 +30,7 @@ from affinehs.params import (
     norm_gt,
     truncate,
 )
-from affinehs.riccati import solve_riccati
+from affinehs.riccati import solve_cascade, solve_riccati
 from affinehs.symcone import (
     LyapunovOperator,
     frob_norm,
@@ -232,10 +232,17 @@ def test_laplace_examples(mc_truncated):
     assert vals[0] >= vals[1] >= vals[2]
 
 
-def test_laplace_uses_cascade_for_infinite_activity():
+def test_laplace_solves_infinite_activity_directly():
     s = library.get("cascade-02")
     val = laplace(s.params, s.x0, 0.5, s.u)
-    assert 0.0 < val <= 1.0
+    sol = solve_riccati(s.params, s.u, 0.5, t_eval=(0.0, 0.5))
+    assert val == math.exp(-sol.phi_final - inner(s.x0, sol.psi_final))
+    # the cascade's k = 64 level lies above the limit in the Loewner order
+    sol64, diag = solve_cascade(s.params, s.u, 0.5, t_eval=(0.0, 0.5))
+    assert val >= math.exp(-sol64.phi_final - inner(s.x0, sol64.psi_final))
+    gap = sol64.psi_final - sol.psi_final
+    assert min_eigenvalue(gap) >= -1e-9
+    assert frob_norm(gap) <= 2.0 * diag.final_residual
 
 
 def test_generator_exp(mc_truncated, empty_p2, rng):
@@ -297,7 +304,7 @@ def test_moments_overflow_raises_operator_exp_error():
 # ---------------------------------------------------------------------------
 
 def assert_matches_oracle(p, bundle, x, t, v, w, rel=1e-9):
-    ref = moments_by_quadrature(bundle, x, t, v, w)
+    ref = moments_by_quadrature(p, bundle, x, t, v, w)
     vec = bundle.basis.vec
     got = (mean(p, x, t, v, bundle=bundle), mean(p, x, t, w, bundle=bundle),
            second_moment(p, x, t, v, w, bundle=bundle),
@@ -324,10 +331,10 @@ def test_generator_route_on_random_admissible_sets(case):
     assert_matches_oracle(p, derivative_bundle(p), x, t, u, w)
     mv = mean(p, x, t, u)
     assert second_moment(p, x, t, u) - mv * mv >= -1e-12 * (1.0 + mv * mv)
-    # the Laplace bounds on the finite-activity truncation, which the
-    # transform ODEs solve directly
-    q = truncate(p, 4)
-    mv, sm = mean(q, x, t, u), second_moment(q, x, t, u)
-    lap = laplace(q, x, t, u)
-    assert math.exp(-mv) <= lap * (1.0 + 1e-7)
-    assert lap <= 1.0 - mv + 0.5 * sm + 1e-7
+    # Jensen's bound and the quadratic bound, on the set and on its
+    # finite-activity truncation
+    for q in (p, truncate(p, 4)):
+        mv, sm = mean(q, x, t, u), second_moment(q, x, t, u)
+        lap = laplace(q, x, t, u)
+        assert math.exp(-mv) <= lap * (1.0 + 1e-7)
+        assert lap <= 1.0 - mv + 0.5 * sm + 1e-7

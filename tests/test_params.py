@@ -1,11 +1,15 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracle import field_by_kind, jump_table_by_kind, measure_helpers_by_kind
 from strategies import admissible_cases
 
+import affinehs
 from affinehs.exceptions import MeasureError, ParameterFileError
 from affinehs.params import (
     ALL,
@@ -14,6 +18,7 @@ from affinehs.params import (
     OperatorJumpMeasure,
     OperatorRay,
     ParameterSet,
+    PointMass,
     PowerLawDensity,
     ScalarAtom,
     ScalarJumpMeasure,
@@ -33,9 +38,12 @@ from affinehs.params import (
     truncate,
     validate_admissibility,
 )
+from affinehs.pdmpsim import _JumpTable
+from affinehs.riccati import _Field
 from affinehs.symcone import (
     CongruenceSum,
     LyapunovOperator,
+    VecBasis,
     chi,
     frob_norm,
     inner,
@@ -108,9 +116,72 @@ def test_cdf_mass_consistency():
             assert den.cdf_mass(r) == pytest.approx(den.partial_moment(0, den.rmin, r), rel=1e-12)
 
 
+def test_point_mass_follows_the_atom_convention():
+    law = PointMass(0.7, 0.5)   # lies in (lo, hi] when lo < 0.5 <= hi
+    assert law.partial_moment(2) == 0.7 * 0.25
+    assert law.partial_moment(1, 0.25, 0.5) == 0.35
+    assert law.partial_moment(1, 0.5, 1.0) == 0.0
+    assert law.restricted(0.25, 0.5) is law
+    assert law.restricted(0.5, 1.0) is None
+    np.testing.assert_array_equal(law.cdf_mass([0.25, 0.5, 2.0]), [0.0, 0.7, 0.7])
+    np.testing.assert_array_equal(law.inverse_cdf_mass([0.0, 0.35, 0.7]), [0.5, 0.5, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # measures and integration
 # ---------------------------------------------------------------------------
+
+def _rel_err(got, want):
+    if want is None or np.ndim(want) == 0 and math.isinf(want):
+        return 0.0 if got == want else math.inf
+    scale = np.linalg.norm(want)
+    return np.linalg.norm(np.asarray(got) - want) / scale if scale else np.linalg.norm(got)
+
+
+def assert_jumps_match_kinds(p, rng):
+    """Helpers, field and jump table, all read from the jumps, against the per-kind sums."""
+    d = p.dim
+    want = measure_helpers_by_kind(p)
+    for name, ref in want.items():
+        got = getattr(p.m if hasattr(p.m, name) else p.mu, name)()
+        if name.endswith("pairs"):
+            got = sum((np.multiply.outer(a, c) for a, c in got), np.zeros((d,) * 4))
+        assert _rel_err(got, ref) <= 1e-14, (name, got, ref)
+    field = _Field(p)
+    for _ in range(3):
+        psi = random_psd(rng, d)
+        (f_ref, r_ref), (f_scale, r_scale) = field_by_kind(p, psi)
+        out = field.rhs(field.basis.vec(psi))
+        assert abs(out[0] - f_ref) <= 1e-14 * f_scale
+        assert np.linalg.norm(field.basis.unvec(out[1:]) - r_ref) <= 1e-14 * np.linalg.norm(r_scale)
+    q = truncate(p, 4)
+    basis = VecBasis(d)
+    table = _JumpTable(q, basis)
+    const, rows, sizes = jump_table_by_kind(q, basis)
+    assert _rel_err(table.const, const) <= 1e-14
+    assert _rel_err(table.rows, rows) <= 1e-14
+    assert _rel_err(table.atom_radius[:, None] * table.size_vecs, sizes) <= 1e-14
+
+
+def test_jumps_match_per_kind_sums_on_library(bench, rng):
+    for s in bench:
+        assert_jumps_match_kinds(s.params, rng)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_jumps_match_per_kind_sums_on_random_admissible_sets(case):
+    assert_jumps_match_kinds(case[0], np.random.default_rng(0))
+
+
+def test_only_params_maps_atoms_and_rays():
+    # every other module reads a measure through its jumps
+    src = Path(affinehs.__file__).parent
+    readers = sorted(f.name for f in src.glob("*.py")
+                     if f.name != "params.py" and re.search(r"\.(atoms|rays)\b", f.read_text()))
+    assert readers == []
+
 
 def test_integrate_scalar_examples():
     xi0 = 0.8 * unit_dir()
@@ -253,6 +324,13 @@ def test_validate_drift_failure_witness():
     assert not cond.passed
     v = np.asarray(cond.witness["v"]["rows"])
     assert inner(-E11, v) < 0  # witness direction sees the violation
+
+
+def test_validate_shows_no_rounding_noise(bench):
+    # condition (iv) is 0 up to rounding on build_admissible sets
+    for s in bench:
+        detail = validate_admissibility(s.params).condition("iv").detail
+        assert "= -" not in detail, (s.name, detail)
 
 
 def test_validate_determinism(atom_p1):

@@ -391,7 +391,7 @@ def test_options_validation():
     with pytest.raises(ValueError):
         RiccatiOptions(k_schedule=(4, 2))
     with pytest.raises(ValueError):
-        RiccatiOptions(abs_tol=-1.0)
+        RiccatiOptions(cone_tol=-1.0)
 
 
 # ---------------------------------------------------------------------------
