@@ -8,7 +8,8 @@ rejecting, with half the step, every step whose state dips below the cone
 tolerance.  Removing jumps of norm <= 1/k gives globally Lipschitz
 right-hand sides whose solutions decrease monotonically (in the Loewner
 order) to the untruncated solution as k grows; solve_cascade runs that
-schedule and reports the convergence residuals.
+schedule as one solve, all levels stepped together by one controller, and
+reports the convergence residuals.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import symcone
 from .symcone import VecBasis, frob_norm, min_eigenvalue
 # radial_quad is not called here, but perfbench/tracer.py patches the
 # binding riccati.radial_quad when it installs, so the import stays.
-from .params import PointMass, PowerLawDensity, radial_quad, truncate  # noqa: F401
+from .params import PointMass, PowerLawDensity, radial_quad, truncate, truncation_cut  # noqa: F401
 
 __all__ = [
     "RiccatiOptions",
@@ -147,7 +148,13 @@ def eval_Rk(p_set, k, u, check_bound=True):
 
 def growth_rate(p_set):
     """||B|| + 2 ||mu total mass||: the exponential growth rate of ||psi||."""
-    return symcone.operator_norm(p_set.B) + 2.0 * frob_norm(p_set.mu.total_mass_matrix())
+    return float(_growth_rates(p_set, (0.0,))[0])
+
+
+def _growth_rates(p_set, cuts):
+    """growth_rate of each truncation that keeps the jumps of norm > cut."""
+    b_norm = symcone.operator_norm(p_set.B)
+    return np.array([b_norm + 2.0 * frob_norm(p_set.mu.total_mass_matrix(cut)) for cut in cuts])
 
 
 def rk_lipschitz_bound(p_set, k):
@@ -207,8 +214,10 @@ def ray_rule(density):
 
     sum W (expm1(-s r) + small s r) is the compensated bracket
     integral of (e^{-s r} - 1 + s r 1{r <= 1}) density(r) dr at slope s.
-    A PointMass is its one node.
+    A PointMass is its one node; no law (None) has no nodes.
     """
+    if density is None:
+        return (np.zeros(0),) * 3
     if isinstance(density, PointMass):
         return np.array([density.r0]), np.array([density.c]), np.array([float(density.r0 <= 1.0)])
     parts = []
@@ -217,7 +226,7 @@ def ray_rule(density):
         if hi > lo:
             r, w = _piece_rule(density, lo, hi)
             parts.append((r, w, np.full(r.shape, small)))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(col) for col in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -225,37 +234,64 @@ def ray_rule(density):
 # ---------------------------------------------------------------------------
 
 class _Field:
-    """Precompiled (F, R) evaluation in VecBasis coordinates.
+    """Precompiled (F, R) evaluation of a stack of truncation levels.
 
-    Every jump is the list of nodes of its ray_rule.  Node j jumps by
-    node_dirs[j] and adds W_j (expm1(-x_j) + small_j x_j) times its output
-    row to the field, where x_j = <node_dirs[j], psi>; column 0 of the
-    output is F, the rest vec R.
+    levels[l][i] is jump i's law on the norms in (cut_l, 1] at level l, None
+    where that is empty; one level without a cut by default.  Every cut is
+    at most 1, so the jumps of norm > 1 are the same at every level and
+    their rules are built once.  The state is [phi_1..phi_L, vec psi_1..vec
+    psi_L] in VecBasis coordinates, and rhs returns [F_1..F_L, vec R_1..vec
+    R_L]; lin, node_dirs and node_out are block-diagonal over the levels,
+    and column l of member picks level l's coordinates.  Every law is the
+    list of nodes of its ray_rule.  Node j jumps by node_dirs[j] and adds
+    W_j (expm1(-x_j) + small_j x_j) times its output row to the field, where
+    x_j = <node_dirs[j], psi>.
     """
 
-    def __init__(self, p_set):
+    def __init__(self, p_set, levels=None):
         self.basis = basis = VecBasis(p_set.dim)
-        n = basis.n
-        self.lin = np.vstack([basis.vec(p_set.b), p_set.B.mat.T])
-
         jumps = p_set.m.jumps + p_set.mu.jumps
-        nodes = [ray_rule(j.law) for j in jumps]
-        sizes = [len(r) for r, _, _ in nodes]
-        r, w, self.node_small = (np.concatenate([np.zeros(0)] + [nd[i] for nd in nodes])
-                                 for i in range(3))
+        levels = levels or [[j.law.restricted(0.0, 1.0) for j in jumps]]
+        n, n_lev = basis.n, len(levels)
         dirs = np.array([basis.vec(j.direction) for j in jumps]).reshape(-1, n)
         outs = np.array([j.output_row(basis) for j in jumps]).reshape(-1, n + 1)
-        self.node_dirs = r[:, None] * np.repeat(dirs, sizes, axis=0)
-        self.node_out = w[:, None] * np.repeat(outs, sizes, axis=0)
+        large = [ray_rule(j.law.restricted(1.0, _INF)) for j in jumps]
+        blocks = []
+        for laws in levels:
+            pairs = [(ray_rule(law), hi) for law, hi in zip(laws, large)]
+            sizes = [len(lo[0]) + len(hi[0]) for lo, hi in pairs]
+            r, w, small = (np.concatenate([np.zeros(0)] + [p[c] for pair in pairs for p in pair])
+                           for c in range(3))
+            blocks.append((r[:, None] * np.repeat(dirs, sizes, axis=0),
+                           w[:, None] * np.repeat(outs, sizes, axis=0), small))
+
+        self.node_small = np.concatenate([small for _, _, small in blocks])
+        self.lin = np.zeros((n_lev * (n + 1), n_lev * n))
+        self.node_dirs = np.zeros((len(self.node_small), n_lev * n))
+        self.node_out = np.zeros((len(self.node_small), n_lev * (n + 1)))
+        self.member = np.zeros((n_lev * (n + 1), n_lev))
+        b_vec, b_adj = basis.vec(p_set.b), p_set.B.mat.T
+        start = 0
+        for lvl, (node_dirs, node_out, _) in enumerate(blocks):
+            cols = slice(lvl * n, (lvl + 1) * n)  # vec psi_l in the state, less the phis
+            out = slice(n_lev + lvl * n, n_lev + (lvl + 1) * n)  # vec R_l in the field
+            rows = slice(start, start + len(node_dirs))
+            start = rows.stop
+            self.lin[lvl, cols] = b_vec
+            self.lin[out, cols] = b_adj
+            self.node_dirs[rows, cols] = node_dirs
+            self.node_out[rows, lvl] = node_out[:, 0]
+            self.node_out[rows, out] = node_out[:, 1:]
+            self.member[lvl, lvl] = 1.0
+            self.member[out, lvl] = 1.0
 
     def rhs(self, psi_vec):
-        """Returns (F(psi), vec R(psi)) as one vector."""
+        """Returns (F(psi), vec R(psi)) as one vector, stacked over the levels."""
         x = self.node_dirs @ psi_vec
         return self.lin @ psi_vec - (np.expm1(-x) + self.node_small * x) @ self.node_out
 
 
 # Dormand-Prince 4(5) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -287,147 +323,154 @@ def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
     psi(0) = u, cone positivity within opts.cone_tol, and the exponential
     growth bound of the field.
     """
-    opts = opts or RiccatiOptions()
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    if T > _MAX_T:
-        raise ValueError(f"T = {T} exceeds the horizon limit {_MAX_T}")
-    work = truncate(p_set, k) if k is not None else p_set
-    u = symcone.check_symmetric(u)
-    u_norm = frob_norm(u)
-    if min_eigenvalue(u) < -opts.cone_tol * (1.0 + u_norm):
-        raise ValueError("initial condition u must lie in the PSD cone")
-
-    field = _Field(work)
-    basis = field.basis
-    rate = growth_rate(work)
-    bound_slack = 1e-12 * (1.0 + u_norm)
-
-    if t_eval is None:
-        grid = np.linspace(0.0, T, _N_GRID)
-    else:
-        grid = np.asarray(t_eval, dtype=float)
-        grid = np.unique(np.concatenate([[0.0], grid[(grid >= 0) & (grid <= T)], [T]]))
-
-    n = basis.n
-    y = np.zeros(n + 1)
-    y[1:] = basis.vec(u)
-
-    out_phi = np.empty(len(grid))
-    out_psi = np.empty((len(grid), p_set.dim, p_set.dim))
-    out_me = np.empty(len(grid))
-    out_h = np.empty(len(grid))
-
-    def record(idx, yv, h_last):
-        out_phi[idx] = yv[0]
-        psi = symcone.symmetrize(basis.unvec(yv[1:]))
-        out_psi[idx] = psi
-        out_me[idx] = min_eigenvalue(psi)
-        out_h[idx] = h_last
-
-    record(0, y, 0.0)
-    next_out = 1
-
-    diag = {"n_steps": 0, "n_rejected_error": 0, "n_rejected_cone": 0,
-            "n_rhs_evals": 0, "max_cone_violation": 0.0}
-
-    if T == 0.0:
-        return RiccatiSolution(grid, out_phi[:1], out_psi[:1], out_me[:1], out_h[:1],
-                               k, diag)
-
-    def f(yv):
-        diag["n_rhs_evals"] += 1
-        return field.rhs(yv[1:])
-
-    t = 0.0
-    h_ctrl = min(_DT_INIT, T)
-    k1 = f(y)
-    ks = np.empty((7, n + 1))
-    h_floor = 1e-14 * T
-
-    while next_out < len(grid):
-        target = grid[next_out]
-        h = min(h_ctrl, target - t)
-        if h < h_floor:
-            raise RiccatiSolverError(
-                f"stiffness/cone breach: step size underflow at t = {t:.6g} (h = {h:.3e})")
-        ks[0] = k1
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ ks[:i])
-            ks[i] = f(yi)
-        y5 = y + h * (_DP_B5 @ ks)
-        err = h * (_DP_ERR @ ks)
-        scale = _ABS_TOL + _REL_TOL * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-
-        if err_norm > 1.0:
-            diag["n_rejected_error"] += 1
-            h_ctrl = h * max(0.2, 0.9 * err_norm ** -0.2)
-            continue
-
-        psi_new = symcone.symmetrize(basis.unvec(y5[1:]))
-        me = min_eigenvalue(psi_new)
-        if me < -opts.cone_tol:
-            diag["n_rejected_cone"] += 1
-            h_ctrl = 0.5 * h
-            continue
-        diag["max_cone_violation"] = max(diag["max_cone_violation"], max(0.0, -me))
-
-        t_new = t + h
-        cap = math.exp(rate * t_new) * u_norm * (1.0 + _GROWTH_FUDGE) + bound_slack
-        if frob_norm(psi_new) > cap:
-            raise RiccatiSolverError(
-                f"growth bound breached at t = {t_new:.6g}: ||psi|| = {frob_norm(psi_new):.6g} > {cap:.6g}")
-
-        t = t_new
-        y = y5
-        k1 = ks[6].copy()
-        diag["n_steps"] += 1
-        if diag["n_steps"] > _MAX_STEPS:
-            raise RiccatiSolverError(f"exceeded max_steps = {_MAX_STEPS}")
-        if abs(t - target) <= 1e-12 * max(1.0, T):
-            t = target
-            record(next_out, y, h)
-            next_out += 1
-        h_ctrl = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** -0.2))
-
-    return RiccatiSolution(grid, out_phi, out_psi, out_me, out_h, k, diag)
+    return _solve_levels(p_set, u, T, opts or RiccatiOptions(), (k,), t_eval)[0]
 
 
 def solve_cascade(p_set, u, T, opts=None, t_eval=None):
     """Solve the truncation levels of opts.k_schedule and check monotone decrease.
 
+    All levels are integrated side by side under one step controller.
     Returns the largest-k solution together with per-level residuals
     sup_t ||psi_k - psi_prev||; a Loewner-monotonicity violation beyond the
     cone tolerance raises CascadeError (it flags an integrator or measure
     bug, not a modelling choice).
     """
     opts = opts or RiccatiOptions()
-    if not opts.k_schedule:
+    ks = tuple(opts.k_schedule)
+    if not ks:
         raise ValueError("k schedule must be nonempty")
-    grid = t_eval if t_eval is not None else np.linspace(0.0, T, _N_GRID)
+    sols = _solve_levels(p_set, u, T, opts, ks, t_eval)
 
     residuals = {}
     worst = 0.0
-    prev = None
-    sol = None
-    for k in opts.k_schedule:
-        sol = solve_riccati(p_set, u, T, opts=opts, k=k, t_eval=grid)
-        if prev is not None:
-            gaps = prev.psi - sol.psi
-            worst_here = min(min_eigenvalue(g) for g in gaps)
-            worst = min(worst, worst_here)
-            if worst_here < -opts.cone_tol:
-                raise CascadeError(
-                    f"cascade monotonicity violated between k={prev.k} and k={k}: "
-                    f"min eig(psi_{prev.k} - psi_{k}) = {worst_here:.3e}")
-            residuals[k] = float(max(frob_norm(g) for g in gaps))
-        prev = sol
+    psi = np.array([s.psi for s in sols])
+    gaps = psi[:-1] - psi[1:]
+    gap_mins = min_eigenvalue(gaps).min(axis=1)
+    gap_norms = np.linalg.norm(gaps, axis=(2, 3)).max(axis=1)
+    for k_prev, k, gap_min, gap_norm in zip(ks, ks[1:], gap_mins, gap_norms):
+        worst = min(worst, float(gap_min))
+        if gap_min < -opts.cone_tol:
+            raise CascadeError(
+                f"cascade monotonicity violated between k={k_prev} and k={k}: "
+                f"min eig(psi_{k_prev} - psi_{k}) = {gap_min:.3e}")
+        residuals[k] = float(gap_norm)
 
-    final_res = residuals[opts.k_schedule[-1]] if len(opts.k_schedule) > 1 else 0.0
-    diag = CascadeDiagnostics(tuple(opts.k_schedule), residuals, worst, final_res)
+    final_res = residuals.get(ks[-1], 0.0)
+    diag = CascadeDiagnostics(ks, residuals, worst, final_res)
+    sol = sols[-1]
     sol.diagnostics["cascade_residual"] = final_res
     return sol, diag
+
+
+def _solve_levels(p_set, u, T, opts, ks, t_eval):
+    """Integrate the truncation levels ks (None: untruncated) under one controller.
+
+    The state stacks the levels (see _Field).  The error norm is the largest
+    of the levels' RMS norms; a step is rejected, with half the step, when
+    any level dips below the cone tolerance; each level keeps its own
+    growth bound.  Returns one RiccatiSolution per level, each carrying the
+    shared controller's diagnostics.
+    """
+    if T < 0:
+        raise ValueError("T must be >= 0")
+    if T > _MAX_T:
+        raise ValueError(f"T = {T} exceeds the horizon limit {_MAX_T}")
+    cuts = [0.0 if k is None else truncation_cut(k) for k in ks]
+    u = symcone.check_symmetric(u)
+    u_norm = frob_norm(u)
+    if min_eigenvalue(u) < -opts.cone_tol * (1.0 + u_norm):
+        raise ValueError("initial condition u must lie in the PSD cone")
+
+    # levels that keep the same laws solve the same equation: integrate it once
+    jumps = p_set.m.jumps + p_set.mu.jumps
+    laws = [tuple(j.law.restricted(cut, 1.0) for j in jumps) for cut in cuts]
+    distinct = list(dict.fromkeys(laws))
+    slot = [distinct.index(key) for key in laws]
+    field = _Field(p_set, distinct)
+    d, n, levels = p_set.dim, field.basis.n, len(distinct)
+    rates = _growth_rates(p_set, [cuts[laws.index(key)] for key in distinct])
+    bound_slack = 1e-12 * (1.0 + u_norm)
+    emb_t = symcone._embedding(d).T
+
+    def matrices(ys):
+        """The psi matrices of stacked states, (len(ys), levels, d, d)."""
+        return (ys[..., levels:].reshape(-1, levels, n) @ emb_t).reshape(-1, levels, d, d)
+
+    grid = np.linspace(0.0, T, _N_GRID) if t_eval is None else np.asarray(t_eval, dtype=float)
+    grid = np.unique(np.concatenate([[0.0], grid[(grid >= 0) & (grid <= T)], [T]]))
+
+    y = np.concatenate([np.zeros(levels)] + [field.basis.vec(u)] * levels)
+    out_y = [y]
+    out_h = [0.0]
+    diag = {"n_steps": 0, "n_rejected_error": 0, "n_rejected_cone": 0,
+            "n_rhs_evals": 0, "max_cone_violation": 0.0}
+
+    def f(yv):
+        diag["n_rhs_evals"] += 1
+        return field.rhs(yv[levels:])
+
+    t = 0.0
+    next_out = 1
+    h_ctrl = min(_DT_INIT, T)
+    k1 = f(y) if T > 0.0 else None
+    stages = np.empty((7, y.size))
+    abs_y = np.abs(y)
+    h_floor = 1e-14 * T
+    while next_out < len(grid):
+        target = grid[next_out]
+        h = min(h_ctrl, target - t)
+        if h < h_floor:
+            raise RiccatiSolverError(
+                f"stiffness/cone breach: step size underflow at t = {t:.6g} (h = {h:.3e})")
+        stages[0] = k1
+        for i in range(1, 7):
+            stages[i] = f(y + h * (_DP_A[i] @ stages[:i]))
+        y5 = y + h * (_DP_B5 @ stages)
+        err = h * (_DP_ERR @ stages)
+        abs_y5 = np.abs(y5)
+        q = (err / (_ABS_TOL + _REL_TOL * np.maximum(abs_y, abs_y5))) ** 2
+        err_norm = math.sqrt((q @ field.member).max() / (n + 1))
+
+        if err_norm > 1.0:
+            diag["n_rejected_error"] += 1
+            h_ctrl = h * max(0.2, 0.9 * err_norm ** -0.2)
+            continue
+
+        me = float(min_eigenvalue(matrices(y5)).min())
+        if me < -opts.cone_tol:
+            diag["n_rejected_cone"] += 1
+            h_ctrl = 0.5 * h
+            continue
+        diag["max_cone_violation"] = max(diag["max_cone_violation"], -me)
+
+        t_new = t + h
+        norms = np.sqrt(y5[levels:] ** 2 @ field.member[levels:])
+        caps = np.exp(rates * t_new) * u_norm * (1.0 + _GROWTH_FUDGE) + bound_slack
+        if (norms > caps).any():
+            lvl = int(np.argmax(norms - caps))
+            raise RiccatiSolverError(
+                f"growth bound breached at t = {t_new:.6g}, level k = {ks[slot.index(lvl)]}: "
+                f"||psi|| = {norms[lvl]:.6g} > {caps[lvl]:.6g}")
+
+        t = t_new
+        y, abs_y = y5, abs_y5
+        k1 = stages[6].copy()
+        diag["n_steps"] += 1
+        if diag["n_steps"] > _MAX_STEPS:
+            raise RiccatiSolverError(f"exceeded max_steps = {_MAX_STEPS}")
+        if abs(t - target) <= 1e-12 * max(1.0, T):
+            t = target
+            out_y.append(y)
+            out_h.append(h)
+            next_out += 1
+        h_ctrl = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** -0.2))
+
+    ys = np.array(out_y)
+    psi = matrices(ys).swapaxes(0, 1)  # (levels, N, d, d)
+    min_eig = min_eigenvalue(psi)
+    steps = np.array(out_h)
+    return [RiccatiSolution(grid, ys[:, lvl], psi[lvl], min_eig[lvl], steps, k, dict(diag))
+            for lvl, k in zip(slot, ks)]
 
 
 # ---------------------------------------------------------------------------

@@ -94,25 +94,29 @@ def frob_norm(a):
 
 
 def min_eigenvalue(a):
-    """Smallest eigenvalue of a symmetric matrix.
+    """Smallest eigenvalue of a symmetric matrix, or of each matrix of a stack.
 
     Dimensions 1 and 2 use the closed form; larger matrices go through the
     LAPACK symmetric eigensolver, whose non-convergence is reported as
-    EigenSolverError with the solver diagnostics attached.
+    EigenSolverError with the solver diagnostics attached.  A stack
+    (..., d, d) gives an array of shape (...); one matrix gives a float.
     """
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
+    d = a.shape[-1]
+    at = a.T  # at[i, j] is entry (j, i) of every matrix, with the stack axes reversed
     if d == 1:
-        return float(a[0, 0])
-    if d == 2:
-        half_tr = 0.5 * (a[0, 0] + a[1, 1])
-        off = 0.5 * (a[0, 1] + a[1, 0])
-        gap = 0.5 * (a[0, 0] - a[1, 1])
-        return float(half_tr - np.hypot(gap, off))
-    try:
-        return float(np.linalg.eigvalsh(symmetrize(a))[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at desk scale
-        raise EigenSolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+        out = at[0, 0].T
+    elif d == 2:
+        half_tr = 0.5 * (at[0, 0] + at[1, 1])
+        off = 0.5 * (at[0, 1] + at[1, 0])
+        gap = 0.5 * (at[0, 0] - at[1, 1])
+        out = (half_tr - np.hypot(gap, off)).T
+    else:
+        try:
+            out = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))[..., 0]
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at desk scale
+            raise EigenSolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+    return float(out) if a.ndim == 2 else out
 
 
 def cone_leq(a, b, tol=0.0):

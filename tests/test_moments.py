@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from oracle import moments_by_quadrature
+from oracle import integrate_kernel, integrate_scalar, moments_by_quadrature, norm_gt
 from strategies import admissible_cases
 
 from affinehs import library
@@ -25,9 +25,6 @@ from affinehs.params import (
     ParameterSet,
     ScalarJumpMeasure,
     build_admissible,
-    integrate_kernel,
-    integrate_scalar,
-    norm_gt,
     truncate,
 )
 from affinehs.riccati import solve_cascade, solve_riccati

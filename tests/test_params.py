@@ -6,13 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from oracle import field_by_kind, jump_table_by_kind, measure_helpers_by_kind
+from oracle import (
+    ALL,
+    field_by_kind,
+    integrate_kernel,
+    integrate_operator,
+    integrate_scalar,
+    jump_table_by_kind,
+    measure_helpers_by_kind,
+    norm_gt,
+    norm_leq,
+)
 from strategies import admissible_cases
 
 import affinehs
 from affinehs.exceptions import MeasureError, ParameterFileError
 from affinehs.params import (
-    ALL,
     ExponentialDensity,
     OperatorAtom,
     OperatorJumpMeasure,
@@ -24,12 +33,7 @@ from affinehs.params import (
     ScalarJumpMeasure,
     ScalarRay,
     build_admissible,
-    integrate_kernel,
-    integrate_operator,
-    integrate_scalar,
     load_params,
-    norm_gt,
-    norm_leq,
     orthogonal_psd_pair,
     params_from_json,
     params_to_json,
@@ -283,6 +287,34 @@ def test_truncate_examples():
     m4 = t4.mu.kernel_total_matrix()
     m8 = truncate(p_ray, 8).mu.kernel_total_matrix()
     assert min_eigenvalue(m8 - m4) >= -1e-12
+
+
+def test_restricted_measure_equals_fresh_construction():
+    d1, d2 = unit_dir(), np.array([[0.8, 0.0], [0.0, 0.6]])
+    d2 = d2 / frob_norm(d2)
+    dens = (PowerLawDensity(1.0, 0.5, 0.0, 2.0), ExponentialDensity(0.5, 2.0), PowerLawDensity(0.3, -1.5, 0.1, 0.2))
+    cut = 0.25
+    for kind, make_ray, atoms in (
+            (ScalarJumpMeasure, lambda dn, den: ScalarRay(dn, den),
+             (ScalarAtom(0.2 * d1, 1.0), ScalarAtom(1.5 * d2, 0.5))),
+            (OperatorJumpMeasure, lambda dn, den: OperatorRay(dn, 0.4 * d2, den),
+             (OperatorAtom(0.2 * d1, d2), OperatorAtom(1.5 * d2, 0.5 * d1)))):
+        rays = tuple(make_ray(dn, den) for dn, den in zip((d1, d2, d1), dens))
+        got = kind(2, atoms, rays).restricted(cut)
+        kept = tuple(make_ray(r.direction, r.density.restricted(cut, math.inf)) for r in rays[:2])
+        fresh = kind(2, atoms[1:], kept)
+        assert len(got.jumps) == len(fresh.jumps) == 3
+        for a, b in zip(got.jumps, fresh.jumps):
+            assert np.array_equal(a.direction, b.direction)
+            assert a.law == b.law
+            assert np.array_equal(a.weight, b.weight)
+        assert [r.density for r in got.rays] == [r.density for r in fresh.rays]
+        assert not got.rays[0].direction.flags.writeable
+    # construction still validates the rays that restriction copies
+    with pytest.raises(MeasureError):
+        ScalarRay(np.array([[1.0, 0.0], [0.0, -1.0]]) / math.sqrt(2.0), dens[0])
+    with pytest.raises(MeasureError):
+        OperatorRay(d1, np.array([[1.0, 0.0], [0.0, -0.5]]), dens[0])
 
 
 def test_atoms_on_cut_boundary_dropped():

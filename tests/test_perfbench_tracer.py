@@ -28,7 +28,7 @@ def test_tracer_records_spans_and_restores_the_package():
     tracer.install()
     try:
         s = library.get("cascade-00")
-        riccati.solve_cascade(s.params, s.u, 0.5, t_eval=(0.0, 0.5))
+        sol, _ = riccati.solve_cascade(s.params, s.u, 0.5, t_eval=(0.0, 0.5))
         rayed = library.get("mc2-00")
         p = truncate(rayed.params, 4)
         assert p.m.rays or p.mu.rays
@@ -39,7 +39,8 @@ def test_tracer_records_spans_and_restores_the_package():
     assert 0.0 < value <= 1.0
     totals = tracer.layer_totals()
     assert totals["riccati.solve_cascade"][0] == 1
-    assert totals["riccati.solve_riccati"][0] == 7 + 1
+    # the cascade steps its seven levels in one solve: only laplace calls solve_riccati
+    assert totals["riccati.solve_riccati"][0] == 1
     assert totals["moments.laplace"][0] == 1
     assert tracer.counts["rk_steps"] > 0
     assert tracer.counts["cascade_levels"] == 7
@@ -47,6 +48,9 @@ def test_tracer_records_spans_and_restores_the_package():
     assert np.all(np.frombuffer(tracer.end, dtype=float) >= np.frombuffer(tracer.start, dtype=float))
     for (owner, attr), original in zip(bindings, originals):
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} left patched"
+    separate = sum(riccati.solve_riccati(s.params, s.u, 0.5, k=k, t_eval=(0.0, 0.5)).diagnostics["n_steps"]
+                   for k in riccati.RiccatiOptions().k_schedule)
+    assert 0 < sol.diagnostics["n_steps"] < separate
 
 
 def test_tracer_records_simulation_spans_and_restores_the_package():

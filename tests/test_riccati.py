@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
 
 from affinehs import library
+from affinehs.exceptions import RiccatiSolverError
 from affinehs.params import (
     ExponentialDensity,
     OperatorAtom,
     OperatorJumpMeasure,
     OperatorRay,
+    ParameterSet,
     PowerLawDensity,
     ScalarAtom,
     ScalarJumpMeasure,
@@ -23,6 +26,8 @@ from affinehs.params import (
 )
 from affinehs.riccati import (
     RiccatiOptions,
+    _Field,
+    _solve_levels,
     eval_F,
     eval_Fk,
     eval_R,
@@ -34,9 +39,10 @@ from affinehs.riccati import (
     solve_cascade,
     solve_riccati,
 )
-from affinehs.symcone import frob_norm, inner, min_eigenvalue, random_psd
+from affinehs.symcone import ZeroOperator, frob_norm, inner, min_eigenvalue, random_psd
 
 from oracle import rk4_scalar_batch
+from strategies import admissible_cases
 
 
 def unit_dir(d=2):
@@ -431,6 +437,72 @@ def test_cascade_residuals_decrease():
     assert "cascade_residual" in sol.diagnostics
     payload = diag.to_json()
     assert set(payload) == {"ks", "residuals", "worst_monotonicity", "final_residual"}
+
+
+def test_cascade_levels_match_dop853():
+    # a second integrator on each level's own field: scipy's DOP853 at
+    # rtol 1e-12 against every level of the stacked solve
+    ks = RiccatiOptions().k_schedule
+    for s in library.benchmark_sets():
+        if s.params.is_finite_activity:
+            continue
+        levels = _solve_levels(s.params, s.u, 1.0, RiccatiOptions(), ks, (0.0, 1.0))
+        for k, sol in zip(ks, levels):
+            field = _Field(truncate(s.params, k))
+            y0 = np.concatenate([[0.0], field.basis.vec(s.u)])
+            ref = scipy.integrate.solve_ivp(lambda t, y: field.rhs(y[1:]), (0.0, 1.0), y0,
+                                            method="DOP853", rtol=1e-12, atol=1e-14)
+            assert ref.success
+            phi, psi = ref.y[0, -1], field.basis.unvec(ref.y[1:, -1])
+            assert abs(sol.phi_final - phi) <= 5e-8 * abs(phi), (s.name, k)
+            assert frob_norm(sol.psi_final - psi) <= 5e-8 * frob_norm(psi), (s.name, k)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_cascade_levels_on_random_admissible_sets(case):
+    p, _, u, _, t = case
+    ks = RiccatiOptions().k_schedule
+    grid = (0.0, 0.5 * t, t)
+    levels = _solve_levels(p, u, t, RiccatiOptions(), ks, grid)
+    for i, (k, sol) in enumerate(zip(ks, levels)):
+        assert sol.min_eig.min() >= -1e-9
+        for deeper in levels[i + 1:]:
+            assert all(min_eigenvalue(a - b) >= -1e-9 for a, b in zip(sol.psi, deeper.psi))
+        alone = solve_riccati(p, u, t, k=k, t_eval=grid)
+        assert np.abs(sol.psi - alone.psi).max() <= 1e-8 * max(1.0, np.abs(alone.psi).max())
+        assert np.abs(sol.phi - alone.phi).max() <= 1e-8 * max(1.0, np.abs(alone.phi).max())
+
+
+def test_stacked_levels_do_not_depend_on_their_order():
+    # B carries the compensator of the small jumps, which only the deeper
+    # level's jumps offset, so level k = 1 sets the step size; the error norm
+    # is the largest over the levels, so the controller and every level's
+    # values are the same whichever level comes first
+    mu = OperatorJumpMeasure(1, (), (OperatorRay(np.eye(1), np.eye(1), PowerLawDensity(1.0, 0.9, 0.0, 1.0)),))
+    p = build_admissible(1, beta=-0.5 * np.eye(1), mu=mu, b_extra=0.5 * np.eye(1))
+    grid = (0.0, 0.5, 1.0)
+    first = _solve_levels(p, np.eye(1), 1.0, RiccatiOptions(), (1, 64), grid)
+    last = _solve_levels(p, np.eye(1), 1.0, RiccatiOptions(), (64, 1), grid)
+    assert first[0].diagnostics["n_steps"] == last[0].diagnostics["n_steps"]
+    for a, b in zip(first, last[::-1]):
+        assert np.abs(a.psi - b.psi).max() <= 1e-12 * np.abs(a.psi).max()
+        assert np.abs(a.phi - b.phi).max() <= 1e-12 * np.abs(a.phi).max()
+
+
+def test_stacked_step_rejected_when_any_level_leaves_the_cone():
+    # jumps of norm in (0.5, 1] along e1 that feed R only through e2, with
+    # no compensating drift (not admissible): from u = e1, psi leaves the
+    # cone at once where they are kept (k = 4) and stays put where the
+    # cut removes them (k = 1)
+    e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    mu = OperatorJumpMeasure(2, (), (OperatorRay(e1, e2, PowerLawDensity(1.0, 0.5, 0.5, 1.0)),))
+    p = ParameterSet(2, np.zeros((2, 2)), ZeroOperator(2), ScalarJumpMeasure.empty(2), mu)
+    assert solve_riccati(p, e1, 1.0, k=1).min_eig.min() == 0.0
+    for ks in ((4,), (1, 4), (4, 1)):
+        with pytest.raises(RiccatiSolverError, match="cone breach"):
+            _solve_levels(p, e1, 1.0, RiccatiOptions(), ks, None)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,13 @@ def test_min_eigenvalue_closed_forms_match_lapack(rng):
             a = random_symmetric(rng, d)
             assert min_eigenvalue(a) == pytest.approx(
                 float(np.linalg.eigvalsh(a)[0]), rel=1e-12, abs=1e-12)
+    # a stack (..., d, d) gives one value per matrix
+    for d in (1, 2, 3, 5):
+        stack = np.array([[random_symmetric(rng, d) for _ in range(3)] for _ in range(4)])
+        got = min_eigenvalue(stack)
+        assert got.shape == (4, 3)
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(stack)[..., 0], rtol=1e-12, atol=1e-12)
+        assert got[2, 1] == min_eigenvalue(stack[2, 1])
 
 
 def test_cone_leq_examples():
