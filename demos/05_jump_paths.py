@@ -1,5 +1,6 @@
 """Simulate piecewise-deterministic paths: linear flow between jumps,
-state-dependent arrival rate by thinning, cone-valued jump sizes.
+jump times by inverting the closed-form integrated intensity along the flow,
+cone-valued jump sizes.
 
 Run:  python3 demos/05_jump_paths.py
 """
@@ -26,7 +27,7 @@ print("compensated drift is PSD:", min_eigenvalue(drift_data(p_k).btilde) >= -1e
 
 # one path in detail
 path = simulate_path(p_k, s.x0, 1.0, np.random.default_rng(5))
-print(f"\none path, {path.n_jumps} jumps, acceptance ratio {path.acceptance_ratio:.2f}:")
+print(f"\none path, {path.n_jumps} jumps, each at the root of Lambda(s) = E, E ~ Exp(1):")
 print(f"  {'time':>8s} {'||jump||':>10s} {'||state||':>10s} {'min eig':>10s}")
 for t, size, state in zip(path.times, path.sizes, path.states):
     print(f"  {t:8.4f} {frob_norm(size):10.4f} {frob_norm(state):10.4f} "

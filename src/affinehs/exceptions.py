@@ -42,4 +42,4 @@ class CascadeError(AffineHSError):
 
 
 class SimulationError(AffineHSError):
-    """Path simulation failed (intensity bound escalation, bad inputs)."""
+    """Path simulation failed (a non-finite jump clock, bad inputs)."""

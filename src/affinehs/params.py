@@ -793,13 +793,14 @@ def params_from_json(obj):
     try:
         dim = int(obj["dim"])
         b = sym_from_json(obj["b"])
-        m_obj = obj.get("m", {})
-        mu_obj = obj.get("mu", {})
-        b_obj = obj.get("B", {})
-    except (KeyError, TypeError, ValueError) as exc:
+        m_obj, mu_obj, b_obj = (obj.get(key, {}) for key in ("m", "mu", "B"))
+    except (KeyError, TypeError, ValueError, AttributeError, DimensionMismatchError) as exc:
         raise ParameterFileError(f"malformed parameter file: {exc}") from exc
 
     try:
+        for key, section in (("m", m_obj), ("mu", mu_obj), ("B", b_obj)):
+            if not isinstance(section, dict):
+                raise TypeError(f"section {key!r} must be an object, got {section!r}")
         m = ScalarJumpMeasure(
             dim,
             tuple(ScalarAtom(sym_from_json(a["xi"]), float(a["w"])) for a in m_obj.get("atoms", [])),
@@ -814,31 +815,26 @@ def params_from_json(obj):
                               _density_from_json(r["density"]))
                   for r in mu_obj.get("rays", [])),
         )
-    except (KeyError, TypeError, ValueError, MeasureError, DimensionMismatchError) as exc:
-        raise ParameterFileError(f"malformed jump measure: {exc}") from exc
-
-    terms = []
-    if b_obj.get("lyapunov") is not None:
-        terms.append(LyapunovOperator(np.asarray(b_obj["lyapunov"], dtype=float)))
-    if b_obj.get("conjugations"):
-        terms.append(CongruenceSum(tuple(np.asarray(g, dtype=float) for g in b_obj["conjugations"])))
-    if b_obj.get("compensate_mu"):
-        comp_pairs = mu.chi_compensator_pairs()
-        if comp_pairs:
-            terms.append(RankOneSum(comp_pairs))
-    if b_obj.get("dense") is not None:
-        terms.append(DenseOperator(dim, np.asarray(b_obj["dense"], dtype=float)))
-    if not terms:
-        op = ZeroOperator(dim)
-    elif len(terms) == 1:
-        op = terms[0]
-    else:
-        op = OperatorSum(tuple(terms))
-
-    try:
+        terms = []
+        if b_obj.get("lyapunov") is not None:
+            terms.append(LyapunovOperator(np.asarray(b_obj["lyapunov"], dtype=float)))
+        if b_obj.get("conjugations"):
+            terms.append(CongruenceSum(tuple(np.asarray(g, dtype=float) for g in b_obj["conjugations"])))
+        if b_obj.get("compensate_mu"):
+            comp_pairs = mu.chi_compensator_pairs()
+            if comp_pairs:
+                terms.append(RankOneSum(comp_pairs))
+        if b_obj.get("dense") is not None:
+            terms.append(DenseOperator(dim, np.asarray(b_obj["dense"], dtype=float)))
+        if not terms:
+            op = ZeroOperator(dim)
+        elif len(terms) == 1:
+            op = terms[0]
+        else:
+            op = OperatorSum(tuple(terms))
         return ParameterSet(dim, b, op, m, mu)
-    except (DimensionMismatchError, ValueError) as exc:
-        raise ParameterFileError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError, MeasureError, DimensionMismatchError) as exc:
+        raise ParameterFileError(f"malformed parameter file: {exc}") from exc
 
 
 def load_params(path):

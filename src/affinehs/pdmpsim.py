@@ -4,18 +4,19 @@ Between jumps the state follows the linear flow driven by the compensated
 drift pair (btilde, Btilde); jumps arrive with the affine intensity
 lambda(x) = m(total) + <kernel mass, x> and are drawn from the normalized
 state-dependent kernel, with radii from the closed-form inverse CDFs of the
-radial densities.  The jump clock is realized by thinning: on short
-lookahead windows a dominating rate is taken as the grid maximum of the
-intensity along the flow times a safety factor, proposals are accepted with
-probability lambda/lambda_bar, and a proposal that lands above the bound
-restarts the window with the safety factor doubled.
+radial densities.  Jump times are drawn by inversion (Devroye 1986, VI.1):
+the integrated intensity Lambda(s) along the flow has a closed form in the
+eigen-coordinates of the flow, and a path with an Exp(1) draw E jumps at the
+root of Lambda(s) = E, found by safeguarded Halley steps, or reaches the
+horizon without a jump when Lambda stays below E.
 
-The paths of a block are simulated in lockstep: every step advances all live
-paths at once (one batched flow in the eigen-coordinates of the augmented
-generator) and every random number comes from a counter-based stream.  Draw
-j of path i is a pure function of (seed, i, j), and blocks of _BLOCK paths
-have fixed boundaries, so results are bitwise identical for a fixed
-(seed, n_paths) regardless of how many worker processes are used.
+The paths of a block are simulated in lockstep: every step evaluates the
+clock of all live paths at once (one batched exponential in the
+eigen-coordinates of the augmented generator) and every random number comes
+from a counter-based stream.  Draw j of path i is a pure function of
+(seed, i, j), and blocks of _BLOCK paths have fixed boundaries, so results
+are bitwise identical for a fixed (seed, n_paths) regardless of how many
+worker processes are used.
 """
 
 from __future__ import annotations
@@ -90,17 +91,21 @@ def drift_data(p_set):
 
 
 class FlowPropagator:
-    """Evaluates the closed-form flow e^{t Btilde} x + int_0^t e^{(t-s)Btilde} btilde ds.
+    """Evaluates the closed-form flow e^{t Btilde} x + int_0^t e^{(t-s)Btilde} btilde ds
+    and the jump clock along it.
 
     The affine flow is the linear flow of the augmented block matrix
     [[Btilde, btilde], [0, 0]] acting on (x, 1), which `_aug` exponentiates.
-    `coords` maps states to the eigen-coordinates of that matrix, and
-    `advance` moves any number of them, each by its own time, with one
-    elementwise exponential and one product; a defective block matrix falls
-    back to one dense exponential per state.
+    `coords` maps states to anchors in the eigen-coordinates of that matrix,
+    and `advance` moves any number of them, each by its own time, with one
+    elementwise exponential and one product.  `clock` gives the integrated
+    intensity of the jump rate m_total + <kappa, x> along the same flow.
+    A defective block matrix takes one dense exponential per anchor of the
+    generator [[Btilde, btilde, 0], [0, 0, 0], [kappa, m_total, 0]], which
+    maps (x, 1, 0) to (x(s), 1, Lambda(s)).
     """
 
-    def __init__(self, drift):
+    def __init__(self, drift, kappa=None, m_total=0.0):
         self.dim = drift.dim
         self.basis = VecBasis(drift.dim)
         n = self.basis.n
@@ -109,31 +114,64 @@ class FlowPropagator:
         aug[:n, n] = self.basis.vec(drift.btilde)
         self._aug = ExpPropagator(aug)
         self._n = n
+        # the intensity as a row on (x, 1)
+        rate = np.append(np.zeros(n) if kappa is None else kappa, m_total)
         if self._aug.use_eig:
+            w = self._aug._w
             self._to_coords = self._aug._vinv[:, :n].T.copy()
             self._coords_of_one = self._aug._vinv[:, n].copy()
             self._from_coords = self._aug._vr[:n].T.copy()
+            # lambda(s) = Re sum_k c_k z_k e^{s w_k}; Lambda integrates each
+            # term to c_k z_k (e^{s w_k} - 1) / w_k, or to c_k z_k s where w_k = 0
+            c = self._aug._vr.T @ rate
+            inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
+            self._clock_w = np.stack([c * inv_w, c, c * w], axis=1)
+            self._clock_w0 = np.stack([c * (w == 0), c, c * w], axis=1)
+        else:
+            gen = np.zeros((n + 2, n + 2))
+            gen[: n + 1, : n + 1] = aug
+            gen[n + 1, : n + 1] = rate
+            self._dense = ExpPropagator(gen)
+            self._clock_w = np.stack([np.eye(n + 2)[n + 1], gen[n + 1], gen.T @ gen[n + 1]],
+                                     axis=1)
 
     def coords(self, x_vec):
-        """States (..., n) as anchors (..., n + 1) for `advance`."""
+        """States (..., n) as anchors for `advance` and `clock`."""
         x_vec = np.asarray(x_vec, dtype=float)
         if self._aug.use_eig:
             z = x_vec @ self._to_coords
             z += self._coords_of_one
             return z
-        return np.concatenate([x_vec, np.ones(x_vec.shape[:-1] + (1,))], axis=-1)
+        return np.concatenate([x_vec, np.broadcast_to([1.0, 0.0], x_vec.shape[:-1] + (2,))], axis=-1)
+
+    def _dense_dot(self, z, t):
+        flat = [self._dense.dot(ti, zi) for ti, zi in zip(np.broadcast_to(t, z.shape[:-1]).ravel(),
+                                                          z.reshape(-1, z.shape[-1]))]
+        return np.reshape(flat, z.shape)
 
     def advance(self, z, t):
-        """States (..., n) reached from anchors z (..., n + 1) after times t (...)."""
+        """States (..., n) reached from anchors z after times t (...)."""
         t = np.asarray(t, dtype=float)
         if self._aug.use_eig:
             e = np.exp(t[..., None] * self._aug._w)
             e *= z
             return np.real(e @ self._from_coords)
-        n1 = self._n + 1
-        flat = [self._aug.dot(ti, zi) for ti, zi in zip(np.broadcast_to(t, z.shape[:-1]).ravel(),
-                                                         z.reshape(-1, n1))]
-        return np.reshape(flat, z.shape)[..., : self._n]
+        return self._dense_dot(z, t)[..., : self._n]
+
+    def clock(self, z, s):
+        """Integrated intensity Lambda(s), intensity lambda(s) and its slope
+        lambda'(s) along the flow from anchors z (P, .) after times s (P,)."""
+        if self._aug.use_eig:
+            g = np.expm1(np.multiply.outer(s, self._aug._w))
+            with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
+                g *= z
+                out = (g @ self._clock_w).real
+            base = (z @ self._clock_w0).real
+            base[:, 0] *= s
+            out += base
+        else:
+            out = self._dense_dot(z, s) @ self._clock_w
+        return out[:, 0], out[:, 1], out[:, 2]
 
     def flow_vec(self, x_vec, t):
         return self.advance(self.coords(x_vec), t)
@@ -205,10 +243,6 @@ class _JumpTable:
         self.atom_radius = np.array([1.0 if ray else j.law.r0 for j, ray in zip(jumps, self.is_ray)])
         self.m_total = float(sum(self.const))
         self.kappa_vec = self.rows.sum(axis=0)
-
-    @property
-    def is_empty(self):
-        return not self.directions
 
     def intensity(self, x_vec):
         return self.m_total + float(self.kappa_vec @ x_vec)
@@ -329,8 +363,9 @@ class CounterStream:
         """The next draw of each path in rows (positions within the stream).
 
         Buffers are refilled when a path of rows has fewer than four draws
-        left, the most one thinning step takes; every path of rows past half
-        its buffer is refilled with it, so refills come in few large batches.
+        left, more than one jump takes (its clock level, component and ray
+        radius); every path of rows past half its buffer is refilled with it,
+        so refills come in few large batches.
         """
         cur = self._cursor[rows]
         used = cur - self._base[rows]
@@ -364,7 +399,7 @@ class _GeneratorStream:
 
 
 # ---------------------------------------------------------------------------
-# path simulation (thinning)
+# path simulation
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -374,6 +409,8 @@ class SimPath:
     states: np.ndarray       # (J, d, d) post-jump states
     terminal: np.ndarray     # X_T
     stream_id: object
+    # the jump clock is exact, so every proposal is a jump and no bound is
+    # breached: n_proposals == n_accepted == n_jumps and n_breaches == 0
     n_proposals: int
     n_accepted: int
     n_breaches: int
@@ -384,14 +421,7 @@ class SimPath:
     def n_jumps(self):
         return len(self.times)
 
-    @property
-    def acceptance_ratio(self):
-        return self.n_accepted / self.n_proposals if self.n_proposals else 1.0
 
-
-_WINDOW_GRID = 16
-_BASE_SAFETY = 1.5
-_MAX_ESCALATIONS = 6
 _BLOCK = 4096   # paths simulated in lockstep; fixed, so rows do not depend on workers
 
 
@@ -403,7 +433,7 @@ def _initial_state(x0):
 
 
 class PathSimulator:
-    """Reusable per-parameter-set machinery for thinning simulation."""
+    """Reusable per-parameter-set machinery for path simulation."""
 
     def __init__(self, p_set):
         if not p_set.is_finite_activity:
@@ -411,114 +441,93 @@ class PathSimulator:
         self.p_set = p_set
         self.basis = VecBasis(p_set.dim)
         self.drift = drift_data(p_set)
-        self.flowprop = FlowPropagator(self.drift)
         self.table = _JumpTable(p_set, self.basis)
-        self._window_cache = {}
+        self.flowprop = FlowPropagator(self.drift, self.table.kappa_vec, self.table.m_total)
 
-    def _window_data(self, delta):
-        """Rows and constants of the intensity m_total + [kappa, 0] e^{s Aug} (x, 1)
-        along the flow, at the grid points s of a window of length delta."""
-        data = self._window_cache.get(delta)
-        if data is None:
-            kappa = np.append(self.table.kappa_vec, 0.0)
-            lam = np.array([kappa @ self.flowprop._aug.mat_exp(s)
-                            for s in np.linspace(0.0, delta, _WINDOW_GRID)])
-            data = (lam[:, :-1].T.copy(), lam[:, -1] + self.table.m_total)
-            self._window_cache[delta] = data
-        return data
-
-    def _lockstep(self, x_vecs, T, stream, window=None, record=None):
-        """Thin every path of a block at once.
+    def _lockstep(self, x_vecs, T, stream, record=None):
+        """Simulate every path of a block at once.
 
         Path i starts at row i of x_vecs and reads its uniforms from
-        stream.take.  Each step moves every live path to its next event: the
-        end of its window, a breach of its bound (the window re-anchors there
-        with the safety factor doubled), or a proposal, accepted with
-        probability lambda / lambda_bar.  A new window opens where a step
-        ended one or made a jump.  Returns the terminal states and the
-        (proposals, jumps, breaches) of each path; with `record`, every jump
-        is appended as (t, size, post-jump state, stream snapshot).
+        stream.take: per jump the Exp(1) level E of its clock, the component
+        and a ray's radius.  The flow from the last jump (the anchor) jumps
+        at the root s of Lambda(s) = E, where Lambda is nondecreasing since
+        the intensity is nonnegative on the cone.  Each step evaluates the
+        clock of every live path once and shrinks its bracket [lo, hi] of the
+        root: a Halley step inside the bracket is taken, a step out of it goes
+        to the horizon while the horizon is unevaluated and bisects after.
+        A path whose Lambda at the horizon is below E ends there.  Returns
+        the terminal states and the jump count of each path; with `record`,
+        every jump is appended as (t, size, post-jump state, stream snapshot).
         """
         fp, table = self.flowprop, self.table
         n_paths = len(x_vecs)
-        counts = np.zeros((n_paths, 3), dtype=np.int64)
-        if table.is_empty or T == 0.0:
-            if T == 0.0:
-                return np.array(x_vecs, dtype=float), counts
-            return fp.advance(fp.coords(x_vecs), np.full(n_paths, T)), counts
-        delta = window if window is not None else min(0.1, T / 10.0)
-        base = _BASE_SAFETY
-        max_safety = base * 2 ** _MAX_ESCALATIONS
-        grid_rows, grid_consts = self._window_data(delta)
-        kappa, m_total = table.kappa_vec, table.m_total
-
-        def bound(xs):
-            """Grid maximum of the intensity over a window from each state of xs."""
-            lam = xs @ grid_rows
-            lam += grid_consts
-            return lam.max(axis=1)
-
+        jumps = np.zeros(n_paths, dtype=np.int64)
+        if T == 0.0:
+            return np.array(x_vecs, dtype=float), jumps
+        # Halley steps converge cubically, so a step of 1e-6 ends the search
+        step_tol, bracket_tol = 1e-6 * max(T, 1.0), 1e-14 * max(T, 1.0)
         terminal = np.empty((n_paths, self.basis.n))
         live = np.arange(n_paths)
         x = np.array(x_vecs, dtype=float)
-        z = np.empty((n_paths, self.basis.n + 1), dtype=fp.coords(x[:0]).dtype)
+        z = fp.coords(x)
         t = np.zeros(n_paths)
-        t0, wend, safety, lam_bar = (np.empty(n_paths) for _ in range(4))
-        tally = np.zeros((n_paths, 3), dtype=np.int64)
-        opening = np.ones(n_paths, dtype=bool)
+        level, s, lo, hi = (np.empty(n_paths) for _ in range(4))
+        open_end = np.empty(n_paths, dtype=bool)   # hi is the horizon, not yet evaluated
+        fresh = np.ones(n_paths, dtype=bool)
         while live.size:
-            o = np.flatnonzero(opening)
-            if o.size:
-                t0[o] = t[o]
-                wend[o] = np.minimum(t[o] + delta, T)
-                z[o] = fp.coords(x[o])
-                safety[o] = base
-                lam_bar[o] = base * bound(x[o])
+            f = np.flatnonzero(fresh)
+            if f.size:
+                z[f] = fp.coords(x[f])
+                level[f] = -np.log1p(-stream.take(live[f]))
+                lo[f] = 0.0
+                hi[f] = T - t[f]
+                open_end[f] = True
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    s[f] = np.fmin(level[f] / (table.m_total + x[f] @ table.kappa_vec), hi[f])
+                fresh[f] = False
+            lam_int, lam, dlam = fp.clock(z, s)
+            bad = ~(np.isfinite(lam_int) & np.isfinite(lam))
+            if bad.any():
+                r = np.flatnonzero(bad)[0]
+                raise SimulationError(
+                    f"jump clock is not finite ({stream.describe(live[r])}, "
+                    f"t = {float(t[r] + s[r])!r}, Lambda = {lam_int[r]:g}, lambda = {lam[r]:g})")
+            gap = lam_int - level
+            below = gap < 0.0
+            end = below & open_end & (s == hi)
+            lo = np.where(below, s, lo)
+            hi = np.where(below, hi, s)
+            open_end &= below
             with np.errstate(divide="ignore", invalid="ignore"):
-                t_next = t - np.log1p(-stream.take(live)) / lam_bar
-            end = (lam_bar <= 0.0) | ~(t_next < wend)
-            t = np.where(end, wend, t_next)
-            x = fp.advance(z, t - t0)
-            lam = m_total + x @ kappa
-            over = ~end & (lam > lam_bar)
-            if over.any():
-                b = np.flatnonzero(over)
-                safety[b] *= 2.0
-                worst = b[np.argmax(safety[b])]
-                if safety[worst] > max_safety:
-                    raise SimulationError(
-                        f"intensity bound failed after {_MAX_ESCALATIONS} escalations "
-                        f"({stream.describe(live[worst])}, t = {t[worst]!r}, "
-                        f"safety factor {safety[worst]:g})")
-                t0[b] = t[b]
-                z[b] = fp.coords(x[b])
-                lam_bar[b] = safety[b] * bound(x[b])
-                tally[:, 2] += over
-            proposal = ~end & ~over
-            tally[:, 0] += proposal
-            p = np.flatnonzero(proposal)
-            hit = p[stream.take(live[p]) * lam_bar[p] <= lam[p]]
-            opening = end
+                step = -2.0 * gap * lam / (2.0 * lam * lam - gap * dlam)
+            s_new = s + step
+            inside = (s_new > lo) & (s_new < hi)
+            s_next = np.where(inside, s_new, np.where(open_end, hi, 0.5 * (lo + hi)))
+            root = (gap == 0.0) | (inside & (np.abs(step) <= step_tol)) | (
+                ~open_end & (hi - lo <= bracket_tol))
+            s = np.where(gap == 0.0, s, s_next)
+            hit = np.flatnonzero(root & ~end)
             if hit.size:
+                t[hit] += s[hit]
+                x[hit] = fp.advance(z[hit], s[hit])
                 comp = table.choose(x[hit], stream.take(live[hit]))
-                scale = table.scales(comp, lambda sel: stream.take(live[hit[sel]]))
-                x[hit] += scale[:, None] * table.size_vecs[comp]
-                tally[hit, 1] += 1
-                opening[hit] = True
+                sizes = table.scales(comp, lambda sel: stream.take(live[hit[sel]]))
+                x[hit] += sizes[:, None] * table.size_vecs[comp]
+                jumps[live[hit]] += 1
+                fresh[hit] = True
                 if record is not None:
-                    for r, c, a in zip(hit, comp, scale):
+                    for r, c, a in zip(hit, comp, sizes):
                         record.append((t[r], a * table.directions[c], x[r].copy(),
                                        stream.snapshot(live[r])))
-            done = end & (t >= T)
-            if done.any():
-                terminal[live[done]] = x[done]
-                counts[live[done]] = tally[done]
-                keep = ~done
-                live, x, z, t, t0, wend, safety, lam_bar, tally, opening = (
-                    a[keep] for a in (live, x, z, t, t0, wend, safety, lam_bar, tally, opening))
-        return terminal, counts
+            if end.any():
+                e = np.flatnonzero(end)
+                terminal[live[e]] = fp.advance(z[e], hi[e])
+                keep = ~end
+                live, x, z, t, level, s, lo, hi, open_end, fresh = (
+                    a[keep] for a in (live, x, z, t, level, s, lo, hi, open_end, fresh))
+        return terminal, jumps
 
-    def run(self, x0, T, rng, window=None, record_rng_states=False, stream_id=None):
+    def run(self, x0, T, rng, record_rng_states=False, stream_id=None):
         """One path with its jump events.
 
         rng is a CounterStream (its first path is simulated) or a numpy
@@ -531,8 +540,8 @@ class PathSimulator:
             raise ValueError("T must be >= 0")
         stream = rng if isinstance(rng, CounterStream) else _GeneratorStream(rng, stream_id)
         events = []
-        term, counts = self._lockstep(basis.vec(x0)[None], T, stream, window, events)
-        n_prop, n_acc, n_breach = (int(c) for c in counts[0])
+        term, jumps = self._lockstep(basis.vec(x0)[None], T, stream, events)
+        n_jumps = int(jumps[0])
         d = self.p_set.dim
         term_mat = symcone.symmetrize(basis.unvec(term[0]))
         worst_eig = min(min_eigenvalue(x0), min_eigenvalue(term_mat))
@@ -543,19 +552,18 @@ class PathSimulator:
         for st in states:
             worst_eig = min(worst_eig, min_eigenvalue(st))
         return SimPath(times, sizes, states, term_mat, stream_id,
-                       n_prop, n_acc, n_breach, worst_eig,
+                       n_jumps, n_jumps, 0, worst_eig,
                        tuple(e[3] for e in events) if record_rng_states else None)
 
 
-def simulate_path(p_set, x0, T, rng, window=None, record_rng_states=False, simulator=None):
+def simulate_path(p_set, x0, T, rng, record_rng_states=False, simulator=None):
     """Simulate one path; rng may be a numpy Generator, a CounterStream or an int seed."""
     sim = simulator or PathSimulator(p_set)
     stream_id = None
     if isinstance(rng, (int, np.integer)):
         stream_id = int(rng)
         rng = np.random.default_rng(rng)
-    return sim.run(x0, T, rng, window=window, record_rng_states=record_rng_states,
-                   stream_id=stream_id)
+    return sim.run(x0, T, rng, record_rng_states=record_rng_states, stream_id=stream_id)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +592,10 @@ def _chunk_rows(p_set, x0, T, seed, start, stop, block):
     out = np.empty((stop - start, n + 1))
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
-        term, counts = sim._lockstep(np.broadcast_to(x_vec, (hi - lo, n)), T,
-                                     CounterStream(seed, lo, hi - lo))
+        term, jumps = sim._lockstep(np.broadcast_to(x_vec, (hi - lo, n)), T,
+                                    CounterStream(seed, lo, hi - lo))
         out[lo - start: hi - start, :n] = term
-        out[lo - start: hi - start, n] = counts[:, 1]
+        out[lo - start: hi - start, n] = jumps
     return start, out
 
 

@@ -287,10 +287,9 @@ class CongruenceSum(SuperOperator):
         object.__setattr__(self, "gs", tuple(_freeze(g) for g in self.gs))
         if not self.gs:
             raise ValueError("CongruenceSum needs at least one factor; use ZeroOperator instead")
-        d = self.gs[0].shape[0]
-        for g in self.gs:
-            if g.shape != (d, d):
-                raise DimensionMismatchError("congruence factors must share one square shape")
+        d = self.gs[0].shape[0] if self.gs[0].ndim else 0
+        if any(g.shape != (d, d) for g in self.gs):
+            raise DimensionMismatchError("congruence factors must share one square shape")
         object.__setattr__(self, "mat", _kron_coordinates(d, [(g, g) for g in self.gs]))
 
     @property
@@ -418,12 +417,6 @@ class ExpPropagator:
             self._vr = vr
             self._vinv = np.linalg.inv(vr)
 
-    def mat_exp(self, t):
-        """Dense e^{tM}."""
-        if self.use_eig:
-            return np.real((self._vr * np.exp(t * self._w)) @ self._vinv)
-        return scipy.linalg.expm(t * self.mat)
-
     def dot(self, t, y):
         """e^{tM} y without forming the dense exponential when diagonalized."""
         if self.use_eig:
@@ -463,4 +456,6 @@ def sym_from_json(obj, rel_tol=1e-12):
         raise ValueError(f"malformed symmetric-matrix object: {exc}") from exc
     if rows.shape != (dim, dim):
         raise DimensionMismatchError(f"declared dim {dim} but rows have shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("symmetric-matrix object has non-finite entries")
     return check_symmetric(rows, rel_tol=rel_tol)

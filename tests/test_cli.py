@@ -260,3 +260,11 @@ def test_csv_report_format(mc_param_file, tmp_path):
 
 def test_unknown_subcommand_exit_code():
     assert main(["frobnicate"]) == 2
+
+
+def test_validate_malformed_sections_exit_input_error(tmp_path):
+    from test_params import SECTION_MUTATIONS, section_mutant
+    for i, (key, value) in enumerate(SECTION_MUTATIONS):
+        pfile = tmp_path / f"mutant{i}.json"
+        pfile.write_text(json.dumps(section_mutant(key, value)))
+        assert main(["validate", "--params", str(pfile), "--out", str(tmp_path)]) == 2, (key, value)

@@ -470,3 +470,54 @@ def test_params_json_density_errors():
                            "density": {"type": "weird"}}]}}
     with pytest.raises(ParameterFileError):
         params_from_json(obj)
+
+
+SECTION_MUTATIONS = [
+    ("B", []), ("m", []), ("mu", "x"),
+    ("B", {"conjugations": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}),
+    ("B", {"dense": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("B", {"lyapunov": "abc"}),
+]
+
+
+def section_mutant(key, value):
+    obj = params_to_json(affinehs.library.get("mc2-00").params)
+    obj[key] = value
+    return obj
+
+
+@pytest.mark.parametrize("key, value", SECTION_MUTATIONS)
+def test_params_json_malformed_section_raises_parameter_file_error(key, value):
+    with pytest.raises(ParameterFileError):
+        params_from_json(section_mutant(key, value))
+
+
+def test_params_json_any_mutation_raises_only_parameter_file_error():
+    # every value of the file, at any depth, replaced by junk: the file
+    # parses or raises ParameterFileError, never another exception
+    base = json.loads(json.dumps(params_to_json(affinehs.library.get("mixed-d2-00").params)))
+    base["B"]["dense"] = np.zeros((3, 3)).tolist()
+    junk = [[], "x", 5, None, {}, [[1.0]], [[1.0, 2.0, 3.0]], [[[1.0]]], float("nan"),
+            {"dim": 3, "rows": np.eye(3).tolist()}]
+
+    def key_paths(node, prefix=()):
+        yield prefix
+        children = node.items() if isinstance(node, dict) else (
+            enumerate(node[:2]) if isinstance(node, list) else ())
+        for k, v in children:
+            yield from key_paths(v, prefix + (k,))
+
+    n_parsed = n_rejected = 0
+    for path in list(key_paths(base))[1:]:
+        for value in junk:
+            obj = json.loads(json.dumps(base))
+            parent = obj
+            for k in path[:-1]:
+                parent = parent[k]
+            parent[path[-1]] = value
+            try:
+                params_from_json(obj)
+                n_parsed += 1
+            except ParameterFileError:
+                n_rejected += 1
+    assert n_rejected > 100 and n_parsed > 0

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from oracle import matrix_by_basis_loop
 
@@ -145,15 +146,71 @@ def test_flow_defective_generator_matches_expm(rng):
                                    rtol=1e-7, atol=1e-9)
 
 
-def test_window_rows_give_intensity_along_flow(rng):
-    for name in FLOW_SETS:
-        sim = PathSimulator(truncate(library.get(name).params, 4))
+def defective_set():
+    """B = 0 with a drift and jumps: the augmented generator is a Jordan block."""
+    m = ScalarJumpMeasure(2, (ScalarAtom(0.7 * unit_dir(), 1.5),))
+    mu = OperatorJumpMeasure(2, (OperatorAtom(2.0 * unit_dir(), 0.4 * unit_dir()),))
+    return build_admissible(2, m=m, mu=mu, b_extra=0.5 * np.eye(2))
+
+
+def test_clock_matches_quadrature_of_intensity(rng):
+    # Lambda(s) = m_total s + int_0^s <kappa, x(r)> dr and lambda(s) = m_total
+    # + <kappa, x(s)>, with the flow from flow_vec and the integral by quad
+    sims = [PathSimulator(truncate(library.get(name).params, 4)) for name in FLOW_SETS]
+    sims.append(PathSimulator(defective_set()))
+    assert isinstance(sims[-1].p_set.B, ZeroOperator) and not sims[-1].flowprop._aug.use_eig
+    for sim in sims:
+        fp, kappa, m_total = sim.flowprop, sim.table.kappa_vec, sim.table.m_total
         x_vec = sim.basis.vec(random_psd(rng, sim.p_set.dim))
-        delta = 0.3
-        rows, consts = sim._window_data(delta)
-        expected = [sim.table.m_total + sim.table.kappa_vec @ sim.flowprop.flow_vec(x_vec, s)
-                    for s in np.linspace(0.0, delta, 16)]
-        np.testing.assert_allclose(x_vec @ rows + consts, expected, rtol=1e-12)
+        s = np.array([0.05, 0.3, 1.0])
+        lam_int, lam, _ = fp.clock(np.repeat(fp.coords(x_vec)[None], 3, axis=0), s)
+        for si, got_int, got in zip(s, lam_int, lam):
+            integral = scipy.integrate.quad(lambda r: kappa @ fp.flow_vec(x_vec, r), 0.0, si,
+                                            epsabs=0.0, epsrel=1e-13)[0]
+            assert got_int == pytest.approx(m_total * si + integral, rel=1e-10, abs=0.0)
+            assert got == pytest.approx(m_total + kappa @ fp.flow_vec(x_vec, si), rel=1e-10, abs=0.0)
+
+
+def test_jump_times_are_roots_of_the_clock():
+    # the snapshot after jump j reads the Exp(1) level E of jump j + 1 first;
+    # Lambda from the post-jump state over the gap to the next jump hits E,
+    # and after the last jump Lambda stays below E up to the horizon; the
+    # third set starts at zero intensity, which first tests the horizon
+    horizon = 2.0
+    mu = OperatorJumpMeasure(2, (OperatorAtom(2.0 * unit_dir(), 3.0 * unit_dir()),))
+    rising = build_admissible(2, beta=-0.5 * np.eye(2), mu=mu, b_extra=np.eye(2))
+    for sim, x0 in ((PathSimulator(truncate(library.get("mixed-d3-01").params, 4)), np.eye(3)),
+                    (PathSimulator(defective_set()), np.eye(2)),
+                    (PathSimulator(rising), np.zeros((2, 2)))):
+        n_jumps = 0
+        for i in range(30):
+            path = sim.run(x0, horizon, CounterStream(31, i), record_rng_states=True)
+            starts = [x0] + list(path.states)
+            streams = [CounterStream(31, i)] + list(path.rng_states)
+            ends = np.concatenate([[0.0], path.times, [horizon]])
+            for j, (x, stream) in enumerate(zip(starts, streams)):
+                level = -math.log1p(-stream.take(np.array([0]))[0])
+                z = sim.flowprop.coords(sim.basis.vec(x))[None]
+                lam_int = sim.flowprop.clock(z, np.array([ends[j + 1] - ends[j]]))[0][0]
+                if j < path.n_jumps:
+                    assert abs(lam_int - level) <= 1e-12 * max(1.0, level)
+                else:
+                    assert lam_int < level
+            n_jumps += path.n_jumps
+        assert n_jumps > 30
+
+
+def test_non_finite_clock_raises_with_context():
+    # beta = 20 I overflows e^{s Btilde} long before T = 50: the error names
+    # the stream, the path and t, and the named path fails again alone
+    m = ScalarJumpMeasure(2, (ScalarAtom(0.5 * unit_dir(), 1.0),))
+    p = build_admissible(2, beta=20.0 * np.eye(2), m=m, b_extra=np.eye(2))
+    message = r"not finite \(seed 13, path (\d+), t = \S+"
+    with pytest.raises(SimulationError, match=message) as err:
+        terminal_statistics(p, np.eye(2), 50.0, 100, seed=13)
+    path_id = int(re.search(message, str(err.value)).group(1))
+    with pytest.raises(SimulationError, match=rf"seed 13, path {path_id}, t = "):
+        PathSimulator(p).run(np.eye(2), 50.0, CounterStream(13, path_id))
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +325,6 @@ def test_simulate_poisson_statistics():
     assert abs(counts.var(ddof=1) - lam) <= 3.0 * var_sigma
 
 
-def test_acceptance_ratio_concentrates():
-    p = poisson_set(2.0)
-    sim = PathSimulator(p)
-    tot_acc = tot_prop = 0
-    for i in range(800):
-        path = sim.run(np.eye(2), 1.0, _path_rng(9, i))
-        tot_acc += path.n_accepted
-        tot_prop += path.n_proposals
-    ratio = tot_acc / tot_prop
-    assert ratio == pytest.approx(2.0 / 3.0, abs=0.03)
-
-
 def test_path_states_stay_psd(bench):
     s = library.get("mc2-02")
     p = truncate(s.params, 4)
@@ -296,7 +341,6 @@ def test_markov_restart_reproduces_suffix():
     p = truncate(s.params, 4)
     sim = PathSimulator(p)
     horizon = 1.0
-    window = min(0.1, horizon / 10.0)
     for i in range(40):
         path = sim.run(s.x0, horizon, _path_rng(77, i), record_rng_states=True)
         if path.n_jumps == 0:
@@ -304,7 +348,7 @@ def test_markov_restart_reproduces_suffix():
         j = path.n_jumps // 2
         rng2 = np.random.Generator(np.random.Philox())
         rng2.bit_generator.state = path.rng_states[j]
-        tail = sim.run(path.states[j], horizon - path.times[j], rng2, window=window)
+        tail = sim.run(path.states[j], horizon - path.times[j], rng2)
         assert tail.n_jumps == path.n_jumps - (j + 1)
         np.testing.assert_allclose(tail.times + path.times[j], path.times[j + 1:],
                                    rtol=0, atol=1e-12)
@@ -322,7 +366,7 @@ def test_markov_restart_from_counter_stream_snapshot():
     path = next(pth for pth in (sim.run(s.x0, 1.0, CounterStream(77, i), record_rng_states=True)
                                 for i in range(200)) if pth.n_jumps >= 3)
     j = 0
-    tail = sim.run(path.states[j], 1.0 - path.times[j], path.rng_states[j], window=0.1)
+    tail = sim.run(path.states[j], 1.0 - path.times[j], path.rng_states[j])
     assert tail.n_jumps == path.n_jumps - (j + 1)
     np.testing.assert_allclose(tail.times + path.times[j], path.times[j + 1:], rtol=0, atol=1e-12)
     np.testing.assert_allclose(tail.terminal, path.terminal, rtol=1e-10, atol=1e-12)
@@ -364,35 +408,6 @@ def test_mc_requires_min_paths():
     p = poisson_set(1.0)
     with pytest.raises(ValueError):
         mc_mean(p, np.eye(2), 1.0, np.eye(2), 50, seed=0)
-
-
-def test_intensity_bound_breach_escalates_safely(monkeypatch):
-    # the 16-point grid max is a true sup for monotone intensities, so force
-    # the breach path by shrinking the safety margin below 1: doubling must
-    # absorb it without error and count the events
-    import affinehs.pdmpsim as mod
-    mu = OperatorJumpMeasure(1, (OperatorAtom(np.array([[2.0]]), np.array([[1.0]])),))
-    p = ParameterSet(1, np.zeros((1, 1)), LyapunovOperator(np.array([[2.5]])),
-                     ScalarJumpMeasure.empty(1), mu)
-    monkeypatch.setattr(mod, "_BASE_SAFETY", 0.7)
-    sim = PathSimulator(p)
-    breaches = 0
-    for i in range(100):
-        path = sim.run(np.array([[1.0]]), 1.0, _path_rng(13, i))
-        breaches += path.n_breaches
-    assert breaches > 0
-
-    # with no escalation headroom the same squeeze is a hard error, and the
-    # message names the stream, the path, t and the final safety factor; the
-    # named path fails again when it is run alone
-    monkeypatch.setattr(mod, "_MAX_ESCALATIONS", 0)
-    message = r"escalations \(seed 13, path (\d+), t = \S+, safety factor 1\.4\)"
-    with pytest.raises(SimulationError, match=message) as err:
-        terminal_statistics(p, np.array([[1.0]]), 1.0, 100, seed=13)
-    path_id = int(re.search(message, str(err.value)).group(1))
-    sim2 = PathSimulator(p)
-    with pytest.raises(SimulationError, match=rf"seed 13, path {path_id}, t = "):
-        sim2.run(np.array([[1.0]]), 1.0, CounterStream(13, path_id))
 
 
 def test_mc_laplace_scalar_compound_poisson():
@@ -485,3 +500,26 @@ def test_worker_cap_env(monkeypatch):
     assert worker_cap() == 0
     monkeypatch.delenv("AFFINEHS_THREADS")
     assert worker_cap() == 0
+
+
+def test_mean_jump_count_matches_integrated_intensity():
+    # E N_T = m_total T + int_0^T <kappa, E X_r> dr, with E X_r from the moments
+    from affinehs.moments import mean
+    s = library.get("mc2-02")
+    p = truncate(s.params, 4)
+    horizon = 1.0
+    kappa = p.mu.kernel_total_matrix()
+    integral = scipy.integrate.quad(lambda r: mean(p, s.x0, r, kappa), 0.0, horizon,
+                                    epsrel=1e-10)[0]
+    expected = p.m.total_mass() * horizon + integral
+    est = mc_summary(p, s.x0, horizon, 20_000, seed=12)["jump_count"]
+    assert abs(est.estimate - expected) <= 3.0 * est.std_error
+
+
+def test_mc_laplace_on_defective_generator():
+    # B = 0 takes the dense route: one exponential per path and clock step
+    from affinehs.moments import laplace
+    p = defective_set()
+    x0, u = np.eye(2), 0.5 * np.eye(2)
+    est = mc_laplace(p, x0, 1.0, u, 2000, seed=4)
+    assert abs(est.estimate - laplace(p, x0, 1.0, u)) <= 3.0 * est.std_error

@@ -525,3 +525,17 @@ def test_solution_csv_layout(atom_p1):
     solution_to_csv(sol2, buf2)
     header = buf2.getvalue().split("\n")[0].split(",")
     assert header == ["t", "phi", "psi_11", "psi_12", "psi_22", "min_eig", "step_size"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_psi_stays_in_cone_and_is_loewner_monotone_in_u(case):
+    # psi(t) is PSD, and u <= u + w in the Loewner order gives psi_u(t) <= psi_{u+w}(t)
+    p, _, u, w, t = case
+    grid = (0.0, 0.5 * t, t)
+    low = solve_riccati(p, u, t, t_eval=grid)
+    high = solve_riccati(p, u + w, t, t_eval=grid)
+    tol = 1e-9 * max(1.0, np.abs(high.psi).max())
+    assert min_eigenvalue(low.psi).min() >= -tol
+    assert min_eigenvalue(high.psi - low.psi).min() >= -tol
