@@ -146,12 +146,12 @@ def cmd_simulate(args):
             fh.write(",".join([str(pid), str(eidx), f"{t:.17g}", etype]
                               + [f"{v:.17g}" for v in vals]) + "\n")
 
-        for pid in range(args.n_paths):
-            path = sim.run(x0, args.T, _pdmp.CounterStream(args.seed, pid), stream_id=pid)
+        paths = sim.events(x0, args.T, args.seed, args.n_paths)
+        for pid, (times, states, terminal) in enumerate(paths):
             emit(pid, 0, 0.0, "flow-sample", np.asarray(x0, dtype=float))
-            for j in range(path.n_jumps):
-                emit(pid, j + 1, path.times[j], "jump", path.states[j])
-            emit(pid, path.n_jumps + 1, args.T, "flow-sample", path.terminal)
+            for j, (t, state) in enumerate(zip(times, states)):
+                emit(pid, j + 1, t, "jump", state)
+            emit(pid, len(times) + 1, args.T, "flow-sample", terminal)
     print(f"{args.n_paths} paths in {time.perf_counter() - tic:.2f}s", file=sys.stderr)
     print(f"paths written to {path_csv}")
     return EXIT_OK

@@ -457,7 +457,8 @@ class PathSimulator:
         to the horizon while the horizon is unevaluated and bisects after.
         A path whose Lambda at the horizon is below E ends there.  Returns
         the terminal states and the jump count of each path; with `record`,
-        every jump is appended as (t, size, post-jump state, stream snapshot).
+        every jump is appended as (path row, t, size, post-jump state,
+        stream snapshot), each path's jumps in time order.
         """
         fp, table = self.flowprop, self.table
         n_paths = len(x_vecs)
@@ -517,7 +518,7 @@ class PathSimulator:
                 fresh[hit] = True
                 if record is not None:
                     for r, c, a in zip(hit, comp, sizes):
-                        record.append((t[r], a * table.directions[c], x[r].copy(),
+                        record.append((live[r], t[r], a * table.directions[c], x[r].copy(),
                                        stream.snapshot(live[r])))
             if end.any():
                 e = np.flatnonzero(end)
@@ -543,17 +544,43 @@ class PathSimulator:
         term, jumps = self._lockstep(basis.vec(x0)[None], T, stream, events)
         n_jumps = int(jumps[0])
         d = self.p_set.dim
-        term_mat = symcone.symmetrize(basis.unvec(term[0]))
+        term_mat = self._matrices(term)[0]
         worst_eig = min(min_eigenvalue(x0), min_eigenvalue(term_mat))
-        times = np.asarray([e[0] for e in events])
-        sizes = np.asarray([e[1] for e in events]).reshape(len(events), d, d)
-        states = np.asarray([symcone.symmetrize(basis.unvec(e[2])) for e in events]).reshape(
-            len(events), d, d)
+        times = np.asarray([e[1] for e in events])
+        sizes = np.asarray([e[2] for e in events]).reshape(len(events), d, d)
+        states = self._matrices([e[3] for e in events])
         for st in states:
             worst_eig = min(worst_eig, min_eigenvalue(st))
         return SimPath(times, sizes, states, term_mat, stream_id,
                        n_jumps, n_jumps, 0, worst_eig,
-                       tuple(e[3] for e in events) if record_rng_states else None)
+                       tuple(e[4] for e in events) if record_rng_states else None)
+
+    def _matrices(self, x_vecs):
+        """The symmetric matrices of a list of state vectors, (len, d, d)."""
+        d = self.p_set.dim
+        return np.asarray([symcone.symmetrize(self.basis.unvec(v)) for v in x_vecs]).reshape(
+            len(x_vecs), d, d)
+
+    def events(self, x0, T, seed, n_paths):
+        """The jumps of paths 0..n_paths-1 of the counter stream `seed`.
+
+        Yields (jump times, post-jump states, terminal state) per path, in
+        path order.  Each block of _BLOCK paths is one lockstep call; path i
+        reads the draws that run(x0, T, CounterStream(seed, i)) reads.
+        """
+        x_vec = self.basis.vec(_initial_state(x0))
+        if T < 0:
+            raise ValueError("T must be >= 0")
+        for lo in range(0, n_paths, _BLOCK):
+            count = min(_BLOCK, n_paths - lo)
+            record = []
+            term, jumps = self._lockstep(np.broadcast_to(x_vec, (count, self.basis.n)), T,
+                                         CounterStream(seed, lo, count), record)
+            record.sort(key=lambda e: e[0])   # stable: a path's jumps stay in time order
+            ends = np.cumsum(jumps)
+            for row, terminal in enumerate(self._matrices(term)):
+                mine = record[ends[row] - jumps[row]: ends[row]]
+                yield np.asarray([e[1] for e in mine]), self._matrices([e[3] for e in mine]), terminal
 
 
 def simulate_path(p_set, x0, T, rng, record_rng_states=False, simulator=None):

@@ -3,7 +3,8 @@
 The transform pair (phi, psi) solves phi' = F(psi), psi' = R(psi) with
 phi(0) = 0, psi(0) = u, where F and R are built from a parameter set
 (b, B, m, mu).  R is quasi-monotone on the cone, so the exact flow never
-leaves it; the integrator enforces the same property numerically by
+leaves it.  The integrator, the Dormand-Prince 8(5,3) pair with a
+starting-step estimate, enforces the same property numerically by
 rejecting, with half the step, every step whose state dips below the cone
 tolerance.  Removing jumps of norm <= 1/k gives globally Lipschitz
 right-hand sides whose solutions decrease monotonically (in the Loewner
@@ -47,7 +48,6 @@ _INF = math.inf
 
 
 # step controller of the cone-aware integrator
-_DT_INIT = 1e-3
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 _MAX_T = 100.0
@@ -291,19 +291,40 @@ class _Field:
         return self.lin @ psi_vec - (np.expm1(-x) + self.node_small * x) @ self.node_out
 
 
-# Dormand-Prince 4(5) tableau
-_DP_A = [
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, 1993, II.5): stage i is the field at
+# y + h (_A[i] @ stages[:i]), _B weighs the stages into the 8th-order step,
+# and _E5, _E3 into its 5th- and 3rd-order error estimates.  The field is
+# autonomous, so the stage times (the row sums of _A) are not needed.
+_A = [
     np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array([0.05260015195876773]),
+    np.array([0.0197250569845379, 0.0591751709536137]),
+    np.array([0.02958758547680685, 0.0, 0.08876275643042054]),
+    np.array([0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792]),
+    np.array([0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242]),
+    np.array([0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125]),
+    np.array([0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+              -0.015319437748624402, 0.008273789163814023]),
+    np.array([0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+              27.59209969944671, 20.154067550477894, -43.48988418106996]),
+    np.array([0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+              21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627]),
+    np.array([-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+              -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+              -3.0467644718982196]),
+    np.array([2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+              -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+              12.360567175794303, 0.6433927460157636]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_ERR = _DP_B5 - _DP_B4
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+               -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+               0.04471061572777259])
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+_E3 = _B - np.array([0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7338466882816118,
+                     0.0, 0.0, 0.022058823529411766])
 
 
 def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
@@ -365,11 +386,13 @@ def solve_cascade(p_set, u, T, opts=None, t_eval=None):
 def _solve_levels(p_set, u, T, opts, ks, t_eval):
     """Integrate the truncation levels ks (None: untruncated) under one controller.
 
-    The state stacks the levels (see _Field).  The error norm is the largest
-    of the levels' RMS norms; a step is rejected, with half the step, when
-    any level dips below the cone tolerance; each level keeps its own
-    growth bound.  Returns one RiccatiSolution per level, each carrying the
-    shared controller's diagnostics.
+    The integrator is the Dormand-Prince 8(5,3) pair with Hairer's
+    starting-step estimate.  The state stacks the levels (see _Field).  The
+    error norm is the largest of the levels' combined 5th/3rd-order
+    estimates; a step is rejected, with half the step, when any level dips
+    below the cone tolerance; each level keeps its own growth bound.
+    Returns one RiccatiSolution per level, each carrying the shared
+    controller's diagnostics.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -409,12 +432,26 @@ def _solve_levels(p_set, u, T, opts, ks, t_eval):
         diag["n_rhs_evals"] += 1
         return field.rhs(yv[levels:])
 
+    def level_norms(v, scale):
+        """RMS norm of v / scale over each level's coordinates."""
+        return np.sqrt((v / scale) ** 2 @ field.member / (n + 1))
+
     t = 0.0
     next_out = 1
-    h_ctrl = min(_DT_INIT, T)
-    k1 = f(y) if T > 0.0 else None
-    stages = np.empty((7, y.size))
     abs_y = np.abs(y)
+    if T > 0.0:
+        # starting step (Hairer, Norsett & Wanner, II.4): an Euler probe of
+        # 1% of the state sizes the second derivative; the smallest over the levels
+        k1 = f(y)
+        scale = _ABS_TOL + _REL_TOL * abs_y
+        d0, d1 = level_norms(y, scale), level_norms(k1, scale)
+        h0 = min(T, np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
+                             0.01 * d0 / np.maximum(d1, 1e-5)).min())
+        d2 = np.maximum(d1, level_norms(f(y + h0 * k1) - k1, scale) / h0)
+        h1 = np.where(d2 <= 1e-15, max(1e-6, 1e-3 * h0), (0.01 / np.maximum(d2, 1e-15)) ** 0.125)
+        h_ctrl = min(100.0 * h0, h1.min(), T)
+    stages = np.empty((12, y.size))
+    h_cap = _INF   # after a rejection, the next step is no longer than the rejected one
     h_floor = 1e-14 * T
     while next_out < len(grid):
         target = grid[next_out]
@@ -423,28 +460,31 @@ def _solve_levels(p_set, u, T, opts, ks, t_eval):
             raise RiccatiSolverError(
                 f"stiffness/cone breach: step size underflow at t = {t:.6g} (h = {h:.3e})")
         stages[0] = k1
-        for i in range(1, 7):
-            stages[i] = f(y + h * (_DP_A[i] @ stages[:i]))
-        y5 = y + h * (_DP_B5 @ stages)
-        err = h * (_DP_ERR @ stages)
-        abs_y5 = np.abs(y5)
-        q = (err / (_ABS_TOL + _REL_TOL * np.maximum(abs_y, abs_y5))) ** 2
-        err_norm = math.sqrt((q @ field.member).max() / (n + 1))
+        for i in range(1, 12):
+            stages[i] = f(y + h * (_A[i] @ stages[:i]))
+        y_new = y + h * (_B @ stages)
+        fsal = f(y_new)   # the first stage of the next step
+        abs_new = np.abs(y_new)
+        scale = _ABS_TOL + _REL_TOL * np.maximum(abs_y, abs_new)
+        e5 = ((_E5 @ stages) / scale) ** 2 @ field.member
+        e3 = ((_E3 @ stages) / scale) ** 2 @ field.member
+        denom = np.sqrt((e5 + 0.01 * e3) * (n + 1))
+        err_norm = h * np.divide(e5, denom, out=np.zeros(levels), where=denom > 0.0).max()
 
         if err_norm > 1.0:
             diag["n_rejected_error"] += 1
-            h_ctrl = h * max(0.2, 0.9 * err_norm ** -0.2)
+            h_ctrl, h_cap = h * max(0.2, 0.9 * err_norm ** -0.125), h
             continue
 
-        me = float(min_eigenvalue(matrices(y5)).min())
+        me = float(min_eigenvalue(matrices(y_new)).min())
         if me < -opts.cone_tol:
             diag["n_rejected_cone"] += 1
-            h_ctrl = 0.5 * h
+            h_ctrl, h_cap = 0.5 * h, h
             continue
         diag["max_cone_violation"] = max(diag["max_cone_violation"], -me)
 
         t_new = t + h
-        norms = np.sqrt(y5[levels:] ** 2 @ field.member[levels:])
+        norms = np.sqrt(y_new[levels:] ** 2 @ field.member[levels:])
         caps = np.exp(rates * t_new) * u_norm * (1.0 + _GROWTH_FUDGE) + bound_slack
         if (norms > caps).any():
             lvl = int(np.argmax(norms - caps))
@@ -453,8 +493,8 @@ def _solve_levels(p_set, u, T, opts, ks, t_eval):
                 f"||psi|| = {norms[lvl]:.6g} > {caps[lvl]:.6g}")
 
         t = t_new
-        y, abs_y = y5, abs_y5
-        k1 = stages[6].copy()
+        y, abs_y = y_new, abs_new
+        k1 = fsal
         diag["n_steps"] += 1
         if diag["n_steps"] > _MAX_STEPS:
             raise RiccatiSolverError(f"exceeded max_steps = {_MAX_STEPS}")
@@ -463,7 +503,10 @@ def _solve_levels(p_set, u, T, opts, ks, t_eval):
             out_y.append(y)
             out_h.append(h)
             next_out += 1
-        h_ctrl = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** -0.2))
+        # growing past a rejected step would only be rejected again; not
+        # growing at all would aim every retry at the same rejected point
+        grow = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.125)
+        h_ctrl, h_cap = min(h * grow, h_cap), _INF
 
     ys = np.array(out_y)
     psi = matrices(ys).swapaxes(0, 1)  # (levels, N, d, d)

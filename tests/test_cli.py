@@ -7,7 +7,7 @@ import pytest
 from affinehs import library
 from affinehs.cli import main
 from affinehs.params import load_params, save_params, truncate
-from affinehs.pdmpsim import terminal_statistics
+from affinehs.pdmpsim import CounterStream, PathSimulator, terminal_statistics
 from affinehs.symcone import VecBasis, sym_to_json
 
 
@@ -150,6 +150,42 @@ def test_simulate_path_is_terminal_statistics_row(mc_param_file, tmp_path):
             for j in range(i, p_k.dim):
                 assert float(events[-1][f"x_{i + 1}{j + 1}"]) == pytest.approx(
                     term[i, j], rel=1e-12, abs=1e-12)
+
+
+def test_simulate_blocks_match_single_path_runs(mc_param_file, tmp_path):
+    # `simulate` runs its paths in lockstep blocks; each path's events are
+    # those of PathSimulator.run on the same counter stream, up to the
+    # rounding of batched against single-row arithmetic
+    _, pfile = mc_param_file
+    n = 200
+    assert main(["simulate", "--params", pfile, "--k", "4", "--T", "1.0",
+                 "--n-paths", str(n), "--seed", "3", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "paths.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    p_k = truncate(load_params(pfile), 4)
+    d = p_k.dim
+    sim = PathSimulator(p_k)
+    names = [f"x_{i + 1}{j + 1}" for i in range(d) for j in range(i, d)]
+    iu = np.triu_indices(d)
+    by_path = {}
+    for r in rows:
+        by_path.setdefault(int(r["path_id"]), []).append(r)
+    assert sorted(by_path) == list(range(n))
+    jumps = 0
+    for pid in range(n):
+        path = sim.run(np.eye(d), 1.0, CounterStream(3, pid), stream_id=pid)
+        events = by_path[pid]
+        assert [int(r["event_index"]) for r in events] == list(range(path.n_jumps + 2))
+        assert [r["event_type"] for r in events] == (
+            ["flow-sample"] + ["jump"] * path.n_jumps + ["flow-sample"])
+        times = [0.0] + list(path.times) + [1.0]
+        states = [np.eye(d)] + list(path.states) + [path.terminal]
+        for r, t, state in zip(events, times, states):
+            assert float(r["time"]) == pytest.approx(t, rel=1e-12, abs=0.0)
+            got = np.array([float(r[c]) for c in names])
+            assert np.abs(got - state[iu]).max() <= 1e-12 * np.abs(state).max()
+        jumps += path.n_jumps
+    assert jumps > n
 
 
 def test_verify_deterministic_set(tmp_path):

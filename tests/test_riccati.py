@@ -387,7 +387,7 @@ def test_rhs_eval_count():
         opts = RiccatiOptions(cone_tol=1e-300)
         diag = solve_riccati(s.params, u, 1.0, opts=opts, k=4).diagnostics
         attempts = diag["n_steps"] + diag["n_rejected_error"] + diag["n_rejected_cone"]
-        assert diag["n_rhs_evals"] == 1 + 6 * attempts
+        assert diag["n_rhs_evals"] == 2 + 12 * attempts
         rejected += diag["n_rejected_cone"]
     assert rejected > 0
     assert solve_riccati(library.get("mc2-01").params, np.eye(2), 0.0).diagnostics["n_rhs_evals"] == 0
@@ -456,6 +456,59 @@ def test_cascade_levels_match_dop853():
             phi, psi = ref.y[0, -1], field.basis.unvec(ref.y[1:, -1])
             assert abs(sol.phi_final - phi) <= 5e-8 * abs(phi), (s.name, k)
             assert frob_norm(sol.psi_final - psi) <= 5e-8 * frob_norm(psi), (s.name, k)
+
+
+def test_dop853_tableau_matches_published_coefficients():
+    # the transcribed tableau against scipy's copy of Hairer's coefficients;
+    # the extra stage's weights are zero in both error estimates
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from affinehs.riccati import _A, _B, _E3, _E5
+    assert len(_A) == ref.N_STAGES
+    for i, row in enumerate(_A):
+        np.testing.assert_allclose(row, ref.A[i, :i], rtol=0.0, atol=1e-15)
+        # the stage times are the row sums, to the rounding of the row's entries
+        assert math.fsum(row) == pytest.approx(ref.C[i], abs=1e-15 * np.abs(row).sum())
+    np.testing.assert_allclose(_B, ref.B, rtol=0.0, atol=1e-15)
+    assert math.fsum(_B) == pytest.approx(1.0, abs=1e-15)
+    assert ref.E3[-1] == ref.E5[-1] == 0.0
+    np.testing.assert_allclose(_E3, ref.E3[:-1], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_E5, ref.E5[:-1], rtol=0.0, atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def library_solves_k4():
+    """(solution, scipy DOP853 reference) for every library set at k = 4 and T in {0.25, 1, 2}."""
+    out = []
+    for s in library.benchmark_sets():
+        p = truncate(s.params, 4)
+        field = _Field(p)
+        y0 = np.concatenate([[0.0], field.basis.vec(s.u)])
+        for T in (0.25, 1.0, 2.0):
+            sol = solve_riccati(p, s.u, T, t_eval=(0.0, T))
+            ref = scipy.integrate.solve_ivp(lambda t, y: field.rhs(y[1:]), (0.0, T), y0,
+                                            method="DOP853", rtol=1e-13, atol=1e-15)
+            assert ref.success
+            out.append((s.name, T, sol, ref.y[0, -1], field.basis.unvec(ref.y[1:, -1])))
+    return out
+
+
+def test_transform_solves_match_dop853_at_tight_tolerance(library_solves_k4):
+    # a second integrator 5 decades tighter than the solver's own tolerance;
+    # the error is relative to the size of the state (phi, psi), since psi
+    # decays to about 1% of ||u|| on some sets, where the 1e-10 absolute
+    # tolerance governs its last digits
+    for name, T, sol, phi, psi in library_solves_k4:
+        err = max(abs(sol.phi_final - phi), frob_norm(sol.psi_final - psi))
+        assert err <= 1e-9 * max(abs(phi), frob_norm(psi)), (name, T)
+
+
+def test_transform_solves_take_few_steps(library_solves_k4):
+    # the eighth-order pair takes about 4.7 steps per solve here; a
+    # fifth-order pair at the same tolerance takes about 20
+    steps = [sol.diagnostics["n_steps"] for _, _, sol, _, _ in library_solves_k4]
+    assert len(steps) == 3 * len(library.benchmark_sets())
+    assert np.mean(steps) <= 8.0
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None,
