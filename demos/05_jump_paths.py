@@ -14,7 +14,6 @@ from affinehs.pdmpsim import (
     PathSimulator,
     drift_data,
     jump_intensity,
-    simulate_path,
     terminal_statistics,
 )
 from affinehs.symcone import frob_norm, min_eigenvalue
@@ -26,7 +25,7 @@ print("jump intensity at x0:", jump_intensity(p_k, s.x0))
 print("compensated drift is PSD:", min_eigenvalue(drift_data(p_k).btilde) >= -1e-12)
 
 # one path in detail
-path = simulate_path(p_k, s.x0, 1.0, np.random.default_rng(5))
+path = PathSimulator(p_k).run(s.x0, 1.0, CounterStream(5))
 print(f"\none path, {path.n_jumps} jumps, each at the root of Lambda(s) = E, E ~ Exp(1):")
 print(f"  {'time':>8s} {'||jump||':>10s} {'||state||':>10s} {'min eig':>10s}")
 for t, size, state in zip(path.times, path.sizes, path.states):

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symcone
-from .symcone import RankOneSum, VecBasis, expm_checked, frob_norm, inner
+from .params import jump_rows
+from .symcone import RankOneSum, VecBasis, expm_checked, inner
 from . import riccati as _riccati
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "second_moment",
     "laplace",
     "generator_exp",
-    "generator_linear",
-    "fit_growth_envelope",
 ]
 
 
@@ -145,14 +144,10 @@ def _at(x_vec, coefs):
     return float(mono[: len(coefs)] @ coefs)
 
 
-def _quadratic(mat):
-    """Coefficients of x^T mat x on (1, x_k, x_i x_j)."""
-    return np.concatenate([np.zeros(1 + len(mat)), _fold(mat)])
-
-
 def _product(bundle, v, w):
-    """Coefficients of <x, v><x, w>."""
-    return _quadratic(np.outer(bundle.basis.vec(v), bundle.basis.vec(w)))
+    """Coefficients of <x, v><x, w> on (1, x_k, x_i x_j)."""
+    basis = bundle.basis
+    return np.concatenate([np.zeros(1 + basis.n), _fold(np.outer(basis.vec(v), basis.vec(w)))])
 
 
 def derivative_bundle(p_set):
@@ -171,14 +166,9 @@ def derivative_bundle(p_set):
 
     df0_mat = p_set.b + p_set.m.tail_first_moment_matrix()
 
-    jumps = p_set.m.jumps + p_set.mu.jumps
-    n = basis.n
-    return DerivativeBundle(
-        p_set.dim, basis, dr0, dr0_mat, df0_mat,
-        np.array([j.law.partial_moment(2) for j in jumps]),
-        np.array([basis.vec(j.direction) for j in jumps]).reshape(len(jumps), n),
-        np.array([j.output_row(basis) for j in jumps]).reshape(len(jumps), n + 1),
-    )
+    jumps, dirs, outs = jump_rows(p_set, basis)
+    return DerivativeBundle(p_set.dim, basis, dr0, dr0_mat, df0_mat,
+                            np.array([j.law.partial_moment(2) for j in jumps]), dirs, outs)
 
 
 def dpsi0(p_set, t, v, bundle=None):
@@ -236,34 +226,3 @@ def generator_exp(p_set, u, x):
     f_val = _riccati.eval_F(p_set, u)
     r_val = _riccati.eval_R(p_set, u)
     return (-f_val - inner(x, r_val)) * math.exp(-inner(x, u))
-
-
-def generator_linear(p_set, v, x, bundle=None):
-    """Generator applied to <., v> at x: <b + B(x), v> plus the large-jump drift.
-
-    Equals d/dt of mean(p_set, x, t, v) at t = 0.
-    """
-    bundle = bundle or derivative_bundle(p_set)
-    v = np.asarray(v, dtype=float)
-    return float(bundle.dF0(v) + inner(x, bundle.basis.unvec(
-        bundle.dR0_mat @ bundle.basis.vec(v))))
-
-
-def fit_growth_envelope(p_set, x, t_grid, bundle=None):
-    """Fit E[||X_t||^2] <= M e^{w t} (||x||^2 + 1) empirically; diagnostic only.
-
-    Returns (M, w) from a least-squares fit of log E[||X_t||^2]/(||x||^2+1)
-    on the given grid.  The envelope constants are not available in closed
-    form, so this reports the observed growth of the second moment.
-    """
-    bundle = bundle or derivative_bundle(p_set)
-    t_grid = np.asarray(t_grid, dtype=float)
-    norm2 = _quadratic(np.eye(bundle.basis.n))   # ||x||^2 = sum_k x_k^2
-    x_vec = bundle.basis.vec(x)
-    vals = np.asarray([_at(x_vec, _transport(bundle.G, t, norm2)) for t in t_grid])
-    denom = frob_norm(x) ** 2 + 1.0
-    logs = np.log(np.maximum(vals / denom, 1e-300))
-    coef = np.polyfit(t_grid, logs, 1)
-    omega = float(coef[0])
-    m_const = float(max(1.0, np.exp(np.max(logs - omega * t_grid))))
-    return m_const, omega

@@ -15,7 +15,8 @@ integrated against m(dxi) for F and against mu(dxi)/||xi||^2 for R.  Each
 measure therefore also holds its atoms and rays as `jumps`: a unit
 direction, a radial law of that integrating mass (an atom's law is a
 PointMass) and an output weight.  Only this module maps atoms and rays to
-jumps; the rest of the package reads the jumps.
+jumps; the rest of the package reads the jumps, and their coordinate rows
+from jump_rows.
 
 At a fixed matrix dimension, weak and strong small-jump first moments
 coincide, so these measures can have infinite activity (power-law rays
@@ -69,6 +70,7 @@ __all__ = [
     "ScalarJumpMeasure",
     "OperatorJumpMeasure",
     "ParameterSet",
+    "jump_rows",
     "truncation_cut",
     "truncate",
     "orthogonal_psd_pair",
@@ -530,6 +532,15 @@ class ParameterSet:
         return self.m.is_finite_activity and self.mu.is_finite_activity
 
 
+def jump_rows(p_set, basis):
+    """The jumps of m and then of mu, with their directions (J, n) and
+    output rows (J, 1 + n) in the coordinates of basis."""
+    jumps = p_set.m.jumps + p_set.mu.jumps
+    dirs = np.array([basis.vec(j.direction) for j in jumps]).reshape(len(jumps), basis.n)
+    outs = np.array([j.output_row(basis) for j in jumps]).reshape(len(jumps), basis.n + 1)
+    return jumps, dirs, outs
+
+
 def truncation_cut(k):
     """The norm 1/k at or below which truncation level k removes the jumps."""
     if k < 1:
@@ -705,15 +716,15 @@ def build_admissible(dim, beta=None, gs=(), mu=None, m=None, b_extra=None):
     comp_pairs = mu.chi_compensator_pairs()
     if comp_pairs:
         terms.append(RankOneSum(comp_pairs))
-    if not terms:
-        op = ZeroOperator(dim)
-    elif len(terms) == 1:
-        op = terms[0]
-    else:
-        op = OperatorSum(tuple(terms))
-
     b = b_extra + m.chi_integral()
-    return ParameterSet(dim, b, op, m, mu)
+    return ParameterSet(dim, b, _operator(dim, terms), m, mu)
+
+
+def _operator(dim, terms):
+    """The sum of terms: ZeroOperator for none, the term itself for one."""
+    if not terms:
+        return ZeroOperator(dim)
+    return terms[0] if len(terms) == 1 else OperatorSum(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -826,13 +837,7 @@ def params_from_json(obj):
                 terms.append(RankOneSum(comp_pairs))
         if b_obj.get("dense") is not None:
             terms.append(DenseOperator(dim, np.asarray(b_obj["dense"], dtype=float)))
-        if not terms:
-            op = ZeroOperator(dim)
-        elif len(terms) == 1:
-            op = terms[0]
-        else:
-            op = OperatorSum(tuple(terms))
-        return ParameterSet(dim, b, op, m, mu)
+        return ParameterSet(dim, b, _operator(dim, terms), m, mu)
     except (KeyError, TypeError, ValueError, MeasureError, DimensionMismatchError) as exc:
         raise ParameterFileError(f"malformed parameter file: {exc}") from exc
 

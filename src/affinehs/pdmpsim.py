@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .exceptions import SimulationError
 from . import symcone
-from .params import PointMass
+from .params import PointMass, jump_rows
 from .symcone import ExpPropagator, RankOneSum, VecBasis, frob_norm, inner, min_eigenvalue
 
 __all__ = [
@@ -41,17 +40,13 @@ __all__ = [
     "flow",
     "jump_intensity",
     "RadialSampler",
-    "sample_jump",
     "philox4x32",
     "CounterStream",
     "SimPath",
     "PathSimulator",
-    "simulate_path",
     "MCEstimate",
     "terminal_statistics",
     "mc_summary",
-    "mc_laplace",
-    "mc_mean",
 ]
 
 _U64 = np.uint64
@@ -214,9 +209,6 @@ class RadialSampler:
         """Radii whose cumulative mass is m, vectorized over m in [0, total]."""
         return self.density.inverse_cdf_mass(m)
 
-    def draw(self, rng):
-        return float(self.inverse(rng.random() * self.total))
-
 
 class _JumpTable:
     """Component masses and jump sizes of the state-dependent kernel.
@@ -227,25 +219,19 @@ class _JumpTable:
     """
 
     def __init__(self, p_set, basis):
-        self.basis = basis
-        jumps = p_set.m.jumps + p_set.mu.jumps
+        jumps, self.size_vecs, outs = jump_rows(p_set, basis)
         mass = np.array([j.law.partial_moment(0) for j in jumps])
         if not np.all(np.isfinite(mass)):
             raise SimulationError("jump activity is infinite: truncate first")
-        outs = np.array([j.output_row(basis) for j in jumps]).reshape(len(jumps), basis.n + 1)
         outs *= mass[:, None]
         self.const = outs[:, 0]
         self.rows = outs[:, 1:]
         self.directions = [j.direction for j in jumps]
-        self.size_vecs = np.array([basis.vec(j.direction) for j in jumps]).reshape(len(jumps), basis.n)
         self.samplers = [None if isinstance(j.law, PointMass) else RadialSampler(j.law) for j in jumps]
         self.is_ray = np.array([sp is not None for sp in self.samplers], dtype=bool)
         self.atom_radius = np.array([1.0 if ray else j.law.r0 for j, ray in zip(jumps, self.is_ray)])
         self.m_total = float(sum(self.const))
         self.kappa_vec = self.rows.sum(axis=0)
-
-    def intensity(self, x_vec):
-        return self.m_total + float(self.kappa_vec @ x_vec)
 
     def choose(self, x_vecs, u):
         """Jump component at each state of x_vecs (J, n): the first whose
@@ -269,20 +255,6 @@ class _JumpTable:
                 sel = comp[ray] == c
                 scale[ray[sel]] = sampler.inverse(u[sel] * sampler.total)
         return scale
-
-    def draw(self, x_vec, rng):
-        comp = self.choose(np.asarray(x_vec)[None], rng.random(1))
-        return self.scales(comp, lambda sel: rng.random(len(sel)))[0] * self.directions[comp[0]]
-
-
-def sample_jump(p_set, x, rng):
-    """One draw from the normalized jump kernel at state x."""
-    basis = VecBasis(p_set.dim)
-    table = _JumpTable(p_set, basis)
-    x_vec = basis.vec(np.asarray(x, dtype=float))
-    if table.intensity(x_vec) <= 0.0:
-        raise SimulationError("jump intensity vanishes at this state")
-    return table.draw(x_vec, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +349,6 @@ class CounterStream:
     def snapshot(self, row):
         return CounterStream(self.seed, self.start + row, 1, draw=self._cursor[row])
 
-    def describe(self, row):
-        return f"seed {self.seed}, path {self.start + row}"
-
-
-class _GeneratorStream:
-    """The uniforms of one path from a numpy Generator, in draw order."""
-
-    def __init__(self, rng, stream_id):
-        self.rng = rng
-        self.stream_id = stream_id
-
-    def take(self, rows):
-        return self.rng.random(len(rows))
-
-    def snapshot(self, row):
-        return self.rng.bit_generator.state
-
-    def describe(self, row):
-        return f"stream {self.stream_id!r}" if self.stream_id is not None else "numpy Generator stream"
-
 
 # ---------------------------------------------------------------------------
 # path simulation
@@ -408,18 +360,16 @@ class SimPath:
     sizes: np.ndarray        # (J, d, d) jump sizes
     states: np.ndarray       # (J, d, d) post-jump states
     terminal: np.ndarray     # X_T
-    stream_id: object
-    # the jump clock is exact, so every proposal is a jump and no bound is
-    # breached: n_proposals == n_accepted == n_jumps and n_breaches == 0
-    n_proposals: int
-    n_accepted: int
-    n_breaches: int
     min_state_eig: float
-    rng_states: tuple | None = None
+    rng_states: tuple        # rng_states[j] resumes the path after jump j
 
     @property
     def n_jumps(self):
         return len(self.times)
+
+    # the jump clock is exact, so every proposal is a jump and no bound is breached
+    n_proposals = n_accepted = n_jumps
+    n_breaches = 0
 
 
 _BLOCK = 4096   # paths simulated in lockstep; fixed, so rows do not depend on workers
@@ -491,7 +441,7 @@ class PathSimulator:
             if bad.any():
                 r = np.flatnonzero(bad)[0]
                 raise SimulationError(
-                    f"jump clock is not finite ({stream.describe(live[r])}, "
+                    f"jump clock is not finite (seed {stream.seed}, path {stream.start + live[r]}, "
                     f"t = {float(t[r] + s[r])!r}, Lambda = {lam_int[r]:g}, lambda = {lam[r]:g})")
             gap = lam_int - level
             below = gap < 0.0
@@ -528,21 +478,22 @@ class PathSimulator:
                     a[keep] for a in (live, x, z, t, level, s, lo, hi, open_end, fresh))
         return terminal, jumps
 
-    def run(self, x0, T, rng, record_rng_states=False, stream_id=None):
-        """One path with its jump events.
+    def run(self, x0, T, stream):
+        """The path from x0 over [0, T] with its jump events.
 
-        rng is a CounterStream (its first path is simulated) or a numpy
-        Generator, which feeds the path's uniforms in draw order.  With
-        record_rng_states, rng_states[j] resumes the stream after jump j.
+        The path reads the first path of the CounterStream stream.  A numpy
+        Generator is taken only as a seed source: the path then reads
+        CounterStream(stream.integers(2**63)).  rng_states[j] is a one-path
+        CounterStream that resumes the path after jump j.
         """
         basis = self.basis
         x0 = _initial_state(x0)
         if T < 0:
             raise ValueError("T must be >= 0")
-        stream = rng if isinstance(rng, CounterStream) else _GeneratorStream(rng, stream_id)
+        if isinstance(stream, np.random.Generator):
+            stream = CounterStream(stream.integers(2 ** 63))
         events = []
-        term, jumps = self._lockstep(basis.vec(x0)[None], T, stream, events)
-        n_jumps = int(jumps[0])
+        term, _ = self._lockstep(basis.vec(x0)[None], T, stream, events)
         d = self.p_set.dim
         term_mat = self._matrices(term)[0]
         worst_eig = min(min_eigenvalue(x0), min_eigenvalue(term_mat))
@@ -551,9 +502,7 @@ class PathSimulator:
         states = self._matrices([e[3] for e in events])
         for st in states:
             worst_eig = min(worst_eig, min_eigenvalue(st))
-        return SimPath(times, sizes, states, term_mat, stream_id,
-                       n_jumps, n_jumps, 0, worst_eig,
-                       tuple(e[4] for e in events) if record_rng_states else None)
+        return SimPath(times, sizes, states, term_mat, worst_eig, tuple(e[4] for e in events))
 
     def _matrices(self, x_vecs):
         """The symmetric matrices of a list of state vectors, (len, d, d)."""
@@ -583,16 +532,6 @@ class PathSimulator:
                 yield np.asarray([e[1] for e in mine]), self._matrices([e[3] for e in mine]), terminal
 
 
-def simulate_path(p_set, x0, T, rng, record_rng_states=False, simulator=None):
-    """Simulate one path; rng may be a numpy Generator, a CounterStream or an int seed."""
-    sim = simulator or PathSimulator(p_set)
-    stream_id = None
-    if isinstance(rng, (int, np.integer)):
-        stream_id = int(rng)
-        rng = np.random.default_rng(rng)
-    return sim.run(x0, T, rng, record_rng_states=record_rng_states, stream_id=stream_id)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
@@ -603,12 +542,6 @@ class MCEstimate:
     std_error: float
     n_paths: int
     seed: int
-    wall_time: float
-
-
-def _path_rng(seed, index):
-    key = np.array([seed & _MASK64, index], dtype=_U64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _chunk_rows(p_set, x0, T, seed, start, stop, block):
@@ -649,10 +582,10 @@ def terminal_statistics(p_set, x0, T, n_paths, seed, workers=1):
     return out
 
 
-def _reduce(values, n_paths, seed, wall):
+def _reduce(values, n_paths, seed):
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return MCEstimate(est, se, n_paths, seed, wall)
+    return MCEstimate(est, se, n_paths, seed)
 
 
 def mc_summary(p_set, x0, T, n_paths, seed, u=None, v=None, w=None, workers=1):
@@ -665,30 +598,20 @@ def mc_summary(p_set, x0, T, n_paths, seed, u=None, v=None, w=None, workers=1):
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
     basis = VecBasis(p_set.dim)
-    tic = time.perf_counter()
     stats = terminal_statistics(p_set, x0, T, n_paths, seed, workers=workers)
-    wall = time.perf_counter() - tic
 
     term = stats[:, : basis.n]
     counts = stats[:, basis.n]
-    out = {"jump_count": _reduce(counts, n_paths, seed, wall)}
+    out = {"jump_count": _reduce(counts, n_paths, seed)}
     if u is not None:
         vals = np.exp(-(term @ basis.vec(np.asarray(u, dtype=float))))
-        out["laplace"] = _reduce(vals, n_paths, seed, wall)
+        out["laplace"] = _reduce(vals, n_paths, seed)
     if v is not None:
         pv = term @ basis.vec(np.asarray(v, dtype=float))
-        out["mean"] = _reduce(pv, n_paths, seed, wall)
+        out["mean"] = _reduce(pv, n_paths, seed)
         pw = pv if w is None else term @ basis.vec(np.asarray(w, dtype=float))
-        out["second_moment"] = _reduce(pv * pw, n_paths, seed, wall)
+        out["second_moment"] = _reduce(pv * pw, n_paths, seed)
     return out
-
-
-def mc_laplace(p_set, x0, T, u, n_paths, seed, workers=1):
-    return mc_summary(p_set, x0, T, n_paths, seed, u=u, workers=workers)["laplace"]
-
-
-def mc_mean(p_set, x0, T, v, n_paths, seed, workers=1):
-    return mc_summary(p_set, x0, T, n_paths, seed, v=v, workers=workers)["mean"]
 
 
 def worker_cap():

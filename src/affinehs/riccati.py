@@ -24,9 +24,11 @@ from scipy.special import roots_jacobi
 from .exceptions import CascadeError, RiccatiSolverError
 from . import symcone
 from .symcone import VecBasis, frob_norm, min_eigenvalue
-# radial_quad is not called here, but perfbench/tracer.py patches the
-# binding riccati.radial_quad when it installs, so the import stays.
-from .params import PointMass, PowerLawDensity, radial_quad, truncate, truncation_cut  # noqa: F401
+from .params import PointMass, PowerLawDensity, jump_rows, truncation_cut
+# radial_quad and truncate are not called here, but perfbench/tracer.py
+# patches the bindings riccati.radial_quad and riccati.truncate when it
+# installs, so both imports stay.
+from .params import radial_quad, truncate  # noqa: F401
 
 __all__ = [
     "RiccatiOptions",
@@ -34,11 +36,8 @@ __all__ = [
     "CascadeDiagnostics",
     "eval_F",
     "eval_R",
-    "eval_Fk",
-    "eval_Rk",
     "growth_rate",
     "ray_rule",
-    "rk_lipschitz_bound",
     "solve_riccati",
     "solve_cascade",
     "solution_to_csv",
@@ -138,14 +137,6 @@ def eval_R(p_set, u, check_bound=True):
     return symcone.symmetrize(out)
 
 
-def eval_Fk(p_set, k, u, check_bound=True):
-    return eval_F(truncate(p_set, k), u, check_bound=check_bound)
-
-
-def eval_Rk(p_set, k, u, check_bound=True):
-    return eval_R(truncate(p_set, k), u, check_bound=check_bound)
-
-
 def growth_rate(p_set):
     """||B|| + 2 ||mu total mass||: the exponential growth rate of ||psi||."""
     return float(_growth_rates(p_set, (0.0,))[0])
@@ -155,11 +146,6 @@ def _growth_rates(p_set, cuts):
     """growth_rate of each truncation that keeps the jumps of norm > cut."""
     b_norm = symcone.operator_norm(p_set.B)
     return np.array([b_norm + 2.0 * frob_norm(p_set.mu.total_mass_matrix(cut)) for cut in cuts])
-
-
-def rk_lipschitz_bound(p_set, k):
-    """Lipschitz constant of the level-k field: ||B|| + 2 k ||mu total mass||."""
-    return symcone.operator_norm(p_set.B) + 2.0 * k * frob_norm(p_set.mu.total_mass_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +236,9 @@ class _Field:
 
     def __init__(self, p_set, levels=None):
         self.basis = basis = VecBasis(p_set.dim)
-        jumps = p_set.m.jumps + p_set.mu.jumps
+        jumps, dirs, outs = jump_rows(p_set, basis)
         levels = levels or [[j.law.restricted(0.0, 1.0) for j in jumps]]
         n, n_lev = basis.n, len(levels)
-        dirs = np.array([basis.vec(j.direction) for j in jumps]).reshape(-1, n)
-        outs = np.array([j.output_row(basis) for j in jumps]).reshape(-1, n + 1)
         large = [ray_rule(j.law.restricted(1.0, _INF)) for j in jumps]
         blocks = []
         for laws in levels:

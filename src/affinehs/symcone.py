@@ -230,9 +230,6 @@ class SuperOperator:
     def adjoint(self):
         return DenseOperator(self.dim, self.mat.T)
 
-    def to_dense(self):
-        return np.array(self.mat)
-
     def __add__(self, other):
         if not isinstance(other, SuperOperator):
             return NotImplemented

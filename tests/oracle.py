@@ -25,6 +25,9 @@ package did before it built the matrices in closed form.
 The measure integrals integrate a function of the jump against m, mu or
 mu/||xi||^2 over a region of jump norms: atoms exactly, rays by the
 package's adaptive radial quadrature.
+
+The Lipschitz bound of the truncated field R_k is the paper's constant
+||B|| + 2k ||mu total mass||.
 """
 
 import math
@@ -41,6 +44,8 @@ from affinehs.symcone import (
     RankOneSum,
     VecBasis,
     ZeroOperator,
+    frob_norm,
+    operator_norm,
 )
 
 
@@ -363,3 +368,8 @@ def integrate_kernel(mu, f, region=ALL):
         val = radial_quad(r.density, lambda s: f(s * d_mat), lo, hi, ray_index=j)
         out += val * r.weight
     return out
+
+
+def truncated_lipschitz_bound(p_set, k):
+    """Lipschitz constant of the level-k field R_k: ||B|| + 2k ||mu total mass||."""
+    return operator_norm(p_set.B) + 2.0 * k * frob_norm(p_set.mu.total_mass_matrix())

@@ -173,7 +173,7 @@ def test_simulate_blocks_match_single_path_runs(mc_param_file, tmp_path):
     assert sorted(by_path) == list(range(n))
     jumps = 0
     for pid in range(n):
-        path = sim.run(np.eye(d), 1.0, CounterStream(3, pid), stream_id=pid)
+        path = sim.run(np.eye(d), 1.0, CounterStream(3, pid))
         events = by_path[pid]
         assert [int(r["event_index"]) for r in events] == list(range(path.n_jumps + 2))
         assert [r["event_type"] for r in events] == (

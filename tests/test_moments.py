@@ -12,9 +12,7 @@ from affinehs.moments import (
     d2psi0,
     derivative_bundle,
     dpsi0,
-    fit_growth_envelope,
     generator_exp,
-    generator_linear,
     laplace,
     mean,
     second_moment,
@@ -259,6 +257,12 @@ def test_generator_exp(mc_truncated, empty_p2, rng):
     assert slope == pytest.approx(1.0, abs=0.2)
 
 
+def generator_linear(p_set, v, x):
+    """The generator applied to <., v> at x: dF0(v) + <x, dR0 v>."""
+    bundle = derivative_bundle(p_set)
+    return bundle.dF0(v) + inner(x, bundle.dR0.apply(v))
+
+
 def test_generator_linear(mc_truncated, rng):
     p, x, _ = mc_truncated
     v = random_psd(rng, 2)
@@ -271,19 +275,12 @@ def test_generator_linear(mc_truncated, rng):
     x2 = random_psd(rng, 2)
     assert generator_linear(p_small, v, x2) == pytest.approx(
         inner(p_small.b + p_small.B.apply(x2), v), rel=1e-11)
-    # finite-difference consistency with the mean
+    # the generator is d/dt of the mean at t = 0
     g = generator_linear(p, v, x)
     hs = (1e-2, 1e-3, 1e-4)
     errs = [abs((mean(p, x, h, v) - inner(x, v)) / h - g) for h in hs]
     assert errs[2] < errs[0]
     assert errs[2] <= 1e-3 * max(1.0, abs(g))
-
-
-def test_fit_growth_envelope(mc_truncated):
-    p, x, _ = mc_truncated
-    m_const, omega = fit_growth_envelope(p, x, np.linspace(0.1, 1.0, 4))
-    assert m_const >= 1.0
-    assert math.isfinite(omega)
 
 
 def test_moments_overflow_raises_operator_exp_error():

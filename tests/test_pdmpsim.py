@@ -25,16 +25,11 @@ from affinehs.pdmpsim import (
     FlowPropagator,
     PathSimulator,
     RadialSampler,
-    _path_rng,
     drift_data,
     flow,
     jump_intensity,
-    mc_laplace,
-    mc_mean,
     mc_summary,
     philox4x32,
-    sample_jump,
-    simulate_path,
     terminal_statistics,
     worker_cap,
 )
@@ -184,7 +179,7 @@ def test_jump_times_are_roots_of_the_clock():
                     (PathSimulator(rising), np.zeros((2, 2)))):
         n_jumps = 0
         for i in range(30):
-            path = sim.run(x0, horizon, CounterStream(31, i), record_rng_states=True)
+            path = sim.run(x0, horizon, CounterStream(31, i))
             starts = [x0] + list(path.states)
             streams = [CounterStream(31, i)] + list(path.rng_states)
             ends = np.concatenate([[0.0], path.times, [horizon]])
@@ -234,12 +229,22 @@ def test_jump_intensity_requires_finite_activity():
         jump_intensity(s.params, s.x0)
 
 
+def draw_jumps(p, x, rng, n):
+    """n draws from the normalized jump kernel at state x, through the jump
+    table's component choice and radii on vectors of uniforms."""
+    sim = PathSimulator(p)
+    table = sim.table
+    comp = table.choose(np.broadcast_to(sim.basis.vec(x), (n, sim.basis.n)), rng.random(n))
+    scales = table.scales(comp, lambda sel: rng.random(len(sel)))
+    return scales[:, None, None] * np.array(table.directions)[comp]
+
+
 def test_sample_jump_single_atom(rng):
     xi = 1.3 * unit_dir()
     m = ScalarJumpMeasure(2, (ScalarAtom(xi, 2.0),))
     p = build_admissible(2, beta=-np.eye(2), m=m, b_extra=np.eye(2))
-    for _ in range(5):
-        np.testing.assert_array_equal(sample_jump(p, np.eye(2), rng), xi)
+    for jump in draw_jumps(p, np.eye(2), rng, 5):
+        np.testing.assert_array_equal(jump, xi)
 
 
 def test_sample_jump_two_atom_frequencies(rng):
@@ -248,10 +253,7 @@ def test_sample_jump_two_atom_frequencies(rng):
     m = ScalarJumpMeasure(2, (ScalarAtom(xi1, 1.0), ScalarAtom(xi2, 3.0)))
     p = build_admissible(2, beta=-np.eye(2), m=m, b_extra=np.eye(2))
     n = 100_000
-    sim_table = PathSimulator(p).table
-    basis = sim_table.basis
-    x_vec = basis.vec(np.eye(2))
-    hits = sum(frob_norm(sim_table.draw(x_vec, rng)) < 1.0 for _ in range(n))
+    hits = np.count_nonzero(np.linalg.norm(draw_jumps(p, np.eye(2), rng, n), axis=(1, 2)) < 1.0)
     p_hat = hits / n
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert abs(p_hat - 0.25) <= 3.0 * sigma
@@ -263,7 +265,7 @@ def test_radial_sampler_ks(rng):
                 ExponentialDensity(0.8, 2.0, 0.0)):
         sampler = RadialSampler(den)
         n = 10_000
-        draws = np.sort([sampler.draw(rng) for _ in range(n)])
+        draws = np.sort(sampler.inverse(rng.random(n) * sampler.total))
         cdf = np.asarray(den.cdf_mass(draws)) / sampler.total
         emp_hi = np.arange(1, n + 1) / n
         emp_lo = np.arange(0, n) / n
@@ -307,7 +309,7 @@ def test_radial_sampler_rejects_infinite_activity():
 def test_simulate_no_jumps(rng):
     p = build_admissible(2, beta=-0.4 * np.eye(2), b_extra=0.5 * np.eye(2))
     x0 = np.eye(2)
-    path = simulate_path(p, x0, 2.0, rng)
+    path = PathSimulator(p).run(x0, 2.0, rng)
     assert path.n_jumps == 0
     np.testing.assert_allclose(path.terminal, flow(drift_data(p), x0, 2.0),
                                rtol=1e-12, atol=1e-13)
@@ -331,51 +333,41 @@ def test_path_states_stay_psd(bench):
     sim = PathSimulator(p)
     worst = 0.0
     for i in range(200):
-        path = sim.run(s.x0, 1.0, _path_rng(5, i))
+        path = sim.run(s.x0, 1.0, CounterStream(5, i))
         worst = min(worst, path.min_state_eig)
     assert worst >= -1e-9
 
 
-def test_markov_restart_reproduces_suffix():
+def test_markov_restart_from_counter_stream_snapshot():
+    # a CounterStream snapshot resumes the path at its draw index, after the
+    # first jump and after a middle one
     s = library.get("mc2-03")
     p = truncate(s.params, 4)
     sim = PathSimulator(p)
-    horizon = 1.0
-    for i in range(40):
-        path = sim.run(s.x0, horizon, _path_rng(77, i), record_rng_states=True)
-        if path.n_jumps == 0:
-            continue
-        j = path.n_jumps // 2
-        rng2 = np.random.Generator(np.random.Philox())
-        rng2.bit_generator.state = path.rng_states[j]
-        tail = sim.run(path.states[j], horizon - path.times[j], rng2)
+    path = next(pth for pth in (sim.run(s.x0, 1.0, CounterStream(77, i))
+                                for i in range(200)) if pth.n_jumps >= 3)
+    for j in (0, path.n_jumps // 2):
+        tail = sim.run(path.states[j], 1.0 - path.times[j], path.rng_states[j])
         assert tail.n_jumps == path.n_jumps - (j + 1)
         np.testing.assert_allclose(tail.times + path.times[j], path.times[j + 1:],
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(tail.terminal, path.terminal, rtol=1e-10, atol=1e-12)
-        break
-    else:
-        pytest.fail("no path with jumps found")
 
 
-def test_markov_restart_from_counter_stream_snapshot():
-    # a CounterStream snapshot resumes the path at its draw index
-    s = library.get("mc2-03")
-    p = truncate(s.params, 4)
-    sim = PathSimulator(p)
-    path = next(pth for pth in (sim.run(s.x0, 1.0, CounterStream(77, i), record_rng_states=True)
-                                for i in range(200)) if pth.n_jumps >= 3)
-    j = 0
-    tail = sim.run(path.states[j], 1.0 - path.times[j], path.rng_states[j])
-    assert tail.n_jumps == path.n_jumps - (j + 1)
-    np.testing.assert_allclose(tail.times + path.times[j], path.times[j + 1:], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(tail.terminal, path.terminal, rtol=1e-10, atol=1e-12)
+def test_generator_seeds_a_counter_stream():
+    # a numpy Generator passed to run only draws the seed of the path's stream
+    sim = PathSimulator(poisson_set(rate=3.0))
+    a = sim.run(np.eye(2), 2.0, np.random.default_rng(9))
+    b = sim.run(np.eye(2), 2.0, CounterStream(np.random.default_rng(9).integers(2 ** 63)))
+    assert a.n_jumps > 0
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.terminal, b.terminal)
 
 
-def test_simulate_rejects_bad_inputs(rng):
+def test_simulate_rejects_bad_inputs():
     p = poisson_set(1.0)
     with pytest.raises(SimulationError):
-        simulate_path(p, -np.eye(2), 1.0, rng)
+        PathSimulator(p).run(-np.eye(2), 1.0, CounterStream(0))
     s = library.get("cascade-00")
     with pytest.raises(SimulationError, match="truncate"):
         PathSimulator(s.params)
@@ -389,7 +381,7 @@ def test_mc_t_zero_exact():
     p = poisson_set(1.0)
     x0 = np.eye(2)
     u = 0.5 * np.eye(2)
-    est = mc_laplace(p, x0, 0.0, u, 200, seed=1)
+    est = mc_summary(p, x0, 0.0, 200, seed=1, u=u)["laplace"]
     assert est.estimate == pytest.approx(math.exp(-inner(x0, u)), rel=1e-15)
     assert est.std_error == 0.0
 
@@ -398,7 +390,7 @@ def test_mc_deterministic_case():
     p = build_admissible(2, beta=-0.3 * np.eye(2), b_extra=0.4 * np.eye(2))
     x0 = np.eye(2)
     v = np.eye(2)
-    est = mc_mean(p, x0, 1.5, v, 300, seed=2)
+    est = mc_summary(p, x0, 1.5, 300, seed=2, v=v)["mean"]
     expected = inner(flow(drift_data(p), x0, 1.5), v)
     assert est.estimate == pytest.approx(expected, rel=1e-12)
     assert est.std_error == 0.0
@@ -407,7 +399,7 @@ def test_mc_deterministic_case():
 def test_mc_requires_min_paths():
     p = poisson_set(1.0)
     with pytest.raises(ValueError):
-        mc_mean(p, np.eye(2), 1.0, np.eye(2), 50, seed=0)
+        mc_summary(p, np.eye(2), 1.0, 50, seed=0, v=np.eye(2))
 
 
 def test_mc_laplace_scalar_compound_poisson():
@@ -415,7 +407,7 @@ def test_mc_laplace_scalar_compound_poisson():
     from affinehs.moments import laplace
     s = library.get("scalar-00")
     p = truncate(s.params, 4)
-    est = mc_laplace(p, s.x0, 1.0, s.u, 20_000, seed=21)
+    est = mc_summary(p, s.x0, 1.0, 20_000, seed=21, u=s.u)["laplace"]
     analytic = laplace(p, s.x0, 1.0, s.u)
     assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
@@ -521,5 +513,5 @@ def test_mc_laplace_on_defective_generator():
     from affinehs.moments import laplace
     p = defective_set()
     x0, u = np.eye(2), 0.5 * np.eye(2)
-    est = mc_laplace(p, x0, 1.0, u, 2000, seed=4)
+    est = mc_summary(p, x0, 1.0, 2000, seed=4, u=u)["laplace"]
     assert abs(est.estimate - laplace(p, x0, 1.0, u)) <= 3.0 * est.std_error

@@ -29,19 +29,16 @@ from affinehs.riccati import (
     _Field,
     _solve_levels,
     eval_F,
-    eval_Fk,
     eval_R,
-    eval_Rk,
     growth_rate,
     ray_rule,
-    rk_lipschitz_bound,
     solution_to_csv,
     solve_cascade,
     solve_riccati,
 )
 from affinehs.symcone import ZeroOperator, frob_norm, inner, min_eigenvalue, random_psd
 
-from oracle import rk4_scalar_batch
+from oracle import rk4_scalar_batch, truncated_lipschitz_bound
 from strategies import admissible_cases
 
 
@@ -89,7 +86,7 @@ def test_eval_quadratic_growth_bounds(bench, rng):
     for s in bench[:8]:
         p = s.params
         f_cap = frob_norm(p.b) + p.m.second_moment()
-        r_cap = frob_norm(p.B.to_dense()) + frob_norm(p.mu.total_mass_matrix())
+        r_cap = frob_norm(p.B.mat) + frob_norm(p.mu.total_mass_matrix())
         for _ in range(5):
             u = random_psd(rng, p.dim, scale=2.0)
             assert abs(eval_F(p, u)) <= f_cap * (1.0 + frob_norm(u) ** 2) * (1 + 1e-9)
@@ -99,17 +96,18 @@ def test_eval_quadratic_growth_bounds(bench, rng):
 def test_eval_k_truncations(atom_p1, rng):
     p = atom_p1  # all atoms at norm 2 > 1/k for any k: truncation changes nothing
     u = np.array([[0.8]])
-    assert eval_Fk(p, 3, u) == eval_F(p, u)
-    np.testing.assert_array_equal(eval_Rk(p, 3, u), eval_R(p, u))
-    assert eval_Fk(p, 5, np.zeros((1, 1))) == 0.0
+    assert eval_F(truncate(p, 3), u) == eval_F(p, u)
+    np.testing.assert_array_equal(eval_R(truncate(p, 3), u), eval_R(p, u))
+    assert eval_F(truncate(p, 5), np.zeros((1, 1))) == 0.0
 
     # Lipschitz diagnostic on the truncated field
     k = 4
-    bound = rk_lipschitz_bound(p, k)
+    p_k = truncate(p, k)
+    bound = truncated_lipschitz_bound(p, k)
     for _ in range(20):
         u1 = random_psd(rng, 1, scale=2.0)
         u2 = random_psd(rng, 1, scale=2.0)
-        gap = frob_norm(eval_Rk(p, k, u1) - eval_Rk(p, k, u2))
+        gap = frob_norm(eval_R(p_k, u1) - eval_R(p_k, u2))
         assert gap <= bound * frob_norm(u1 - u2) * (1 + 1e-9) + 1e-12
 
 
@@ -123,7 +121,7 @@ def test_rk_to_r_tail_bound(rng):
         tail = p.mu.restricted(0.0, 1.0 / k).total_mass_matrix()
         for _ in range(5):
             u = random_psd(rng, 2)
-            gap = frob_norm(eval_Rk(p, k, u) - eval_R(p, u))
+            gap = frob_norm(eval_R(truncate(p, k), u) - eval_R(p, u))
             assert gap <= frob_norm(tail) * frob_norm(u) ** 2 * (1 + 1e-6) + 1e-12
 
 
@@ -328,7 +326,7 @@ def test_truncated_solution_lipschitz_in_initial_condition(rng):
     p = s.params
     grid = (0.0, 0.5, 1.0)
     for k in (2, 8):
-        cap_rate = rk_lipschitz_bound(p, k)
+        cap_rate = truncated_lipschitz_bound(p, k)
         for _ in range(3):
             u = random_psd(rng, p.dim)
             v = random_psd(rng, p.dim)
