@@ -7,7 +7,7 @@ Run:  python3 demos/04_moments_vs_monte_carlo.py
 import numpy as np
 
 from affinehs import library
-from affinehs.moments import derivative_bundle, laplace, mean, second_moment
+from affinehs.moments import laplace, mean, second_moment
 from affinehs.params import truncate
 from affinehs.pdmpsim import mc_summary
 
@@ -20,11 +20,10 @@ n_paths = 40_000
 print(f"set {s.name} truncated at k = {k}; {n_paths} paths, T = {s.T}")
 
 est = mc_summary(p_k, s.x0, s.T, n_paths, seed=123, u=s.u, v=v, workers=2)
-bundle = derivative_bundle(p_k)
 rows = [
     ("laplace", laplace(p_k, s.x0, s.T, s.u), est["laplace"]),
-    ("mean <X,v>", mean(p_k, s.x0, s.T, v, bundle=bundle), est["mean"]),
-    ("second <X,v>^2", second_moment(p_k, s.x0, s.T, v, bundle=bundle), est["second_moment"]),
+    ("mean <X,v>", mean(p_k, s.x0, s.T, v), est["mean"]),
+    ("second <X,v>^2", second_moment(p_k, s.x0, s.T, v), est["second_moment"]),
 ]
 
 print(f"\n{'functional':>16s} {'analytic':>12s} {'monte carlo':>12s} {'std err':>10s} {'z':>6s}")

@@ -24,8 +24,8 @@ p_k = truncate(s.params, 4)
 print("jump intensity at x0:", jump_intensity(p_k, s.x0))
 print("compensated drift is PSD:", min_eigenvalue(drift_data(p_k).btilde) >= -1e-12)
 
-# one path in detail
-path = PathSimulator(p_k).run(s.x0, 1.0, CounterStream(5))
+# one path in detail: path 1 of the counter stream 5, which jumps twice
+path = PathSimulator(p_k).run(s.x0, 1.0, CounterStream(5, 1))
 print(f"\none path, {path.n_jumps} jumps, each at the root of Lambda(s) = E, E ~ Exp(1):")
 print(f"  {'time':>8s} {'||jump||':>10s} {'||state||':>10s} {'min eig':>10s}")
 for t, size, state in zip(path.times, path.sizes, path.states):

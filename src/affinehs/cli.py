@@ -111,12 +111,11 @@ def cmd_moments(args):
     x0 = _load_matrix(args.x0, p_set.dim, 1.0)
     v = _load_matrix(args.v, p_set.dim, 1.0)
     u = _load_matrix(args.u, p_set.dim, 0.5)
-    bundle = _moments.derivative_bundle(p_set)
     ts = np.linspace(0.0, args.T, args.grid)
     rows = {"t": [], "mean": [], "second_moment": [], "variance": [], "laplace": []}
     for t in ts:
-        mv = _moments.mean(p_set, x0, t, v, bundle=bundle)
-        sv = _moments.second_moment(p_set, x0, t, v, bundle=bundle)
+        mv = _moments.mean(p_set, x0, t, v)
+        sv = _moments.second_moment(p_set, x0, t, v)
         rows["t"].append(float(t))
         rows["mean"].append(mv)
         rows["second_moment"].append(sv)
@@ -191,9 +190,8 @@ def cmd_verify(args):
         laplace_analytic = math.exp(-sol.phi_final - inner(x0, psi_T))
 
         stage = "moments"
-        bundle = _moments.derivative_bundle(p_k)
-        mean_analytic = _moments.mean(p_k, x0, args.T, v, bundle=bundle)
-        second_analytic = _moments.second_moment(p_k, x0, args.T, v, bundle=bundle)
+        mean_analytic = _moments.mean(p_k, x0, args.T, v)
+        second_analytic = _moments.second_moment(p_k, x0, args.T, v)
         if args.fault_injection:
             mean_analytic *= 1.1
             second_analytic *= 1.1

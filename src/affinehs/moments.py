@@ -8,7 +8,8 @@ polynomials of degree <= 2 in x into themselves, so E[p(X_t) | X_0 = x] is
 the polynomial e^{tG} p evaluated at x, where G is the generator's matrix on
 the coefficients of the monomials (1, x_k, x_i x_j for i <= j) in VecBasis
 coordinates.  Means, second moments and the derivatives of psi at 0 are all
-read off one matrix exponential of G.
+read off one matrix exponential of G.  The derivative data depend on the
+parameter set alone, so each set builds them once, on first use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symcone
-from .params import jump_rows
+from .params import compiled, jump_rows
 from .symcone import RankOneSum, VecBasis, expm_checked, inner
 from . import riccati as _riccati
 
@@ -43,7 +44,7 @@ class DerivativeBundle:
     Over the jumps j of both measures, (d2F0(v, w), vec d2R0(v, w)) =
     -sum_j coefs[j] <D_j, v> <D_j, w> outs[j], with vec D_j = dirs[j]; it is
     symmetric in (v, w) and negative on the cone.  G is the generator on
-    polynomial coefficients.
+    polynomial coefficients.  Its arrays are read-only.
     """
 
     dim: int
@@ -60,6 +61,8 @@ class DerivativeBundle:
     def __post_init__(self):
         self.dF0_vec = self.basis.vec(self.dF0_mat)
         self.G = self._generator(drift=True)
+        for arr in (self.dF0_mat, self.coefs, self.dirs, self.outs, self.dF0_vec, self.G):
+            arr.setflags(write=False)
 
     def dF0(self, v):
         return float(inner(self.dF0_mat, v))
@@ -171,37 +174,42 @@ def derivative_bundle(p_set):
                             np.array([j.law.partial_moment(2) for j in jumps]), dirs, outs)
 
 
-def dpsi0(p_set, t, v, bundle=None):
+def _bundle(p_set):
+    """The set's DerivativeBundle, built by derivative_bundle on first use."""
+    return compiled(p_set, "bundle", lambda: derivative_bundle(p_set))
+
+
+def dpsi0(p_set, t, v):
     """Directional derivative of psi(t, .) at 0: e^{t dR0} v; PSD for PSD v."""
-    bundle = bundle or derivative_bundle(p_set)
+    bundle = _bundle(p_set)
     out = _transport(bundle.G, t, np.concatenate([[0.0], bundle.basis.vec(v)]))[1:]
     return symcone.symmetrize(bundle.basis.unvec(out))
 
 
-def d2psi0(p_set, t, v, w, bundle=None):
+def d2psi0(p_set, t, v, w):
     """Second directional derivative of psi(t, .) at 0 along (v, w).
 
     Transported by the generator without the dF0 and d2F0 terms,
     <x, v><x, w> becomes <x, dpsi0(v)><x, dpsi0(w)> - <x, d2psi0(v, w)>, so
     d2psi0 is minus the linear block; symmetric in (v, w) by construction.
     """
-    bundle = bundle or derivative_bundle(p_set)
+    bundle = _bundle(p_set)
     n = bundle.basis.n
     out = _transport(bundle._generator(drift=False), t, _product(bundle, v, w))
     return symcone.symmetrize(bundle.basis.unvec(-out[1: n + 1]))
 
 
-def mean(p_set, x, t, v, bundle=None):
+def mean(p_set, x, t, v):
     """E[<X_t, v> | X_0 = x]: <x, v> transported by e^{tG}, evaluated at x."""
-    bundle = bundle or derivative_bundle(p_set)
+    bundle = _bundle(p_set)
     basis = bundle.basis
     coefs = _transport(bundle.G, t, np.concatenate([[0.0], basis.vec(v)]))
     return _at(basis.vec(x), coefs)
 
 
-def second_moment(p_set, x, t, v, w=None, bundle=None):
+def second_moment(p_set, x, t, v, w=None):
     """E[<X_t, v><X_t, w> | X_0 = x]: <x, v><x, w> transported by e^{tG}, evaluated at x."""
-    bundle = bundle or derivative_bundle(p_set)
+    bundle = _bundle(p_set)
     coefs = _transport(bundle.G, t, _product(bundle, v, v if w is None else w))
     return _at(bundle.basis.vec(x), coefs)
 

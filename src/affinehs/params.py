@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,6 +71,7 @@ __all__ = [
     "ScalarJumpMeasure",
     "OperatorJumpMeasure",
     "ParameterSet",
+    "compiled",
     "jump_rows",
     "truncation_cut",
     "truncate",
@@ -530,6 +532,24 @@ class ParameterSet:
     @property
     def is_finite_activity(self):
         return self.m.is_finite_activity and self.mu.is_finite_activity
+
+
+_COMPILED = weakref.WeakKeyDictionary()   # parameter set -> {key: compiled data}
+
+
+def compiled(p_set, key, build):
+    """build(), called on the first request for (p_set, key) and kept while p_set lives.
+
+    For data that depend on the parameter set alone, never on u, x, T or a
+    seed.  Sets hash by identity and are immutable, so an entry cannot go
+    stale; it is freed with its set, a truncated set or a copy compiles its
+    own, and a pickled set carries none.  The store holds its values
+    strongly: a value that refers to p_set would keep the set alive.
+    """
+    entries = _COMPILED.setdefault(p_set, {})
+    if key not in entries:
+        entries[key] = build()
+    return entries[key]
 
 
 def jump_rows(p_set, basis):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .exceptions import SimulationError
 from . import symcone
-from .params import PointMass, jump_rows
+from .params import PointMass, compiled, jump_rows
 from .symcone import ExpPropagator, RankOneSum, VecBasis, frob_norm, inner, min_eigenvalue
 
 __all__ = [
@@ -122,6 +122,8 @@ class FlowPropagator:
             inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
             self._clock_w = np.stack([c * inv_w, c, c * w], axis=1)
             self._clock_w0 = np.stack([c * (w == 0), c, c * w], axis=1)
+            for arr in (self._to_coords, self._coords_of_one, self._from_coords, self._clock_w0):
+                arr.setflags(write=False)
         else:
             gen = np.zeros((n + 2, n + 2))
             gen[: n + 1, : n + 1] = aug
@@ -129,6 +131,7 @@ class FlowPropagator:
             self._dense = ExpPropagator(gen)
             self._clock_w = np.stack([np.eye(n + 2)[n + 1], gen[n + 1], gen.T @ gen[n + 1]],
                                      axis=1)
+        self._clock_w.setflags(write=False)
 
     def coords(self, x_vec):
         """States (..., n) as anchors for `advance` and `clock`."""
@@ -232,6 +235,9 @@ class _JumpTable:
         self.atom_radius = np.array([1.0 if ray else j.law.r0 for j, ray in zip(jumps, self.is_ray)])
         self.m_total = float(sum(self.const))
         self.kappa_vec = self.rows.sum(axis=0)
+        for arr in (self.size_vecs, self.const, self.rows, self.is_ray, self.atom_radius,
+                    self.kappa_vec):
+            arr.setflags(write=False)
 
     def choose(self, x_vecs, u):
         """Jump component at each state of x_vecs (J, n): the first whose
@@ -388,7 +394,7 @@ class PathSimulator:
     def __init__(self, p_set):
         if not p_set.is_finite_activity:
             raise SimulationError("jump activity is infinite: truncate first")
-        self.p_set = p_set
+        self.dim = p_set.dim
         self.basis = VecBasis(p_set.dim)
         self.drift = drift_data(p_set)
         self.table = _JumpTable(p_set, self.basis)
@@ -494,7 +500,7 @@ class PathSimulator:
             stream = CounterStream(stream.integers(2 ** 63))
         events = []
         term, _ = self._lockstep(basis.vec(x0)[None], T, stream, events)
-        d = self.p_set.dim
+        d = self.dim
         term_mat = self._matrices(term)[0]
         worst_eig = min(min_eigenvalue(x0), min_eigenvalue(term_mat))
         times = np.asarray([e[1] for e in events])
@@ -506,7 +512,7 @@ class PathSimulator:
 
     def _matrices(self, x_vecs):
         """The symmetric matrices of a list of state vectors, (len, d, d)."""
-        d = self.p_set.dim
+        d = self.dim
         return np.asarray([symcone.symmetrize(self.basis.unvec(v)) for v in x_vecs]).reshape(
             len(x_vecs), d, d)
 
@@ -546,7 +552,7 @@ class MCEstimate:
 
 def _chunk_rows(p_set, x0, T, seed, start, stop, block):
     """Rows start..stop-1 of terminal_statistics, in lockstep blocks of `block` paths."""
-    sim = PathSimulator(p_set)
+    sim = compiled(p_set, "simulator", lambda: PathSimulator(p_set))
     n = sim.basis.n
     x_vec = sim.basis.vec(_initial_state(x0))
     out = np.empty((stop - start, n + 1))

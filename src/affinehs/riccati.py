@@ -24,7 +24,7 @@ from scipy.special import roots_jacobi
 from .exceptions import CascadeError, RiccatiSolverError
 from . import symcone
 from .symcone import VecBasis, frob_norm, min_eigenvalue
-from .params import PointMass, PowerLawDensity, jump_rows, truncation_cut
+from .params import PointMass, PowerLawDensity, compiled, jump_rows, truncation_cut
 # radial_quad and truncate are not called here, but perfbench/tracer.py
 # patches the bindings riccati.radial_quad and riccati.truncate when it
 # installs, so both imports stay.
@@ -113,7 +113,7 @@ class CascadeDiagnostics:
 def eval_F(p_set, u, check_bound=True):
     """F(u) = <b,u> - integral of the compensated exponential bracket against m."""
     u = symcone.check_symmetric(u)
-    field = _Field(p_set)
+    field = _levels(p_set, (0.0,))[0]
     val = float(field.rhs(field.basis.vec(u))[0])
     if check_bound:
         cap = (frob_norm(p_set.b) + p_set.m.second_moment()) * (1.0 + frob_norm(u) ** 2)
@@ -126,7 +126,7 @@ def eval_F(p_set, u, check_bound=True):
 def eval_R(p_set, u, check_bound=True):
     """R(u) = B*(u) - integral of the bracket against mu(dxi)/||xi||^2."""
     u = symcone.check_symmetric(u)
-    field = _Field(p_set)
+    field = _levels(p_set, (0.0,))[0]
     out = field.basis.unvec(field.rhs(field.basis.vec(u))[1:])
     if check_bound:
         cap = (symcone.operator_norm(p_set.B) + frob_norm(p_set.mu.total_mass_matrix())) \
@@ -268,6 +268,8 @@ class _Field:
             self.node_out[rows, out] = node_out[:, 1:]
             self.member[lvl, lvl] = 1.0
             self.member[out, lvl] = 1.0
+        for arr in (self.node_small, self.lin, self.node_dirs, self.node_out, self.member):
+            arr.setflags(write=False)
 
     def rhs(self, psi_vec):
         """Returns (F(psi), vec R(psi)) as one vector, stacked over the levels."""
@@ -367,6 +369,24 @@ def solve_cascade(p_set, u, T, opts=None, t_eval=None):
     return sol, diag
 
 
+def _levels(p_set, cuts):
+    """(field, slot, rates) of the truncation cuts, compiled once per set and cuts.
+
+    Levels that keep the same laws solve the same equation, so the field
+    stacks each distinct one once: slot[i] is the level of cuts[i] in it,
+    and rates[l] is level l's growth rate.
+    """
+    def build():
+        jumps = p_set.m.jumps + p_set.mu.jumps
+        laws = [tuple(j.law.restricted(cut, 1.0) for j in jumps) for cut in cuts]
+        distinct = list(dict.fromkeys(laws))
+        rates = _growth_rates(p_set, [cuts[laws.index(key)] for key in distinct])
+        rates.setflags(write=False)
+        return _Field(p_set, distinct), tuple(distinct.index(key) for key in laws), rates
+
+    return compiled(p_set, ("levels", cuts), build)
+
+
 def _solve_levels(p_set, u, T, opts, ks, t_eval):
     """Integrate the truncation levels ks (None: untruncated) under one controller.
 
@@ -382,20 +402,14 @@ def _solve_levels(p_set, u, T, opts, ks, t_eval):
         raise ValueError("T must be >= 0")
     if T > _MAX_T:
         raise ValueError(f"T = {T} exceeds the horizon limit {_MAX_T}")
-    cuts = [0.0 if k is None else truncation_cut(k) for k in ks]
+    cuts = tuple(0.0 if k is None else truncation_cut(k) for k in ks)
     u = symcone.check_symmetric(u)
     u_norm = frob_norm(u)
     if min_eigenvalue(u) < -opts.cone_tol * (1.0 + u_norm):
         raise ValueError("initial condition u must lie in the PSD cone")
 
-    # levels that keep the same laws solve the same equation: integrate it once
-    jumps = p_set.m.jumps + p_set.mu.jumps
-    laws = [tuple(j.law.restricted(cut, 1.0) for j in jumps) for cut in cuts]
-    distinct = list(dict.fromkeys(laws))
-    slot = [distinct.index(key) for key in laws]
-    field = _Field(p_set, distinct)
-    d, n, levels = p_set.dim, field.basis.n, len(distinct)
-    rates = _growth_rates(p_set, [cuts[laws.index(key)] for key in distinct])
+    field, slot, rates = _levels(p_set, cuts)
+    d, n, levels = p_set.dim, field.basis.n, len(rates)
     bound_slack = 1e-12 * (1.0 + u_norm)
     emb_t = symcone._embedding(d).T
 

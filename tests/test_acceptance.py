@@ -98,11 +98,10 @@ def mc_sweep():
         tic = time.perf_counter()
         est = mc_summary(p_k, s.x0, s.T, _MC_PATHS, seed=2024, u=s.u, v=v, workers=2)
         mc_time = time.perf_counter() - tic
-        bundle = derivative_bundle(p_k)
         analytic = {
             "laplace": laplace(p_k, s.x0, s.T, s.u),
-            "mean": mean(p_k, s.x0, s.T, v, bundle=bundle),
-            "second_moment": second_moment(p_k, s.x0, s.T, v, bundle=bundle),
+            "mean": mean(p_k, s.x0, s.T, v),
+            "second_moment": second_moment(p_k, s.x0, s.T, v),
         }
         total = time.perf_counter() - tic
         out.append((name, k, est, analytic, mc_time, total))

@@ -159,8 +159,8 @@ def test_variational_ode_residual(mc_truncated, rng):
     bundle = derivative_bundle(p)
     v = random_psd(rng, 2)
     t, h = 0.6, 1e-5
-    lhs = (dpsi0(p, t + h, v, bundle=bundle) - dpsi0(p, t - h, v, bundle=bundle)) / (2 * h)
-    mid = bundle.basis.vec(dpsi0(p, t, v, bundle=bundle))
+    lhs = (dpsi0(p, t + h, v) - dpsi0(p, t - h, v)) / (2 * h)
+    mid = bundle.basis.vec(dpsi0(p, t, v))
     rhs = bundle.basis.unvec(bundle.dR0_mat @ mid)
     assert frob_norm(lhs - rhs) <= 1e-6 * max(1.0, frob_norm(rhs))
 
@@ -300,9 +300,9 @@ def test_moments_overflow_raises_operator_exp_error():
 def assert_matches_oracle(p, bundle, x, t, v, w, rel=1e-9):
     ref = moments_by_quadrature(p, bundle, x, t, v, w)
     vec = bundle.basis.vec
-    got = (mean(p, x, t, v, bundle=bundle), mean(p, x, t, w, bundle=bundle),
-           second_moment(p, x, t, v, w, bundle=bundle),
-           vec(dpsi0(p, t, v, bundle=bundle)), vec(d2psi0(p, t, v, w, bundle=bundle)))
+    got = (mean(p, x, t, v), mean(p, x, t, w),
+           second_moment(p, x, t, v, w),
+           vec(dpsi0(p, t, v)), vec(d2psi0(p, t, v, w)))
     for name, a, b in zip(("mean_v", "mean_w", "second", "dpsi0", "d2psi0"), got, ref):
         err = np.linalg.norm(np.asarray(a) - b)
         assert err <= rel * np.linalg.norm(b), (name, t, err, np.linalg.norm(b))

@@ -33,6 +33,9 @@ def test_tracer_records_spans_and_restores_the_package():
         p = truncate(rayed.params, 4)
         assert p.m.rays or p.mu.rays
         value = moments.laplace(p, rayed.x0, 0.5, rayed.u)
+        for _ in range(2):
+            moments.mean(p, rayed.x0, 0.5, rayed.u)
+            moments.second_moment(p, rayed.x0, 0.5, rayed.u)
     finally:
         tracer.uninstall()
 
@@ -42,6 +45,8 @@ def test_tracer_records_spans_and_restores_the_package():
     # the cascade steps its seven levels in one solve: only laplace calls solve_riccati
     assert totals["riccati.solve_riccati"][0] == 1
     assert totals["moments.laplace"][0] == 1
+    # the bundle is compiled once per set, through the traced binding
+    assert totals["moments.derivative_bundle"][0] == 1
     assert tracer.counts["rk_steps"] > 0
     assert tracer.counts["cascade_levels"] == 7
     assert len(tracer.start) == sum(calls for calls, _ in totals.values())
