@@ -1,22 +1,21 @@
 """Closed-form moments and the Laplace transform of the jump process.
 
-Everything here is driven by the derivative data of (F, R) at the origin:
-a linear operator dR0, a linear functional dF0 (stored through its Riesz
-representative matrix), and the negative-definite bilinear tails d2R0 and
-d2F0.  Affine processes are polynomial processes: the generator maps the
+Affine processes are polynomial processes: the generator maps the
 polynomials of degree <= 2 in x into themselves, so E[p(X_t) | X_0 = x] is
 the polynomial e^{tG} p evaluated at x, where G is the generator's matrix on
 the coefficients of the monomials (1, x_k, x_i x_j for i <= j) in VecBasis
-coordinates.  Means, second moments and the derivatives of psi at 0 are all
-read off one matrix exponential of G.  The derivative data depend on the
-parameter set alone, so each set builds them once, on first use.
+coordinates.  G carries the derivative data of (F, R) at the origin: the
+linear functional dF0, the linear operator dR0 and the negative-definite
+bilinear tails d2F0 and d2R0.  Means and second moments are read off one
+matrix exponential of G.  G depends on the parameter set alone, so each set
+builds it once, on first use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from . import riccati as _riccati
 __all__ = [
     "DerivativeBundle",
     "derivative_bundle",
-    "dpsi0",
-    "d2psi0",
     "mean",
     "second_moment",
     "laplace",
@@ -37,74 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DerivativeBundle:
-    """Derivative data of (F, R) at u = 0 for one parameter set.
+    """The generator G of one parameter set on the coefficients of the
+    monomials (1, x_k, x_i x_j for i <= j) in basis coordinates; read-only.
 
-    Over the jumps j of both measures, (d2F0(v, w), vec d2R0(v, w)) =
-    -sum_j coefs[j] <D_j, v> <D_j, w> outs[j], with vec D_j = dirs[j]; it is
-    symmetric in (v, w) and negative on the cone.  G is the generator on
-    polynomial coefficients.  Its arrays are read-only.
+    With n = basis.n, G[0, 1:n+1] is dF0, G[1:n+1, 1:n+1] is dR0, and
+    G[:n+1, n+1:] is the forcing of (F, R) by the jumps' second moments,
+    -(d2F0, d2R0) on the quadratic monomials.
     """
 
-    dim: int
     basis: VecBasis
-    dR0: symcone.SuperOperator
-    dR0_mat: np.ndarray
-    dF0_mat: np.ndarray
-    coefs: np.ndarray   # (J,) second radial moments of the jumps' laws
-    dirs: np.ndarray    # (J, n) vec'd unit directions
-    outs: np.ndarray    # (J, 1 + n) output rows (F, vec R)
-    dF0_vec: np.ndarray = field(init=False)
-    G: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.dF0_vec = self.basis.vec(self.dF0_mat)
-        self.G = self._generator(drift=True)
-        for arr in (self.dF0_mat, self.coefs, self.dirs, self.outs, self.dF0_vec, self.G):
-            arr.setflags(write=False)
-
-    def dF0(self, v):
-        return float(inner(self.dF0_mat, v))
-
-    def _d2(self, v, w):
-        """(d2F0(v, w), vec d2R0(v, w)) as one row."""
-        vv, wv = (self.dirs @ self.basis.vec(np.asarray(a, dtype=float)) for a in (v, w))
-        return -((self.coefs * vv * wv) @ self.outs)
-
-    def d2R0(self, v, w):
-        return self.basis.unvec(self._d2(v, w)[1:])
-
-    def d2F0(self, v, w):
-        return float(self._d2(v, w)[0])
-
-    def _generator(self, drift):
-        """Matrix of the generator on the coefficients of (1, x_k, x_i x_j for i <= j).
-
-        A<x, v> = dF0(v) + <x, dR0 v>, and A(<x, v><x, w>) =
-        -d2F0(v, w) - <x, d2R0(v, w)> + A<x, v> <x, w> + A<x, w> <x, v>.
-        drift=False leaves out the dF0 and d2F0 terms, so that e^{tG} moves
-        the coefficients by psi alone.
-        """
-        n = self.basis.n
-        iu, ju = _triu(n)
-        cols = np.arange(iu.size)
-        sym = np.zeros((n, n, iu.size))   # x_i x_j = x^T sym[:, :, p] x for p = (i, j)
-        sym[iu, ju, cols] = 0.5
-        sym[ju, iu, cols] += 0.5
-        lin, quad = slice(1, n + 1), slice(n + 1, None)
-        gen = np.zeros((1 + n + iu.size,) * 2)
-        gen[lin, lin] = self.dR0_mat
-        # x^T Q x -> x^T (dR0 Q + Q dR0^T) x
-        gen[quad, quad] = _fold(2.0 * np.einsum("ka,alp->pkl", self.dR0_mat, sym)).T
-        # the quadratic forcing of F (row 0) and R by the jumps' second moments
-        gen[: n + 1, quad] = self.outs.T @ (self.coefs[:, None] * _monomials(self.dirs))
-        if drift:
-            gen[0, lin] = self.dF0_vec
-            gen[lin, quad] += 2.0 * np.einsum("klp,l->kp", sym, self.dF0_vec)
-        else:
-            gen[0, quad] = 0.0
-        return gen
+    G: np.ndarray
 
 
 @functools.cache
@@ -147,56 +88,55 @@ def _at(x_vec, coefs):
     return float(mono[: len(coefs)] @ coefs)
 
 
-def _product(bundle, v, w):
+def _product(basis, v, w):
     """Coefficients of <x, v><x, w> on (1, x_k, x_i x_j)."""
-    basis = bundle.basis
     return np.concatenate([np.zeros(1 + basis.n), _fold(np.outer(basis.vec(v), basis.vec(w)))])
 
 
 def derivative_bundle(p_set):
-    """Assemble dR0, dF0, d2R0, d2F0 from the parameter set.
+    """Assemble the generator G from the parameter set.
 
-    At the origin the exponential equals one, so only jumps of norm > 1
-    contribute to the first derivatives; the second derivatives integrate
-    the full measures.
+    A<x, v> = dF0(v) + <x, dR0 v>, and A(<x, v><x, w>) =
+    -d2F0(v, w) - <x, d2R0(v, w)> + A<x, v> <x, w> + A<x, w> <x, v>.  At
+    the origin the exponential equals one, so only jumps of norm > 1 enter
+    dF0 and dR0; d2F0 and d2R0 integrate the full measures.  Over the jumps
+    j of both measures, (d2F0(v, w), vec d2R0(v, w)) =
+    -sum_j m2_j <D_j, v> <D_j, w> out_j, with m2_j the second radial moment
+    of the jump's law, D_j its unit direction and out_j its output row
+    (F, vec R).
     """
     basis = VecBasis(p_set.dim)
+    n = basis.n
     tail_pairs = p_set.mu.tail_pairs()
     dr0 = p_set.B.adjoint()
     if tail_pairs:
         dr0 = dr0 + RankOneSum(tail_pairs)
-    dr0_mat = dr0.mat
-
-    df0_mat = p_set.b + p_set.m.tail_first_moment_matrix()
-
+    dr0 = dr0.mat
+    df0 = basis.vec(p_set.b + p_set.m.tail_first_moment_matrix())
     jumps, dirs, outs = jump_rows(p_set, basis)
-    return DerivativeBundle(p_set.dim, basis, dr0, dr0_mat, df0_mat,
-                            np.array([j.law.partial_moment(2) for j in jumps]), dirs, outs)
+    coefs = np.array([j.law.partial_moment(2) for j in jumps])
+
+    iu, ju = _triu(n)
+    cols = np.arange(iu.size)
+    sym = np.zeros((n, n, iu.size))   # x_i x_j = x^T sym[:, :, p] x for p = (i, j)
+    sym[iu, ju, cols] = 0.5
+    sym[ju, iu, cols] += 0.5
+    lin, quad = slice(1, n + 1), slice(n + 1, None)
+    gen = np.zeros((1 + n + iu.size,) * 2)
+    gen[lin, lin] = dr0
+    # x^T Q x -> x^T (dR0 Q + Q dR0^T) x
+    gen[quad, quad] = _fold(2.0 * np.einsum("ka,alp->pkl", dr0, sym)).T
+    # the quadratic forcing of F (row 0) and R by the jumps' second moments
+    gen[: n + 1, quad] = outs.T @ (coefs[:, None] * _monomials(dirs))
+    gen[0, lin] = df0
+    gen[lin, quad] += 2.0 * np.einsum("klp,l->kp", sym, df0)
+    gen.setflags(write=False)
+    return DerivativeBundle(basis, gen)
 
 
 def _bundle(p_set):
     """The set's DerivativeBundle, built by derivative_bundle on first use."""
     return compiled(p_set, "bundle", lambda: derivative_bundle(p_set))
-
-
-def dpsi0(p_set, t, v):
-    """Directional derivative of psi(t, .) at 0: e^{t dR0} v; PSD for PSD v."""
-    bundle = _bundle(p_set)
-    out = _transport(bundle.G, t, np.concatenate([[0.0], bundle.basis.vec(v)]))[1:]
-    return symcone.symmetrize(bundle.basis.unvec(out))
-
-
-def d2psi0(p_set, t, v, w):
-    """Second directional derivative of psi(t, .) at 0 along (v, w).
-
-    Transported by the generator without the dF0 and d2F0 terms,
-    <x, v><x, w> becomes <x, dpsi0(v)><x, dpsi0(w)> - <x, d2psi0(v, w)>, so
-    d2psi0 is minus the linear block; symmetric in (v, w) by construction.
-    """
-    bundle = _bundle(p_set)
-    n = bundle.basis.n
-    out = _transport(bundle._generator(drift=False), t, _product(bundle, v, w))
-    return symcone.symmetrize(bundle.basis.unvec(-out[1: n + 1]))
 
 
 def mean(p_set, x, t, v):
@@ -210,7 +150,7 @@ def mean(p_set, x, t, v):
 def second_moment(p_set, x, t, v, w=None):
     """E[<X_t, v><X_t, w> | X_0 = x]: <x, v><x, w> transported by e^{tG}, evaluated at x."""
     bundle = _bundle(p_set)
-    coefs = _transport(bundle.G, t, _product(bundle, v, v if w is None else w))
+    coefs = _transport(bundle.G, t, _product(bundle.basis, v, v if w is None else w))
     return _at(bundle.basis.vec(x), coefs)
 
 

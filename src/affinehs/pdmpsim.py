@@ -37,9 +37,7 @@ __all__ = [
     "DriftData",
     "drift_data",
     "FlowPropagator",
-    "flow",
     "jump_intensity",
-    "RadialSampler",
     "philox4x32",
     "CounterStream",
     "SimPath",
@@ -174,17 +172,6 @@ class FlowPropagator:
     def flow_vec(self, x_vec, t):
         return self.advance(self.coords(x_vec), t)
 
-    def flow(self, x, t):
-        out = self.basis.unvec(self.flow_vec(self.basis.vec(np.asarray(x, dtype=float)), t))
-        return symcone.symmetrize(out)
-
-
-def flow(drift, x, t):
-    """Deterministic motion from x over time t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return FlowPropagator(drift).flow(x, t)
-
 
 # ---------------------------------------------------------------------------
 # jump intensity and jump sampling
@@ -199,26 +186,13 @@ def jump_intensity(p_set, x):
     return float(m_tot + inner(kappa, x))
 
 
-class RadialSampler:
-    """Inverse-CDF sampling of a radial density through its closed-form inverse."""
-
-    def __init__(self, density):
-        if not math.isfinite(density.partial_moment(0)):
-            raise SimulationError("cannot sample an infinite-activity radial density")
-        self.density = density
-        self.total = float(density.cdf_mass(density.rmax))
-
-    def inverse(self, m):
-        """Radii whose cumulative mass is m, vectorized over m in [0, total]."""
-        return self.density.inverse_cdf_mass(m)
-
-
 class _JumpTable:
     """Component masses and jump sizes of the state-dependent kernel.
 
     Component c is jump c of the parameter set.  It has mass const[c] +
     rows[c] @ x and jump size scale * directions[c], where scale is an atom's
-    radius, taken without a draw, or a ray's radius drawn by samplers[c].
+    radius, taken without a draw, or a ray's radius drawn through the
+    closed-form inverse CDF of laws[c], whose total mass is ray_total[c].
     """
 
     def __init__(self, p_set, basis):
@@ -230,9 +204,11 @@ class _JumpTable:
         self.const = outs[:, 0]
         self.rows = outs[:, 1:]
         self.directions = [j.direction for j in jumps]
-        self.samplers = [None if isinstance(j.law, PointMass) else RadialSampler(j.law) for j in jumps]
-        self.is_ray = np.array([sp is not None for sp in self.samplers], dtype=bool)
-        self.atom_radius = np.array([1.0 if ray else j.law.r0 for j, ray in zip(jumps, self.is_ray)])
+        self.laws = [j.law for j in jumps]
+        self.is_ray = np.array([not isinstance(law, PointMass) for law in self.laws], dtype=bool)
+        self.atom_radius = np.array([1.0 if ray else law.r0 for law, ray in zip(self.laws, self.is_ray)])
+        self.ray_total = [float(law.cdf_mass(law.rmax)) if ray else None
+                          for law, ray in zip(self.laws, self.is_ray)]
         self.m_total = float(sum(self.const))
         self.kappa_vec = self.rows.sum(axis=0)
         for arr in (self.size_vecs, self.const, self.rows, self.is_ray, self.atom_radius,
@@ -257,9 +233,8 @@ class _JumpTable:
         if ray.size:
             u = uniforms(ray)
             for c in np.unique(comp[ray]):
-                sampler = self.samplers[c]
                 sel = comp[ray] == c
-                scale[ray[sel]] = sampler.inverse(u[sel] * sampler.total)
+                scale[ray[sel]] = self.laws[c].inverse_cdf_mass(u[sel] * self.ray_total[c])
         return scale
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "CascadeDiagnostics",
     "eval_F",
     "eval_R",
-    "growth_rate",
     "ray_rule",
     "solve_riccati",
     "solve_cascade",
@@ -110,40 +109,34 @@ class CascadeDiagnostics:
 # F and R
 # ---------------------------------------------------------------------------
 
-def eval_F(p_set, u, check_bound=True):
+def eval_F(p_set, u):
     """F(u) = <b,u> - integral of the compensated exponential bracket against m."""
     u = symcone.check_symmetric(u)
     field = _levels(p_set, (0.0,))[0]
     val = float(field.rhs(field.basis.vec(u))[0])
-    if check_bound:
-        cap = (frob_norm(p_set.b) + p_set.m.second_moment()) * (1.0 + frob_norm(u) ** 2)
-        if abs(val) > cap * (1.0 + 1e-9) + 1e-12:
-            raise RiccatiSolverError(
-                f"|F(u)| = {abs(val):.6g} exceeds its quadratic-growth cap {cap:.6g}")
+    cap = (frob_norm(p_set.b) + p_set.m.second_moment()) * (1.0 + frob_norm(u) ** 2)
+    if abs(val) > cap * (1.0 + 1e-9) + 1e-12:
+        raise RiccatiSolverError(
+            f"|F(u)| = {abs(val):.6g} exceeds its quadratic-growth cap {cap:.6g}")
     return val
 
 
-def eval_R(p_set, u, check_bound=True):
+def eval_R(p_set, u):
     """R(u) = B*(u) - integral of the bracket against mu(dxi)/||xi||^2."""
     u = symcone.check_symmetric(u)
     field = _levels(p_set, (0.0,))[0]
     out = field.basis.unvec(field.rhs(field.basis.vec(u))[1:])
-    if check_bound:
-        cap = (symcone.operator_norm(p_set.B) + frob_norm(p_set.mu.total_mass_matrix())) \
-            * (1.0 + frob_norm(u) ** 2)
-        if frob_norm(out) > cap * (1.0 + 1e-9) + 1e-12:
-            raise RiccatiSolverError(
-                f"||R(u)|| = {frob_norm(out):.6g} exceeds its quadratic-growth cap {cap:.6g}")
+    cap = (symcone.operator_norm(p_set.B) + frob_norm(p_set.mu.total_mass_matrix())) \
+        * (1.0 + frob_norm(u) ** 2)
+    if frob_norm(out) > cap * (1.0 + 1e-9) + 1e-12:
+        raise RiccatiSolverError(
+            f"||R(u)|| = {frob_norm(out):.6g} exceeds its quadratic-growth cap {cap:.6g}")
     return symcone.symmetrize(out)
 
 
-def growth_rate(p_set):
-    """||B|| + 2 ||mu total mass||: the exponential growth rate of ||psi||."""
-    return float(_growth_rates(p_set, (0.0,))[0])
-
-
 def _growth_rates(p_set, cuts):
-    """growth_rate of each truncation that keeps the jumps of norm > cut."""
+    """||B|| + 2 ||mu total mass||, the exponential growth rate of ||psi||, of
+    each truncation that keeps the jumps of norm > cut."""
     b_norm = symcone.operator_norm(p_set.B)
     return np.array([b_norm + 2.0 * frob_norm(p_set.mu.total_mass_matrix(cut)) for cut in cuts])
 

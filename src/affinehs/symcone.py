@@ -42,7 +42,6 @@ __all__ = [
     "expm_checked",
     "expm_action",
     "ExpPropagator",
-    "random_symmetric",
     "random_psd",
     "sym_to_json",
     "sym_from_json",
@@ -424,11 +423,6 @@ class ExpPropagator:
 # ---------------------------------------------------------------------------
 # random elements (testing and randomized admissibility checks)
 # ---------------------------------------------------------------------------
-
-def random_symmetric(rng, dim, scale=1.0):
-    a = rng.standard_normal((dim, dim))
-    return scale * symmetrize(a)
-
 
 def random_psd(rng, dim, scale=1.0):
     a = rng.standard_normal((dim, dim))

@@ -26,7 +26,8 @@ The measure integrals integrate a function of the jump against m, mu or
 mu/||xi||^2 over a region of jump norms: atoms exactly, rays by the
 package's adaptive radial quadrature.
 
-The Lipschitz bound of the truncated field R_k is the paper's constant
+The growth rate of ||psi|| is ||B|| + 2 ||mu total mass||, and the
+Lipschitz bound of the truncated field R_k is the paper's constant
 ||B|| + 2k ||mu total mass||.
 """
 
@@ -146,7 +147,7 @@ def composite_gauss_legendre(panels):
     return (mid + half * _GL_X).ravel(), (half * _GL_W).ravel()
 
 
-def moments_by_quadrature(p_set, bundle, x, t, v, w):
+def moments_by_quadrature(p_set, xs, t, v, w):
     """Moments of X_t from the five-term derivative formula, by quadrature.
 
     With E(s) = e^{s dR0} and g(r) = d2R0(E(r) v, E(r) w):
@@ -158,17 +159,25 @@ def moments_by_quadrature(p_set, bundle, x, t, v, w):
                           - int_0^t dF0(d2psi0(s, v, w)) ds
                           - <x, d2psi0(t, v, w)> + mean_v mean_w
 
-    E(s) goes through the eigenvectors of dR0, which must be well
-    conditioned.  The integrands grow at most like e^{3 rho s}, rho the
-    spectral radius of dR0, so every integral, the nested one in both
-    variables, uses composite 8-point Gauss-Legendre on panels no wider than
-    1 / (3 rho).  The second derivatives come from d2_tables_by_kind, not
-    from the bundle.  Returns (mean_v, mean_w, second, dpsi0(t, v),
-    d2psi0(t, v, w)), the last two in VecBasis coordinates.
+    dR0 = B* + the tail pairs and dF0 = b + the tail first moment come from
+    the defining formulas and measure_helpers_by_kind, the second
+    derivatives from d2_tables_by_kind.  E(s) goes through the eigenvectors
+    of dR0, which must be well conditioned.  The integrands grow at most
+    like e^{3 rho s}, rho the spectral radius of dR0, so every integral, the
+    nested one in both variables, uses composite 8-point Gauss-Legendre on
+    panels no wider than 1 / (3 rho).  The quadrature does not depend on x,
+    so one call serves the whole stack xs (X, d, d).  Returns (mean_v,
+    mean_w, second), each of shape (X,).
     """
-    basis = bundle.basis
-    x, v, w = (basis.vec(np.asarray(a, dtype=float)) for a in (x, v, w))
-    lam, vr = np.linalg.eig(bundle.dR0_mat)
+    basis = VecBasis(p_set.dim)
+    xs = np.array([basis.vec(np.asarray(x, dtype=float)) for x in xs])
+    v, w = (basis.vec(np.asarray(a, dtype=float)) for a in (v, w))
+    helpers = measure_helpers_by_kind(p_set)
+    tail = helpers["tail_pairs"]   # sum a (x) c, acting as v -> sum <a, v> c
+    dr0 = matrix_by_basis_loop(p_set.B, adjoint=True) + np.column_stack(
+        [basis.vec(np.tensordot(basis.unvec(e), tail)) for e in np.eye(basis.n)])
+    df0 = basis.vec(p_set.b + helpers["tail_first_moment_matrix"])
+    lam, vr = np.linalg.eig(dr0)
     assert np.linalg.cond(vr) < 1e4, "the oracle needs a well-conditioned eigenbasis of dR0"
     vinv_t, vr_t = np.linalg.inv(vr).T, vr.T
 
@@ -194,12 +203,45 @@ def moments_by_quadrature(p_set, bundle, x, t, v, w):
 
     s, ws = t * nodes, t * weights
     ev, ew = prop(s, v), prop(s, w)
-    df0 = bundle.dF0_vec
-    mean_v = ws @ (ev @ df0) + x @ prop(t, v)
-    mean_w = ws @ (ew @ df0) + x @ prop(t, w)
+    mean_v = ws @ (ev @ df0) + xs @ prop(t, v)
+    mean_w = ws @ (ew @ df0) + xs @ prop(t, w)
     d2psi_t = d2psi(np.array([t]))[0]
-    second = -(ws @ d2f(ev, ew)) - ws @ (d2psi(s) @ df0) - x @ d2psi_t + mean_v * mean_w
-    return mean_v, mean_w, second, prop(t, v), d2psi_t
+    second = -(ws @ d2f(ev, ew)) - ws @ (d2psi(s) @ df0) - xs @ d2psi_t + mean_v * mean_w
+    return mean_v, mean_w, second
+
+
+def affine_gradient(f, dim):
+    """The gradient g of an affine function f(x) = c + <x, g> of symmetric x,
+    from f at 0 and at the VecBasis basis matrices (an orthonormal basis)."""
+    basis = VecBasis(dim)
+    f0 = f(np.zeros((dim, dim)))
+    return basis.unvec(np.array([f(basis.unvec(e)) - f0 for e in np.eye(basis.n)]))
+
+
+def forcing_block(bundle):
+    """The jumps' second-moment forcing in the generator: G[:n+1, n+1:] less the drift.
+
+    On the monomial x_i x_j (i <= j, numpy's triu order) the degree <= 1
+    part of the generator is the forcing -(d2F0, vec d2R0) on that monomial
+    plus the drift dF0_j x_i + dF0_i x_j, with dF0 = G[0, 1:n+1].
+    """
+    n = bundle.basis.n
+    df0 = bundle.G[0, 1: n + 1]
+    iu, ju = np.triu_indices(n)
+    cols = np.arange(iu.size)
+    block = np.array(bundle.G[: n + 1, n + 1:])
+    block[1 + iu, cols] -= df0[ju]
+    block[1 + ju, cols] -= df0[iu]
+    return block
+
+
+def forcing_by_generator(bundle, v, w):
+    """(d2F0(v, w), d2R0(v, w)) read from the generator's forcing block."""
+    basis = bundle.basis
+    iu, ju = np.triu_indices(basis.n)
+    prod = np.outer(basis.vec(v), basis.vec(w))
+    row = -(forcing_block(bundle) @ np.where(iu == ju, prod[iu, ju], prod[iu, ju] + prod[ju, iu]))
+    return float(row[0]), basis.unvec(row[1:])
 
 
 def _moment(ray, p, lo=0.0, hi=math.inf):
@@ -368,6 +410,11 @@ def integrate_kernel(mu, f, region=ALL):
         val = radial_quad(r.density, lambda s: f(s * d_mat), lo, hi, ray_index=j)
         out += val * r.weight
     return out
+
+
+def growth_rate(p_set):
+    """Exponential growth rate of ||psi||: ||B|| + 2 ||mu total mass||."""
+    return operator_norm(p_set.B) + 2.0 * frob_norm(p_set.mu.total_mass_matrix())
 
 
 def truncated_lipschitz_bound(p_set, k):

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and random inputs shared by the tests."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -50,3 +50,8 @@ def admissible_cases(draw):
                          b_extra=0.2 * np.eye(d) + 0.2 * random_psd(rng, d))
     x = symmetrize(0.5 * np.eye(d) + 0.4 * random_psd(rng, d))
     return p, x, rng.uniform(0.1, 1.0) * unit(), random_psd(rng, d), draw(st.floats(0.1, 2.0))
+
+
+def random_symmetric(rng, dim, scale=1.0):
+    """A symmetric matrix with Gaussian entries (the symmetrized square)."""
+    return scale * symmetrize(rng.standard_normal((dim, dim)))

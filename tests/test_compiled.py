@@ -59,8 +59,7 @@ def test_compiled_arrays_are_read_only(name):
     assert moments._bundle(p) is bundle
     cascade_field = riccati._levels(p, tuple(1.0 / k for k in riccati.RiccatiOptions().k_schedule))[0]
     arrays = [field.lin, field.node_dirs, field.node_out, field.member, field.node_small, rates,
-              cascade_field.node_dirs, bundle.G, bundle.dirs, bundle.outs, bundle.coefs,
-              bundle.dF0_mat, bundle.dF0_vec]
+              cascade_field.node_dirs, bundle.G]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0

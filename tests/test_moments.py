@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from oracle import integrate_kernel, integrate_scalar, moments_by_quadrature, norm_gt
+from oracle import (
+    affine_gradient,
+    forcing_block,
+    forcing_by_generator,
+    integrate_kernel,
+    integrate_scalar,
+    moments_by_quadrature,
+    norm_gt,
+)
 from strategies import admissible_cases
 
 from affinehs import library
 from affinehs.exceptions import OperatorExpError
 from affinehs.moments import (
-    d2psi0,
     derivative_bundle,
-    dpsi0,
     generator_exp,
     laplace,
     mean,
@@ -28,6 +34,7 @@ from affinehs.params import (
 from affinehs.riccati import solve_cascade, solve_riccati
 from affinehs.symcone import (
     LyapunovOperator,
+    VecBasis,
     frob_norm,
     inner,
     min_eigenvalue,
@@ -45,17 +52,31 @@ def mc_truncated():
 
 
 # ---------------------------------------------------------------------------
-# derivative bundle
+# the generator's blocks: dF0 = G[0, 1:n+1], dR0 = G[1:n+1, 1:n+1], and the
+# jumps' second-moment forcing in G[:n+1, n+1:]
 # ---------------------------------------------------------------------------
+
+def dr0_apply(bundle, v):
+    n = bundle.basis.n
+    return bundle.basis.unvec(bundle.G[1: n + 1, 1: n + 1] @ bundle.basis.vec(v))
+
+
+def df0_matrix(bundle):
+    return bundle.basis.unvec(bundle.G[0, 1: bundle.basis.n + 1])
+
+
+def mean_gradient(p, t, v):
+    """dpsi0(t, v) = e^{t dR0} v: the x-gradient of the mean."""
+    return affine_gradient(lambda x: mean(p, x, t, v), p.dim)
+
 
 def test_bundle_empty_measures(empty_p2, rng):
     bundle = derivative_bundle(empty_p2)
     v = random_psd(rng, 2)
-    np.testing.assert_allclose(bundle.basis.unvec(bundle.dR0_mat @ bundle.basis.vec(v)),
-                               empty_p2.B.apply_adjoint(v), rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(bundle.dF0_mat, empty_p2.b)
-    assert bundle.d2R0(v, v).max() == 0.0
-    assert bundle.d2F0(v, v) == 0.0
+    np.testing.assert_allclose(dr0_apply(bundle, v), empty_p2.B.apply_adjoint(v),
+                               rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(df0_matrix(bundle), empty_p2.b)
+    np.testing.assert_allclose(forcing_block(bundle), 0.0, rtol=0, atol=0)
 
 
 def test_bundle_small_atom():
@@ -67,11 +88,13 @@ def test_bundle_small_atom():
     bundle = derivative_bundle(p)
     v = np.array([[2.0, 0.3], [0.3, 1.0]])
     w = np.array([[1.0, -0.2], [-0.2, 3.0]])
-    np.testing.assert_allclose(bundle.basis.unvec(bundle.dR0_mat @ bundle.basis.vec(v)),
-                               p.B.apply_adjoint(v), rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(dr0_apply(bundle, v), p.B.apply_adjoint(v), rtol=1e-13, atol=1e-14)
     expected = -inner(xi, v) * inner(xi, w) * E22 / inner(xi, xi)
-    np.testing.assert_allclose(bundle.d2R0(v, w), expected, rtol=1e-13)
-    np.testing.assert_allclose(bundle.d2R0(v, w), bundle.d2R0(w, v), rtol=0, atol=0)
+    d2f_vw, d2r_vw = forcing_by_generator(bundle, v, w)
+    d2f_wv, d2r_wv = forcing_by_generator(bundle, w, v)
+    np.testing.assert_allclose(d2r_vw, expected, rtol=1e-13, atol=1e-15)
+    assert d2f_vw == 0.0
+    np.testing.assert_allclose(d2r_vw, d2r_wv, rtol=0, atol=0)
 
 
 def test_bundle_tail_matches_quadrature(bench, rng):
@@ -81,16 +104,16 @@ def test_bundle_tail_matches_quadrature(bench, rng):
         for _ in range(3):
             v = random_psd(rng, p.dim)
             tail = integrate_kernel(p.mu, lambda x: inner(x, v), norm_gt(1.0))
-            got = bundle.basis.unvec(bundle.dR0_mat @ bundle.basis.vec(v)) - p.B.apply_adjoint(v)
+            got = dr0_apply(bundle, v) - p.B.apply_adjoint(v)
             np.testing.assert_allclose(got, tail, rtol=1e-7, atol=1e-10)
             # norm estimate: the tail is bounded by the total kernel mass
             assert frob_norm(got) <= frob_norm(p.mu.total_mass_matrix()) * frob_norm(v) * (1 + 1e-9)
             df_tail = integrate_scalar(p.m, lambda x: inner(x, v), norm_gt(1.0))
-            assert inner(bundle.dF0_mat - p.b, v) == pytest.approx(df_tail, rel=1e-7, abs=1e-10)
+            assert inner(df0_matrix(bundle) - p.b, v) == pytest.approx(df_tail, rel=1e-7, abs=1e-10)
 
 
 def test_d2_closed_forms_match_quadrature(bench, rng):
-    # bundle coefficients come from closed-form radial moments; the adaptive
+    # the forcing comes from closed-form radial moments; the adaptive
     # quadrature against the raw measures is the independent route
     for s in (library.get("mc2-00"), library.get("cascade-00")):
         p = s.params
@@ -98,10 +121,11 @@ def test_d2_closed_forms_match_quadrature(bench, rng):
         for _ in range(3):
             v = random_psd(rng, p.dim)
             w = random_psd(rng, p.dim)
+            d2f, d2r = forcing_by_generator(bundle, v, w)
             ref_f = -integrate_scalar(p.m, lambda x: inner(x, v) * inner(x, w))
-            assert bundle.d2F0(v, w) == pytest.approx(ref_f, rel=1e-7, abs=1e-10)
+            assert d2f == pytest.approx(ref_f, rel=1e-7, abs=1e-10)
             ref_r = -integrate_kernel(p.mu, lambda x: inner(x, v) * inner(x, w))
-            np.testing.assert_allclose(bundle.d2R0(v, w), ref_r, rtol=1e-7, atol=1e-10)
+            np.testing.assert_allclose(d2r, ref_r, rtol=1e-7, atol=1e-10)
 
 
 def test_d2_signs(bench, rng):
@@ -109,31 +133,34 @@ def test_d2_signs(bench, rng):
         bundle = derivative_bundle(s.params)
         for _ in range(5):
             v = random_psd(rng, s.params.dim)
-            assert -bundle.d2F0(v, v) >= 0.0
-            assert min_eigenvalue(-bundle.d2R0(v, v)) >= -1e-12
+            d2f, d2r = forcing_by_generator(bundle, v, v)
+            assert -d2f >= 0.0
+            assert min_eigenvalue(-d2r) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
-# variational solutions
+# variational solutions, read off the moments: dpsi0(t, v) is the x-gradient
+# of the mean, and d2psi0(t, v, w) minus that of the covariance
 # ---------------------------------------------------------------------------
 
 def test_dpsi0_examples(mc_truncated, rng):
     p, _, _ = mc_truncated
     v = random_psd(rng, 2)
-    np.testing.assert_allclose(dpsi0(p, 0.0, v), v, rtol=0, atol=1e-14)
-    assert min_eigenvalue(dpsi0(p, 1.0, v)) >= -1e-9
+    np.testing.assert_allclose(mean_gradient(p, 0.0, v), v, rtol=0, atol=1e-14)
+    assert min_eigenvalue(mean_gradient(p, 1.0, v)) >= -1e-9
     # pure Lyapunov: closed form
     import scipy.linalg
     beta = -0.3 * np.eye(2) + 0.2 * rng.standard_normal((2, 2))
     p_lin = build_admissible(2, beta=beta, b_extra=np.eye(2))
     e_mat = scipy.linalg.expm(0.8 * beta)
-    np.testing.assert_allclose(dpsi0(p_lin, 0.8, v), e_mat.T @ v @ e_mat, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(mean_gradient(p_lin, 0.8, v), e_mat.T @ v @ e_mat,
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_dpsi0_first_order_against_solver(mc_truncated):
     p, _, _ = mc_truncated
     v = 0.4 * np.eye(2) + 0.2 * np.ones((2, 2))
-    ref = dpsi0(p, 1.0, v)
+    ref = mean_gradient(p, 1.0, v)
     errs = []
     for theta in (1e-2, 1e-3, 1e-4):
         sol = solve_riccati(p, theta * v, 1.0, t_eval=(0.0, 1.0))
@@ -142,15 +169,14 @@ def test_dpsi0_first_order_against_solver(mc_truncated):
     assert slope == pytest.approx(1.0, abs=0.2)
 
 
-def test_d2psi0_basics(mc_truncated, empty_p2, rng):
-    p, _, _ = mc_truncated
+def test_d2psi0_basics(mc_truncated, rng):
+    # d2psi0 is 0 at t = 0 and symmetric in (v, w); on a set without jumps the
+    # forcing is exactly 0 (test_bundle_empty_measures)
+    p, x, _ = mc_truncated
     v = random_psd(rng, 2)
     w = random_psd(rng, 2)
-    np.testing.assert_allclose(d2psi0(empty_p2, 1.0, v, w), np.zeros((2, 2)), atol=0.0)
-    np.testing.assert_allclose(d2psi0(p, 0.0, v, w), np.zeros((2, 2)), atol=0.0)
-    a = d2psi0(p, 0.7, v, w)
-    b = d2psi0(p, 0.7, w, v)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+    assert second_moment(p, x, 0.0, v, w) == pytest.approx(inner(x, v) * inner(x, w), rel=1e-13)
+    assert second_moment(p, x, 0.7, v, w) == second_moment(p, x, 0.7, w, v)
 
 
 def test_variational_ode_residual(mc_truncated, rng):
@@ -159,9 +185,8 @@ def test_variational_ode_residual(mc_truncated, rng):
     bundle = derivative_bundle(p)
     v = random_psd(rng, 2)
     t, h = 0.6, 1e-5
-    lhs = (dpsi0(p, t + h, v) - dpsi0(p, t - h, v)) / (2 * h)
-    mid = bundle.basis.vec(dpsi0(p, t, v))
-    rhs = bundle.basis.unvec(bundle.dR0_mat @ mid)
+    lhs = (mean_gradient(p, t + h, v) - mean_gradient(p, t - h, v)) / (2 * h)
+    rhs = dr0_apply(bundle, mean_gradient(p, t, v))
     assert frob_norm(lhs - rhs) <= 1e-6 * max(1.0, frob_norm(rhs))
 
 
@@ -260,7 +285,7 @@ def test_generator_exp(mc_truncated, empty_p2, rng):
 def generator_linear(p_set, v, x):
     """The generator applied to <., v> at x: dF0(v) + <x, dR0 v>."""
     bundle = derivative_bundle(p_set)
-    return bundle.dF0(v) + inner(x, bundle.dR0.apply(v))
+    return inner(df0_matrix(bundle), v) + inner(x, dr0_apply(bundle, v))
 
 
 def test_generator_linear(mc_truncated, rng):
@@ -297,13 +322,15 @@ def test_moments_overflow_raises_operator_exp_error():
 # generator route against the quadrature of the derivative formulas
 # ---------------------------------------------------------------------------
 
-def assert_matches_oracle(p, bundle, x, t, v, w, rel=1e-9):
-    ref = moments_by_quadrature(p, bundle, x, t, v, w)
-    vec = bundle.basis.vec
-    got = (mean(p, x, t, v), mean(p, x, t, w),
-           second_moment(p, x, t, v, w),
-           vec(dpsi0(p, t, v)), vec(d2psi0(p, t, v, w)))
-    for name, a, b in zip(("mean_v", "mean_w", "second", "dpsi0", "d2psi0"), got, ref):
+def assert_matches_oracle(p, x, t, v, w, rel=1e-9):
+    """mean and second_moment against the quadrature oracle at x and at each
+    basis matrix, which pins the x-gradients dpsi0 and d2psi0 as well."""
+    basis = VecBasis(p.dim)
+    xs = [x] + [basis.unvec(e) for e in np.eye(basis.n)]
+    ref = moments_by_quadrature(p, xs, t, v, w)
+    got = ([mean(p, y, t, v) for y in xs], [mean(p, y, t, w) for y in xs],
+           [second_moment(p, y, t, v, w) for y in xs])
+    for name, a, b in zip(("mean_v", "mean_w", "second"), got, ref):
         err = np.linalg.norm(np.asarray(a) - b)
         assert err <= rel * np.linalg.norm(b), (name, t, err, np.linalg.norm(b))
 
@@ -311,10 +338,9 @@ def assert_matches_oracle(p, bundle, x, t, v, w, rel=1e-9):
 def test_generator_route_matches_quadrature_oracle(bench, rng):
     for s in bench:
         p = truncate(s.params, 4)
-        bundle = derivative_bundle(p)
         w = random_psd(rng, p.dim)
         for t in (0.25, 1.0, 2.0):
-            assert_matches_oracle(p, bundle, s.x0, t, s.u, w)
+            assert_matches_oracle(p, s.x0, t, s.u, w)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None,
@@ -322,7 +348,7 @@ def test_generator_route_matches_quadrature_oracle(bench, rng):
 @given(admissible_cases())
 def test_generator_route_on_random_admissible_sets(case):
     p, x, u, w, t = case
-    assert_matches_oracle(p, derivative_bundle(p), x, t, u, w)
+    assert_matches_oracle(p, x, t, u, w)
     mv = mean(p, x, t, u)
     assert second_moment(p, x, t, u) - mv * mv >= -1e-12 * (1.0 + mv * mv)
     # Jensen's bound and the quadratic bound, on the set and on its

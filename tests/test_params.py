@@ -17,7 +17,7 @@ from oracle import (
     norm_gt,
     norm_leq,
 )
-from strategies import admissible_cases
+from strategies import admissible_cases, random_symmetric
 
 import affinehs
 from affinehs.exceptions import MeasureError, ParameterFileError
@@ -53,7 +53,6 @@ from affinehs.symcone import (
     inner,
     min_eigenvalue,
     random_psd,
-    random_symmetric,
 )
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])

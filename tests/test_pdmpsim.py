@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
 from oracle import matrix_by_basis_loop
+from strategies import admissible_cases
 
 from affinehs import library
 from affinehs.exceptions import SimulationError
@@ -13,6 +15,7 @@ from affinehs.params import (
     ExponentialDensity,
     OperatorAtom,
     OperatorJumpMeasure,
+    OperatorRay,
     ParameterSet,
     PowerLawDensity,
     ScalarAtom,
@@ -24,9 +27,7 @@ from affinehs.pdmpsim import (
     CounterStream,
     FlowPropagator,
     PathSimulator,
-    RadialSampler,
     drift_data,
-    flow,
     jump_intensity,
     mc_summary,
     philox4x32,
@@ -58,6 +59,12 @@ def poisson_set(rate=2.0):
     m = ScalarJumpMeasure(2, (ScalarAtom(0.5 * unit_dir(), rate / 2.0),
                               ScalarAtom(1.5 * unit_dir(), rate / 2.0)))
     return build_admissible(2, beta=-0.5 * np.eye(2), m=m, b_extra=np.eye(2))
+
+
+def flow(drift, x, t):
+    """Deterministic motion from x over time t, through FlowPropagator.flow_vec."""
+    prop = FlowPropagator(drift)
+    return prop.basis.unvec(prop.flow_vec(prop.basis.vec(x), t))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +271,10 @@ def test_radial_sampler_ks(rng):
     # truncated power law and an exponential tail, against the exact CDF
     for den in (PowerLawDensity(1.0, 0.5, 0.25, 1.0),
                 ExponentialDensity(0.8, 2.0, 0.0)):
-        sampler = RadialSampler(den)
+        total = den.cdf_mass(den.rmax)
         n = 10_000
-        draws = np.sort(sampler.inverse(rng.random(n) * sampler.total))
-        cdf = np.asarray(den.cdf_mass(draws)) / sampler.total
+        draws = np.sort(den.inverse_cdf_mass(rng.random(n) * total))
+        cdf = np.asarray(den.cdf_mass(draws)) / total
         emp_hi = np.arange(1, n + 1) / n
         emp_lo = np.arange(0, n) / n
         ks = max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(emp_lo - cdf)))
@@ -284,10 +291,10 @@ def test_radial_inverse_cdf_round_trip():
         for s in library.benchmark_sets():
             p = truncate(s.params, k)
             for ray in p.m.rays + p.mu.rays:
-                sampler = RadialSampler(ray.density)
-                m = sampler.total * (1.0 - rng.random(64))   # (0, total]
-                m[0] = sampler.total
-                r = sampler.inverse(m)
+                total = ray.density.cdf_mass(ray.density.rmax)
+                m = total * (1.0 - rng.random(64))   # (0, total]
+                m[0] = total
+                r = ray.density.inverse_cdf_mass(m)
                 assert np.all((r >= ray.density.rmin) & (r <= ray.density.rmax))
                 fin = np.isfinite(r)
                 slack = np.zeros_like(m)
@@ -299,8 +306,13 @@ def test_radial_inverse_cdf_round_trip():
 
 
 def test_radial_sampler_rejects_infinite_activity():
-    with pytest.raises(SimulationError):
-        RadialSampler(PowerLawDensity(1.0, 0.5, 0.0, 1.0))
+    # a power-law ray reaching r = 0 has infinite mass: the simulator refuses it
+    mu = OperatorJumpMeasure(2, (), (OperatorRay(unit_dir(), 0.3 * unit_dir(),
+                                                 PowerLawDensity(0.2, 0.5, 0.0, 1.0)),))
+    p = build_admissible(2, beta=-np.eye(2), mu=mu, b_extra=np.eye(2))
+    assert not p.is_finite_activity
+    with pytest.raises(SimulationError, match="infinite"):
+        PathSimulator(p)
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +527,17 @@ def test_mc_laplace_on_defective_generator():
     x0, u = np.eye(2), 0.5 * np.eye(2)
     est = mc_summary(p, x0, 1.0, 2000, seed=4, u=u)["laplace"]
     assert abs(est.estimate - laplace(p, x0, 1.0, u)) <= 3.0 * est.std_error
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_mc_matches_moments_on_random_admissible_sets(case):
+    # 2000 paths of the level-4 truncation against its Laplace transform and mean
+    from affinehs.moments import laplace, mean
+    p, x, u, w, t = case
+    p4 = truncate(p, 4)
+    est = mc_summary(p4, x, t, 2000, seed=21, u=u, v=w)
+    for key, exact in (("laplace", laplace(p4, x, t, u)), ("mean", mean(p4, x, t, w))):
+        err = abs(est[key].estimate - exact)
+        assert err <= 4.0 * est[key].std_error + 1e-9 * (1.0 + abs(exact)), (key, exact, est[key])

@@ -30,7 +30,6 @@ from affinehs.riccati import (
     _solve_levels,
     eval_F,
     eval_R,
-    growth_rate,
     ray_rule,
     solution_to_csv,
     solve_cascade,
@@ -38,7 +37,7 @@ from affinehs.riccati import (
 )
 from affinehs.symcone import ZeroOperator, frob_norm, inner, min_eigenvalue, random_psd
 
-from oracle import rk4_scalar_batch, truncated_lipschitz_bound
+from oracle import growth_rate, rk4_scalar_batch, truncated_lipschitz_bound
 from strategies import admissible_cases
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from oracle import matrix_by_basis_loop, structured_apply
+from strategies import random_symmetric
 
 from affinehs.exceptions import DimensionMismatchError, OperatorExpError
 from affinehs.symcone import (
@@ -21,7 +22,6 @@ from affinehs.symcone import (
     min_eigenvalue,
     operator_norm,
     random_psd,
-    random_symmetric,
     sym_from_json,
     sym_to_json,
 )
