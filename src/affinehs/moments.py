@@ -6,9 +6,10 @@ the polynomial e^{tG} p evaluated at x, where G is the generator's matrix on
 the coefficients of the monomials (1, x_k, x_i x_j for i <= j) in VecBasis
 coordinates.  G carries the derivative data of (F, R) at the origin: the
 linear functional dF0, the linear operator dR0 and the negative-definite
-bilinear tails d2F0 and d2R0.  Means and second moments are read off one
-matrix exponential of G.  G depends on the parameter set alone, so each set
-builds it once, on first use.
+bilinear tails d2F0 and d2R0.  Means and second moments are read off
+e^{tG}.  G depends on the parameter set alone, so each set builds it and
+diagonalizes it once, on first use; each moment is then one product with
+the factors, and a defective G takes the dense exponential instead.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import symcone
 from .params import compiled, jump_rows
-from .symcone import RankOneSum, VecBasis, expm_checked, inner
+from .symcone import ExpPropagator, RankOneSum, VecBasis, inner
 from . import riccati as _riccati
 
 __all__ = [
@@ -41,11 +42,13 @@ class DerivativeBundle:
 
     With n = basis.n, G[0, 1:n+1] is dF0, G[1:n+1, 1:n+1] is dR0, and
     G[:n+1, n+1:] is the forcing of (F, R) by the jumps' second moments,
-    -(d2F0, d2R0) on the quadratic monomials.
+    -(d2F0, d2R0) on the quadratic monomials.  exp evaluates e^{tG} c from
+    one eigendecomposition of G.
     """
 
     basis: VecBasis
     G: np.ndarray
+    exp: ExpPropagator
 
 
 @functools.cache
@@ -69,17 +72,14 @@ def _fold(mat):
     return (mat[..., iu, ju] + mat[..., ju, iu]) * np.where(iu == ju, 0.5, 1.0)
 
 
-def _transport(gen, t, coefs):
-    """e^{t gen} coefs: the coefficients of x -> E[p(X_t) | X_0 = x].
+def _transport(bundle, t, coefs):
+    """e^{tG} coefs: the coefficients of x -> E[p(X_t) | X_0 = x].
 
-    A coefficient vector of length 1 + n (a polynomial of degree <= 1) uses
-    the leading block of gen, which the generator maps into itself.  Raises
-    OperatorExpError when the exponential is not finite.
+    Raises OperatorExpError when the exponential is not finite.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    k = len(coefs)
-    return expm_checked(gen[:k, :k], t) @ coefs
+    return bundle.exp.dot(t, coefs)
 
 
 def _at(x_vec, coefs):
@@ -131,7 +131,7 @@ def derivative_bundle(p_set):
     gen[0, lin] = df0
     gen[lin, quad] += 2.0 * np.einsum("klp,l->kp", sym, df0)
     gen.setflags(write=False)
-    return DerivativeBundle(basis, gen)
+    return DerivativeBundle(basis, gen, ExpPropagator(gen))
 
 
 def _bundle(p_set):
@@ -140,17 +140,22 @@ def _bundle(p_set):
 
 
 def mean(p_set, x, t, v):
-    """E[<X_t, v> | X_0 = x]: <x, v> transported by e^{tG}, evaluated at x."""
+    """E[<X_t, v> | X_0 = x]: <x, v> transported by e^{tG}, evaluated at x.
+
+    G maps the polynomials of degree <= 1 into themselves, so only the
+    leading 1 + n coefficients of the transported <x, v> are read.
+    """
     bundle = _bundle(p_set)
     basis = bundle.basis
-    coefs = _transport(bundle.G, t, np.concatenate([[0.0], basis.vec(v)]))
-    return _at(basis.vec(x), coefs)
+    coefs = np.zeros(len(bundle.G))
+    coefs[1: basis.n + 1] = basis.vec(v)
+    return _at(basis.vec(x), _transport(bundle, t, coefs)[: basis.n + 1])
 
 
 def second_moment(p_set, x, t, v, w=None):
     """E[<X_t, v><X_t, w> | X_0 = x]: <x, v><x, w> transported by e^{tG}, evaluated at x."""
     bundle = _bundle(p_set)
-    coefs = _transport(bundle.G, t, _product(bundle.basis, v, v if w is None else w))
+    coefs = _transport(bundle, t, _product(bundle.basis, v, v if w is None else w))
     return _at(bundle.basis.vec(x), coefs)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "DenseOperator",
     "OperatorSum",
     "operator_norm",
-    "expm_checked",
     "expm_action",
     "ExpPropagator",
     "random_psd",
@@ -364,37 +363,16 @@ def operator_norm(op):
 # operator exponentials
 # ---------------------------------------------------------------------------
 
-def expm_checked(mat, t):
-    """Dense e^{t mat} by scaling-and-squaring.
-
-    Raises OperatorExpError when the result is not finite (matrix too large
-    for the requested horizon).
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = scipy.linalg.expm(t * mat)
-    if not np.all(np.isfinite(out)):
-        raise OperatorExpError(f"e^(tL) overflowed for t={t} and ||L||={np.linalg.norm(mat, 2):.3e}")
-    return out
-
-
-def expm_action(op, t, v):
-    """e^{t op} v via the coordinate matrix and `expm_checked`; requires t >= 0."""
-    if t < 0:
-        raise ValueError(f"expm_action requires t >= 0, got {t}")
-    basis = VecBasis(op.dim)
-    out = expm_checked(op.mat, t) @ basis.vec(np.asarray(v, dtype=float))
-    return symmetrize(basis.unvec(out))
-
-
 _EIG_COND_LIMIT = 1e7  # eigenbases worse conditioned than this count as defective
 
 
 class ExpPropagator:
     """Repeated evaluation of e^{tM} y for one square matrix M and many t.
 
-    Diagonalizes M once and reuses the factors; falls back to dense
-    scaling-and-squaring when M is numerically defective.  Results agree
-    with scipy.linalg.expm to ~1e-12 on well-conditioned eigenbases.
+    Diagonalizes M once and keeps the factors, read-only; falls back to
+    dense scaling-and-squaring when M is numerically defective.  Results
+    agree with scipy.linalg.expm to ~1e-12 on well-conditioned eigenbases.
+    Either route raises OperatorExpError when e^{tM} y is not finite.
     """
 
     def __init__(self, mat):
@@ -412,12 +390,31 @@ class ExpPropagator:
             self._w = w
             self._vr = vr
             self._vinv = np.linalg.inv(vr)
+            for arr in (self._w, self._vr, self._vinv):
+                arr.setflags(write=False)
 
     def dot(self, t, y):
         """e^{tM} y without forming the dense exponential when diagonalized."""
-        if self.use_eig:
-            return np.real(self._vr @ (np.exp(t * self._w) * (self._vinv @ y)))
-        return scipy.linalg.expm(t * self.mat) @ np.asarray(y, dtype=float)
+        if t == 0:
+            return np.array(y, dtype=float)   # e^{0M} = I exactly, on either route
+        with np.errstate(invalid="ignore", over="ignore"):
+            if self.use_eig:
+                out = np.real(self._vr @ (np.exp(t * self._w) * (self._vinv @ y)))
+            else:
+                out = scipy.linalg.expm(t * self.mat) @ np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise OperatorExpError(
+                f"e^(tL) overflowed for t={t} and ||L||={np.linalg.norm(self.mat, 2):.3e}")
+        return out
+
+
+def expm_action(op, t, v):
+    """e^{t op} v via the coordinate matrix and `ExpPropagator`; requires t >= 0."""
+    if t < 0:
+        raise ValueError(f"expm_action requires t >= 0, got {t}")
+    basis = VecBasis(op.dim)
+    out = ExpPropagator(op.mat).dot(t, basis.vec(np.asarray(v, dtype=float)))
+    return symmetrize(basis.unvec(out))
 
 
 # ---------------------------------------------------------------------------

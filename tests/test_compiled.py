@@ -1,8 +1,9 @@
 """Data compiled once per parameter set: the same outputs, read-only, freed with the set.
 
-The Riccati fields, the derivative bundle and the path simulator depend on
-the parameter set alone, so the package builds each once per set, on first
-use, and keeps it only while the set lives.
+The Riccati fields, the derivative bundle (the generator G and its
+eigendecomposition) and the path simulator depend on the parameter set
+alone, so the package builds each once per set, on first use, and keeps it
+only while the set lives.
 """
 
 import dataclasses
@@ -59,7 +60,7 @@ def test_compiled_arrays_are_read_only(name):
     assert moments._bundle(p) is bundle
     cascade_field = riccati._levels(p, tuple(1.0 / k for k in riccati.RiccatiOptions().k_schedule))[0]
     arrays = [field.lin, field.node_dirs, field.node_out, field.member, field.node_small, rates,
-              cascade_field.node_dirs, bundle.G]
+              cascade_field.node_dirs, bundle.G, bundle.exp._w, bundle.exp._vr, bundle.exp._vinv]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from oracle import (
     affine_gradient,
@@ -27,6 +28,7 @@ from affinehs.params import (
     OperatorAtom,
     OperatorJumpMeasure,
     ParameterSet,
+    ScalarAtom,
     ScalarJumpMeasure,
     build_admissible,
     truncate,
@@ -316,6 +318,63 @@ def test_moments_overflow_raises_operator_exp_error():
         mean(p, x, 50.0, v)
     with pytest.raises(OperatorExpError, match=r"t=50\b"):
         second_moment(p, x, 50.0, v)
+
+
+def test_moments_reject_negative_t(mc_truncated):
+    # e^{tG} from the factors of G is finite at t < 0 too, so t is checked first
+    p, x, u = mc_truncated
+    with pytest.raises(ValueError):
+        mean(p, x, -0.5, u)
+    with pytest.raises(ValueError):
+        second_moment(p, x, -0.5, u)
+
+
+# ---------------------------------------------------------------------------
+# e^{tG} c from the factors of G against scipy's dense expm
+# ---------------------------------------------------------------------------
+
+def assert_factored_matches_expm(p, rng, rel=1e-10):
+    """bundle.exp.dot(t, c) against scipy.linalg.expm(t G) @ c in the max-norm,
+    for a polynomial of degree <= 1 (what mean transports) and a random one
+    of degree <= 2."""
+    bundle = derivative_bundle(p)
+    size, n = len(bundle.G), bundle.basis.n
+    lin = np.zeros(size)
+    lin[1: n + 1] = rng.standard_normal(n)
+    for t in (0.1, 1.0, 2.0):
+        e_mat = scipy.linalg.expm(t * bundle.G)
+        for c in (lin, rng.standard_normal(size)):
+            ref = e_mat @ c
+            err = np.abs(bundle.exp.dot(t, c) - ref).max()
+            assert err <= rel * np.abs(ref).max(), (t, err)
+
+
+def test_factored_exponential_matches_expm_on_library_sets(bench, rng):
+    for s in bench:
+        for p in (s.params, truncate(s.params, 4)):
+            assert derivative_bundle(p).exp.use_eig
+            assert_factored_matches_expm(p, rng)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_factored_exponential_matches_expm_on_random_admissible_sets(case):
+    assert_factored_matches_expm(case[0], np.random.default_rng(0))
+
+
+def test_defective_generator_takes_the_dense_route(rng):
+    # B = 0 and no operator jumps: G lowers the degree of every monomial, so
+    # it is nilpotent and has no eigenbasis
+    xi = np.array([[0.8, 0.1], [0.1, 0.6]])
+    m = ScalarJumpMeasure(2, (ScalarAtom(1.5 * xi / frob_norm(xi), 0.7), ScalarAtom(0.5 * E11, 0.4)))
+    p = build_admissible(2, m=m, b_extra=np.eye(2))
+    bundle = derivative_bundle(p)
+    assert np.count_nonzero(np.linalg.matrix_power(bundle.G, 3)) == 0
+    assert np.count_nonzero(bundle.G[0, bundle.basis.n + 1:]) > 0   # the jumps' forcing
+    assert not bundle.exp.use_eig
+    for t in (0.25, 1.0, 2.0):
+        assert_matches_oracle(p, random_psd(rng, 2), t, random_psd(rng, 2), random_psd(rng, 2))
 
 
 # ---------------------------------------------------------------------------

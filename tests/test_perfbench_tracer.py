@@ -47,6 +47,8 @@ def test_tracer_records_spans_and_restores_the_package():
     assert totals["moments.laplace"][0] == 1
     # the bundle is compiled once per set, through the traced binding
     assert totals["moments.derivative_bundle"][0] == 1
+    # each moment is one product with the factors of G
+    assert totals["symcone.ExpPropagator.dot"][0] == 4
     assert tracer.counts["rk_steps"] > 0
     assert tracer.counts["cascade_levels"] == 7
     assert len(tracer.start) == sum(calls for calls, _ in totals.values())

@@ -193,9 +193,23 @@ def test_exp_propagator_matches_expm(rng):
     for mat in mats:
         prop = ExpPropagator(mat)
         y = rng.standard_normal(mat.shape[0])
+        np.testing.assert_array_equal(prop.dot(0.0, y), y)
         for t in (0.0, 0.3, 1.7):
             np.testing.assert_allclose(prop.dot(t, y), scipy.linalg.expm(t * mat) @ y,
                                        rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("mat, use_eig", [
+    (20.0 * np.eye(2), True),
+    (np.array([[20.0, 1.0], [0.0, 20.0]]), False),   # a Jordan block: the dense route
+])
+def test_exp_propagator_overflow_raises_on_both_routes(mat, use_eig):
+    prop = ExpPropagator(mat)
+    assert prop.use_eig is use_eig
+    np.testing.assert_allclose(prop.dot(0.1, np.ones(2)), scipy.linalg.expm(0.1 * mat) @ np.ones(2),
+                               rtol=1e-12)
+    with pytest.raises(OperatorExpError, match=r"t=50\b.*\|\|L\|\|="):
+        prop.dot(50.0, np.ones(2))
 
 
 def test_sym_json_roundtrip(rng):
