@@ -1,8 +1,10 @@
 """Build a jump-measure parameter set, check admissibility, round-trip JSON.
 
-The state-independent measure m carries scalar weights; the state-dependent
-measure mu carries PSD matrix weights and its ray densities are stored in
-kernel form g(r) (so the mass density along a ray is r^2 g(r)).
+A measure is a tuple of jumps, each built by `atom(xi, weight)` or
+`ray(direction, density, weight)`.  A float weight makes a jump of the
+state-independent measure m; a PSD matrix weight makes a jump of the
+state-dependent measure mu, whose ray densities are in kernel form g(r)
+(so the mass density along a ray is r^2 g(r)).
 
 Run:  python3 demos/02_measures_and_admissibility.py
 """
@@ -14,14 +16,13 @@ import numpy as np
 from affinehs.params import (
     ExponentialDensity,
     OperatorJumpMeasure,
-    OperatorRay,
     PowerLawDensity,
-    ScalarAtom,
     ScalarJumpMeasure,
-    ScalarRay,
+    atom,
     build_admissible,
     params_to_json,
     params_from_json,
+    ray,
     truncate,
     validate_admissibility,
 )
@@ -32,13 +33,17 @@ unit = (np.eye(d) + 0.3 * np.ones((d, d)))
 unit /= frob_norm(unit)
 
 # m: one atom above the cutoff plus an exponential ray reaching r = 0
-m = ScalarJumpMeasure(d,
-                      atoms=(ScalarAtom(1.5 * unit, 0.8),),
-                      rays=(ScalarRay(unit, ExponentialDensity(c=0.5, lam=2.0)),))
+m = ScalarJumpMeasure(d, (atom(1.5 * unit, 0.8),
+                          ray(unit, ExponentialDensity(c=0.5, lam=2.0))))
 
 # mu: a power-law kernel ray with infinite activity (alpha in (0,1), rmin = 0)
-mu = OperatorJumpMeasure(d, rays=(
-    OperatorRay(unit, 0.4 * np.eye(d), PowerLawDensity(c=0.5, alpha=0.5, rmin=0.0, rmax=1.0)),))
+mu = OperatorJumpMeasure(d, (
+    ray(unit, PowerLawDensity(c=0.5, alpha=0.5, rmin=0.0, rmax=1.0), 0.4 * np.eye(d)),))
+
+# each jump is a unit direction, a radial law and an output weight; the m
+# atom's law is a point mass of 0.8 at r0 = ||xi|| = 1.5, its output weight 1
+law = m.jumps[0].law
+print(f"m atom: mass {law.c} at r0 = {law.r0:.6g}, output weight {m.jumps[0].weight}")
 
 print("m total activity:", m.total_mass())
 print("mu kernel activity finite:", mu.is_finite_activity)

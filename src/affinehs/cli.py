@@ -89,7 +89,7 @@ def cmd_validate(args):
 def cmd_solve(args):
     p_set = load_params(args.params)
     u = _load_matrix(args.u, p_set.dim, 0.5)
-    opts = _riccati.RiccatiOptions(cone_tol=args.tol) if args.tol else _riccati.RiccatiOptions()
+    opts = _riccati.RiccatiOptions(cone_tol=args.tol) if args.tol is not None else _riccati.RiccatiOptions()
     grid = np.linspace(0.0, args.T, args.grid)
     if args.cascade:
         sol, diag = _riccati.solve_cascade(p_set, u, args.T, opts=opts, t_eval=grid)

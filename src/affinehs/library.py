@@ -18,15 +18,13 @@ import numpy as np
 
 from .params import (
     ExponentialDensity,
-    OperatorAtom,
     OperatorJumpMeasure,
-    OperatorRay,
     ParameterSet,
     PowerLawDensity,
-    ScalarAtom,
     ScalarJumpMeasure,
-    ScalarRay,
+    atom,
     build_admissible,
+    ray,
 )
 from .symcone import frob_norm, random_psd, symmetrize
 
@@ -64,11 +62,11 @@ def _scalar_sets():
         m_atoms = []
         for _ in range(int(rng.integers(1, 4))):
             xi = np.array([[rng.uniform(0.2, 2.4)]])
-            m_atoms.append(ScalarAtom(xi, float(rng.uniform(0.2, 1.0))))
+            m_atoms.append(atom(xi, float(rng.uniform(0.2, 1.0))))
         mu_atoms = []
         for _ in range(int(rng.integers(0, 3))):
             xi = np.array([[rng.uniform(0.3, 2.0)]])
-            mu_atoms.append(OperatorAtom(xi, np.array([[rng.uniform(0.1, 0.8)]])))
+            mu_atoms.append(atom(xi, np.array([[rng.uniform(0.1, 0.8)]])))
         p_set = build_admissible(
             1,
             beta=beta,
@@ -90,26 +88,27 @@ def _mc_sets():
     for i in range(6):
         rng = np.random.default_rng(2000 + i)
         d = 2
-        m_atoms = [ScalarAtom(_psd_with_norm(rng, d, rng.uniform(0.4, 1.8)),
-                              float(rng.uniform(0.4, 1.0)))]
+        m_atoms = [atom(_psd_with_norm(rng, d, rng.uniform(0.4, 1.8)),
+                        float(rng.uniform(0.4, 1.0)))]
         m_rays = []
         mu_rays = []
         if i % 2 == 0:
-            m_rays.append(ScalarRay(_unit_psd(rng, d),
-                                    ExponentialDensity(c=rng.uniform(0.4, 1.0),
-                                                       lam=rng.uniform(1.5, 3.0))))
+            m_rays.append(ray(_unit_psd(rng, d),
+                              ExponentialDensity(c=rng.uniform(0.4, 1.0),
+                                                 lam=rng.uniform(1.5, 3.0))))
         else:
-            mu_rays.append(OperatorRay(_unit_psd(rng, d),
-                                       _psd_with_norm(rng, d, rng.uniform(0.3, 0.7)),
-                                       ExponentialDensity(c=rng.uniform(0.4, 1.0),
+            # keyword order keeps the draws in the order of the weight and then the density
+            mu_rays.append(ray(_unit_psd(rng, d),
+                               weight=_psd_with_norm(rng, d, rng.uniform(0.3, 0.7)),
+                               density=ExponentialDensity(c=rng.uniform(0.4, 1.0),
                                                           lam=rng.uniform(1.5, 3.0))))
-        mu_atoms = [OperatorAtom(_psd_with_norm(rng, d, rng.uniform(0.5, 1.6)),
-                                 _psd_with_norm(rng, d, rng.uniform(0.2, 0.6)))]
+        mu_atoms = [atom(_psd_with_norm(rng, d, rng.uniform(0.5, 1.6)),
+                         _psd_with_norm(rng, d, rng.uniform(0.2, 0.6)))]
         p_set = build_admissible(
             d,
             beta=_stable_beta(rng, d),
-            m=ScalarJumpMeasure(d, tuple(m_atoms), tuple(m_rays)),
-            mu=OperatorJumpMeasure(d, tuple(mu_atoms), tuple(mu_rays)),
+            m=ScalarJumpMeasure(d, tuple(m_atoms + m_rays)),
+            mu=OperatorJumpMeasure(d, tuple(mu_atoms + mu_rays)),
             b_extra=0.3 * np.eye(d) + 0.2 * random_psd(rng, d),
         )
         sets.append(BenchmarkSet(
@@ -127,20 +126,20 @@ def _cascade_sets():
         rng = np.random.default_rng(3000 + i)
         d = 2 if i < 4 else 3
         alpha = 0.3 + 0.1 * (i % 4)
-        mu_rays = (OperatorRay(_unit_psd(rng, d),
-                               _psd_with_norm(rng, d, rng.uniform(0.3, 0.8)),
-                               PowerLawDensity(c=rng.uniform(0.3, 0.8), alpha=alpha,
+        mu_rays = (ray(_unit_psd(rng, d),
+                       weight=_psd_with_norm(rng, d, rng.uniform(0.3, 0.8)),
+                       density=PowerLawDensity(c=rng.uniform(0.3, 0.8), alpha=alpha,
                                                rmin=0.0, rmax=1.0)),)
         m_rays = ()
         if i % 2 == 0:
-            m_rays = (ScalarRay(_unit_psd(rng, d),
-                                PowerLawDensity(c=rng.uniform(0.3, 0.8), alpha=0.5,
-                                                rmin=0.0, rmax=1.0)),)
+            m_rays = (ray(_unit_psd(rng, d),
+                          PowerLawDensity(c=rng.uniform(0.3, 0.8), alpha=0.5,
+                                          rmin=0.0, rmax=1.0)),)
         p_set = build_admissible(
             d,
             beta=_stable_beta(rng, d),
-            m=ScalarJumpMeasure(d, (), m_rays),
-            mu=OperatorJumpMeasure(d, (), mu_rays),
+            m=ScalarJumpMeasure(d, m_rays),
+            mu=OperatorJumpMeasure(d, mu_rays),
             b_extra=0.3 * np.eye(d) + 0.1 * random_psd(rng, d),
         )
         sets.append(BenchmarkSet(
@@ -157,38 +156,37 @@ def _mixed_sets():
     for d in (1, 2, 3, 5):
         for j in range(8):
             rng = np.random.default_rng(4000 + 100 * d + j)
-            m_atoms = tuple(
-                ScalarAtom(_psd_with_norm(rng, d, rng.uniform(0.2, 2.0)),
-                           float(rng.uniform(0.2, 0.9)))
-                for _ in range(int(rng.integers(0, 3))))
-            mu_atoms = tuple(
-                OperatorAtom(_psd_with_norm(rng, d, rng.uniform(0.3, 1.8)),
-                             _psd_with_norm(rng, d, rng.uniform(0.1, 0.5)))
-                for _ in range(int(rng.integers(0, 3))))
+            m_atoms = [
+                atom(_psd_with_norm(rng, d, rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 0.9)))
+                for _ in range(int(rng.integers(0, 3)))]
+            mu_atoms = [
+                atom(_psd_with_norm(rng, d, rng.uniform(0.3, 1.8)),
+                     _psd_with_norm(rng, d, rng.uniform(0.1, 0.5)))
+                for _ in range(int(rng.integers(0, 3)))]
             m_rays = []
             mu_rays = []
             style = j % 4
             if style == 1:
-                m_rays.append(ScalarRay(_unit_psd(rng, d),
-                                        ExponentialDensity(c=rng.uniform(0.3, 0.8),
-                                                           lam=rng.uniform(1.0, 3.0))))
+                m_rays.append(ray(_unit_psd(rng, d),
+                                  ExponentialDensity(c=rng.uniform(0.3, 0.8),
+                                                     lam=rng.uniform(1.0, 3.0))))
             elif style == 2:
-                mu_rays.append(OperatorRay(_unit_psd(rng, d),
-                                           _psd_with_norm(rng, d, 0.4),
-                                           PowerLawDensity(c=rng.uniform(0.2, 0.6),
+                mu_rays.append(ray(_unit_psd(rng, d),
+                                   weight=_psd_with_norm(rng, d, 0.4),
+                                   density=PowerLawDensity(c=rng.uniform(0.2, 0.6),
                                                            alpha=rng.uniform(0.3, 0.7),
                                                            rmin=0.0, rmax=1.0)))
             elif style == 3:
-                m_rays.append(ScalarRay(_unit_psd(rng, d),
-                                        PowerLawDensity(c=rng.uniform(0.2, 0.6),
-                                                        alpha=-1.5, rmin=0.0, rmax=1.5)))
+                m_rays.append(ray(_unit_psd(rng, d),
+                                  PowerLawDensity(c=rng.uniform(0.2, 0.6),
+                                                  alpha=-1.5, rmin=0.0, rmax=1.5)))
             gs = (0.3 * rng.standard_normal((d, d)),) if j % 3 == 0 else ()
             p_set = build_admissible(
                 d,
                 beta=_stable_beta(rng, d),
                 gs=gs,
-                m=ScalarJumpMeasure(d, m_atoms, tuple(m_rays)),
-                mu=OperatorJumpMeasure(d, mu_atoms, tuple(mu_rays)),
+                m=ScalarJumpMeasure(d, tuple(m_atoms + m_rays)),
+                mu=OperatorJumpMeasure(d, tuple(mu_atoms + mu_rays)),
                 b_extra=0.2 * np.eye(d) + 0.2 * random_psd(rng, d),
             )
             activity = "finite" if p_set.is_finite_activity else "infinite"

@@ -2,21 +2,21 @@
 
 A parameter set is a tuple (b, B, m, mu): constant drift b, linear drift
 operator B, a scalar-weighted jump measure m (state-independent jumps) and
-an operator-weighted jump measure mu (state-dependent jumps).  Measures are
-represented as finite atom lists plus radial rays with parametric densities
-(power law or exponential), which keeps every integral computable by 1-D
-quadrature while still allowing infinite activity near zero.
-
-For an operator ray the stored density is g(r), the radial density of the
-kernel mu(dxi)/||xi||^2 along the ray, so the mu-mass density is r^2 g(r).
+an operator-weighted jump measure mu (state-dependent jumps).  Each measure
+is a tuple of finitely many jumps, atoms and radial rays with parametric
+densities (power law or exponential), which keeps every integral in closed
+form or 1-D while still allowing infinite activity near zero.
 
 Both measures enter the Riccati system through one compensated bracket,
-integrated against m(dxi) for F and against mu(dxi)/||xi||^2 for R.  Each
-measure therefore also holds its atoms and rays as `jumps`: a unit
-direction, a radial law of that integrating mass (an atom's law is a
-PointMass) and an output weight.  Only this module maps atoms and rays to
-jumps; the rest of the package reads the jumps, and their coordinate rows
-from jump_rows.
+integrated against m(dxi) for F and against mu(dxi)/||xi||^2 for R.  A
+Jump is a unit direction, a radial law of that integrating mass (an
+atom's law is a PointMass) and an output weight: the float 1 for m, a PSD
+matrix for mu.  atom(xi, weight) and ray(direction, density, weight) are
+the one place that maps the input data to jumps.  An m atom of weight w
+has mass w; a mu atom of weight M has kernel mass 1/||xi||^2; a mu ray's
+density is the kernel density g(r) of mu(dxi)/||xi||^2, so its mu-mass
+density is r^2 g(r).  The rest of the package reads the jumps, and their
+coordinate rows from jump_rows.
 
 At a fixed matrix dimension, weak and strong small-jump first moments
 coincide, so these measures can have infinite activity (power-law rays
@@ -26,11 +26,10 @@ variation; the small-jump first-moment invariant enforces this.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.integrate
@@ -63,11 +62,9 @@ __all__ = [
     "ExponentialDensity",
     "PointMass",
     "radial_quad",
-    "ScalarAtom",
-    "ScalarRay",
-    "OperatorAtom",
-    "OperatorRay",
     "Jump",
+    "atom",
+    "ray",
     "ScalarJumpMeasure",
     "OperatorJumpMeasure",
     "ParameterSet",
@@ -295,75 +292,19 @@ def _check_direction(d_mat):
         raise MeasureError(f"ray direction must have unit Frobenius norm, got {nrm}")
     if min_eigenvalue(d_mat) < -1e-12 * (1.0 + nrm):
         raise MeasureError("ray direction must be PSD")
-    return d_mat
+    return _read_only(d_mat)
 
 
 def _check_psd(mat, what):
     mat = check_symmetric(mat)
     if min_eigenvalue(mat) < -1e-12 * (1.0 + frob_norm(mat)):
         raise MeasureError(f"{what} must be PSD")
-    return mat
+    return _read_only(mat)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarAtom:
-    xi: np.ndarray
-    weight: float
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        xi = _check_psd(self.xi, "atom location")
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "norm", frob_norm(xi))
-        if self.norm == 0.0:
-            raise MeasureError("atoms must sit away from the origin")
-        if self.weight <= 0:
-            raise MeasureError(f"atom weight must be positive, got {self.weight}")
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarRay:
-    direction: np.ndarray
-    density: PowerLawDensity | ExponentialDensity
-
-    def __post_init__(self):
-        d_mat = _check_direction(self.direction)
-        d_mat.setflags(write=False)
-        object.__setattr__(self, "direction", d_mat)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorAtom:
-    xi: np.ndarray
-    weight: np.ndarray  # PSD matrix mass at the atom
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        xi = _check_psd(self.xi, "atom location")
-        w = _check_psd(self.weight, "atom operator weight")
-        xi.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "norm", frob_norm(xi))
-        if self.norm == 0.0:
-            raise MeasureError("atoms must sit away from the origin")
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorRay:
-    direction: np.ndarray
-    weight: np.ndarray
-    density: PowerLawDensity | ExponentialDensity  # g(r), kernel form
-
-    def __post_init__(self):
-        d_mat = _check_direction(self.direction)
-        w = _check_psd(self.weight, "ray operator weight")
-        d_mat.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "direction", d_mat)
-        object.__setattr__(self, "weight", w)
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,12 +314,14 @@ class Jump:
     law(dr) is the mass of radii in dr that the compensated bracket is
     integrated against: the m-mass for m, the kernel mu(dxi)/||xi||^2 for
     mu.  weight is where the bracket goes: the float 1 into F for m, a PSD
-    matrix into R for mu.
+    matrix into R for mu.  xi is an atom's location as given (None for a
+    ray), kept so that a parameter file is written back as it was read.
     """
 
     direction: np.ndarray
     law: PointMass | PowerLawDensity | ExponentialDensity
     weight: float | np.ndarray
+    xi: np.ndarray | None = None
 
     def output_row(self, basis):
         """Coefficients (F, vec R) of one unit of this jump's bracket."""
@@ -387,48 +330,74 @@ class Jump:
         return np.concatenate([[0.0], basis.vec(self.weight)])
 
 
+def atom(xi, weight):
+    """The jump of an atom at xi: a point mass at r0 = ||xi|| along xi / ||xi||.
+
+    A positive float weight w makes an m atom: mass w, output weight 1.  A
+    PSD matrix weight M makes a mu atom: kernel mass 1/||xi||^2, output
+    weight M.
+    """
+    xi = _check_psd(xi, "atom location")
+    kernel = np.ndim(weight) != 0
+    if kernel:
+        weight = _check_psd(weight, "atom operator weight")
+    norm = frob_norm(xi)
+    if norm == 0.0:
+        raise MeasureError("atoms must sit away from the origin")
+    if not kernel and weight <= 0:
+        raise MeasureError(f"atom weight must be positive, got {weight}")
+    direction = _read_only(xi / norm)
+    if kernel:
+        return Jump(direction, PointMass(1.0 / norm ** 2, norm), weight, xi)
+    return Jump(direction, PointMass(weight, norm), 1.0, xi)
+
+
+def ray(direction, density, weight=1.0):
+    """The jump of a ray along a unit PSD direction with a radial density.
+
+    The float weight 1 makes an m ray, whose density is the m-mass density.
+    A PSD matrix weight M makes a mu ray, whose density is the kernel
+    density g(r) of mu(dxi)/||xi||^2, so that its mu-mass density is
+    r^2 g(r) M.
+    """
+    direction = _check_direction(direction)
+    if np.ndim(weight) != 0:
+        weight = _check_psd(weight, "ray operator weight")
+    elif weight != 1.0:
+        raise MeasureError(f"an m ray has weight 1, got {weight}; scale its density instead")
+    return Jump(direction, density, weight)
+
+
 @dataclass(frozen=True, eq=False)
 class _JumpMeasure:
-    """Finite atoms plus radial rays, each also held as one Jump in `jumps`.
-
-    The rule that maps them to jumps is `_jump`; everything past it reads
-    `jumps` alone.
-    """
+    """The jumps of one measure, in the order given; atom and ray build them."""
 
     dim: int
-    atoms: tuple = ()
-    rays: tuple = ()
-    jumps: tuple = field(init=False, repr=False)
+    jumps: tuple = ()
 
     _kernel = False  # mu: laws are kernel masses and the bracket goes into R
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "rays", tuple(self.rays))
-        object.__setattr__(self, "jumps", tuple(map(self._jump, self.atoms + self.rays)))
+        object.__setattr__(self, "jumps", tuple(self.jumps))
+        name = "mu" if self._kernel else "m"
         shape = (self.dim, self.dim)
         for jump in self.jumps:
+            if (np.ndim(jump.weight) != 0) != self._kernel:
+                raise MeasureError(f"{name} refuses a jump of the other measure: "
+                                   "m jumps weigh a float, mu jumps a PSD matrix")
             if jump.direction.shape != shape or np.shape(jump.weight) not in ((), shape):
                 raise DimensionMismatchError("atom or ray dimension does not match the measure")
-        name = "mu" if self._kernel else "m"
-        for j, r in enumerate(self.rays):
-            if r.density.partial_moment(2) == _INF:
+        laws = (jump.law for jump in self.jumps if not isinstance(jump.law, PointMass))
+        for j, law in enumerate(laws):
+            if law.partial_moment(2) == _INF:
                 raise MeasureError(f"{name}-ray {j}: second radial moment is infinite")
-            if r.density.partial_moment(1, 0.0, 1.0) == _INF:
+            if law.partial_moment(1, 0.0, 1.0) == _INF:
                 raise MeasureError(f"{name}-ray {j}: small-jump first radial moment is infinite")
 
-    def _jump(self, item):
-        """An atom at xi is a point mass at r0 = ||xi|| along xi / ||xi||, of mass
-        w for m and 1/||xi||^2 for mu; a ray keeps its direction and density."""
-        weight = item.weight if self._kernel else 1.0
-        if isinstance(item, (ScalarAtom, OperatorAtom)):
-            mass = 1.0 / item.norm ** 2 if self._kernel else item.weight
-            return Jump(item.xi / item.norm, PointMass(mass, item.norm), weight)
-        return Jump(item.direction, item.density, weight)
-
-    @classmethod
-    def empty(cls, dim):
-        return cls(dim)
+    @property
+    def rays(self):
+        """The jumps whose law is a radial density, not an atom's PointMass."""
+        return tuple(j for j in self.jumps if not isinstance(j.law, PointMass))
 
     @property
     def is_finite_activity(self):
@@ -442,26 +411,13 @@ class _JumpMeasure:
         return sum(terms, np.zeros((self.dim, self.dim)))
 
     def restricted(self, lo=0.0, hi=_INF):
-        """The measure on jump norms in (lo, hi].
-
-        Only the laws change, so a kept ray is copied with its restricted
-        density and not validated again.
-        """
-        atoms = tuple(a for a, j in zip(self.atoms, self.jumps) if j.law.restricted(lo, hi) is not None)
-        rays = tuple(_with_density(r, den) for r in self.rays
-                     if (den := r.density.restricted(lo, hi)) is not None)
-        return type(self)(self.dim, atoms, rays)
-
-
-def _with_density(ray, density):
-    """A copy of a validated ray with another density, without re-running its checks."""
-    out = copy.copy(ray)
-    object.__setattr__(out, "density", density)
-    return out
+        """The measure on jump norms in (lo, hi]: the jumps with their laws restricted."""
+        return type(self)(self.dim, tuple(replace(j, law=law) for j in self.jumps
+                                          if (law := j.law.restricted(lo, hi)) is not None))
 
 
 class ScalarJumpMeasure(_JumpMeasure):
-    """Finite atoms plus radial rays; ray densities are the m-mass densities."""
+    """The measure m: jumps of float weight 1 whose laws are m-masses."""
 
     def total_mass(self):
         """Total activity; may be inf for power-law rays reaching r = 0."""
@@ -480,10 +436,10 @@ class ScalarJumpMeasure(_JumpMeasure):
 
 
 class OperatorJumpMeasure(_JumpMeasure):
-    """Finite atoms plus radial rays with PSD operator weights.
+    """The measure mu: jumps of PSD matrix weight whose laws are kernel masses.
 
-    Ray densities are stored in kernel form g(r) (density of mu/||xi||^2);
-    the mu-mass density along a ray is r^2 g(r).
+    A law is the radial mass of mu(dxi)/||xi||^2, so a ray of kernel
+    density g(r) and weight M has the mu-mass density r^2 g(r) M.
     """
 
     _kernel = True
@@ -720,8 +676,8 @@ def build_admissible(dim, beta=None, gs=(), mu=None, m=None, b_extra=None):
     nonnegative slack; b is b_extra plus the small-jump mean of m, so the
     drift inequality holds with slack min eig(b_extra).
     """
-    m = m if m is not None else ScalarJumpMeasure.empty(dim)
-    mu = mu if mu is not None else OperatorJumpMeasure.empty(dim)
+    m = m if m is not None else ScalarJumpMeasure(dim)
+    mu = mu if mu is not None else OperatorJumpMeasure(dim)
     if b_extra is None:
         b_extra = np.zeros((dim, dim))
     b_extra = check_symmetric(b_extra)
@@ -800,17 +756,22 @@ def params_to_json(p_set):
         "dim": p_set.dim,
         "b": sym_to_json(p_set.b),
         "B": b_obj,
-        "m": {
-            "atoms": [{"xi": sym_to_json(a.xi), "w": a.weight} for a in p_set.m.atoms],
-            "rays": [{"D": sym_to_json(r.direction), "density": _density_to_json(r.density)}
-                     for r in p_set.m.rays],
-        },
-        "mu": {
-            "atoms": [{"xi": sym_to_json(a.xi), "M": sym_to_json(a.weight)} for a in p_set.mu.atoms],
-            "rays": [{"D": sym_to_json(r.direction), "M": sym_to_json(r.weight),
-                      "density": _density_to_json(r.density)} for r in p_set.mu.rays],
-        },
+        "m": _measure_to_json(p_set.m),
+        "mu": _measure_to_json(p_set.mu),
     }
+
+
+def _measure_to_json(measure):
+    """The atoms, at the xi they were given, and the rays; mu jumps carry their weight "M"."""
+    atoms, rays = [], []
+    for j in measure.jumps:
+        weight = {"M": sym_to_json(j.weight)} if measure._kernel else {}
+        if isinstance(j.law, PointMass):
+            weight = weight or {"w": j.law.c}   # an m atom's weight is its mass
+            atoms.append({"xi": sym_to_json(j.xi), **weight})
+        else:
+            rays.append({"D": sym_to_json(j.direction), **weight, "density": _density_to_json(j.law)})
+    return {"atoms": atoms, "rays": rays}
 
 
 def _pairs_match(p1, p2):
@@ -832,20 +793,13 @@ def params_from_json(obj):
         for key, section in (("m", m_obj), ("mu", mu_obj), ("B", b_obj)):
             if not isinstance(section, dict):
                 raise TypeError(f"section {key!r} must be an object, got {section!r}")
-        m = ScalarJumpMeasure(
-            dim,
-            tuple(ScalarAtom(sym_from_json(a["xi"]), float(a["w"])) for a in m_obj.get("atoms", [])),
-            tuple(ScalarRay(sym_from_json(r["D"]), _density_from_json(r["density"]))
-                  for r in m_obj.get("rays", [])),
-        )
-        mu = OperatorJumpMeasure(
-            dim,
-            tuple(OperatorAtom(sym_from_json(a["xi"]), sym_from_json(a["M"]))
-                  for a in mu_obj.get("atoms", [])),
-            tuple(OperatorRay(sym_from_json(r["D"]), sym_from_json(r["M"]),
-                              _density_from_json(r["density"]))
-                  for r in mu_obj.get("rays", [])),
-        )
+        m = ScalarJumpMeasure(dim, tuple(
+            [atom(sym_from_json(a["xi"]), float(a["w"])) for a in m_obj.get("atoms", [])]
+            + [ray(sym_from_json(r["D"]), _density_from_json(r["density"])) for r in m_obj.get("rays", [])]))
+        mu = OperatorJumpMeasure(dim, tuple(
+            [atom(sym_from_json(a["xi"]), sym_from_json(a["M"])) for a in mu_obj.get("atoms", [])]
+            + [ray(sym_from_json(r["D"]), _density_from_json(r["density"]), sym_from_json(r["M"]))
+               for r in mu_obj.get("rays", [])]))
         terms = []
         if b_obj.get("lyapunov") is not None:
             terms.append(LyapunovOperator(np.asarray(b_obj["lyapunov"], dtype=float)))

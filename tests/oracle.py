@@ -32,10 +32,11 @@ Lipschitz bound of the truncated field R_k is the paper's constant
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from affinehs.params import radial_quad
+from affinehs.params import OperatorJumpMeasure, radial_quad
 from affinehs.riccati import ray_rule
 from affinehs.symcone import (
     CongruenceSum,
@@ -80,8 +81,8 @@ def matrix_by_basis_loop(op, adjoint=False):
 def scalar_atom_arrays(p_sets):
     """Pad the atom data of d = 1 sets into rectangular arrays."""
     n_sets = len(p_sets)
-    a_m = max((len(p.m.atoms) for p in p_sets), default=0)
-    a_mu = max((len(p.mu.atoms) for p in p_sets), default=0)
+    a_m = max((len(atoms(p.m)) for p in p_sets), default=0)
+    a_mu = max((len(atoms(p.mu)) for p in p_sets), default=0)
     m_xi = np.ones((n_sets, max(a_m, 1)))
     m_w = np.zeros((n_sets, max(a_m, 1)))
     mu_xi = np.ones((n_sets, max(a_mu, 1)))
@@ -91,13 +92,13 @@ def scalar_atom_arrays(p_sets):
     one = np.eye(1)
     for i, p in enumerate(p_sets):
         assert p.dim == 1
-        assert not p.m.rays and not p.mu.rays, "scalar oracle handles atoms only"
+        assert not rays(p.m) and not rays(p.mu), "scalar oracle handles atoms only"
         b[i] = p.b[0, 0]
         bstar[i] = structured_apply(p.B, one, adjoint=True)[0, 0]
-        for j, a in enumerate(p.m.atoms):
+        for j, a in enumerate(atoms(p.m)):
             m_xi[i, j] = a.xi[0, 0]
             m_w[i, j] = a.weight
-        for j, a in enumerate(p.mu.atoms):
+        for j, a in enumerate(atoms(p.mu)):
             mu_xi[i, j] = a.xi[0, 0]
             mu_m[i, j] = a.weight[0, 0]
     return b, bstar, (m_xi, m_w, m_xi <= 1.0), (mu_xi, mu_m, mu_xi <= 1.0)
@@ -244,6 +245,26 @@ def forcing_by_generator(bundle, v, w):
     return float(row[0]), basis.unvec(row[1:])
 
 
+Atom = namedtuple("Atom", "xi norm weight")
+Ray = namedtuple("Ray", "direction density weight")
+
+
+def atoms(measure):
+    """Each atom as its input data: xi as given, ||xi|| and the weight w (m) or M (mu).
+
+    An m atom's w is the mass of its law; a mu atom's M is its output
+    weight, and its law's mass 1/||xi||^2 is not read.
+    """
+    kernel = isinstance(measure, OperatorJumpMeasure)
+    return [Atom(j.xi, frob_norm(j.xi), j.weight if kernel else j.law.c)
+            for j in measure.jumps if j.xi is not None]
+
+
+def rays(measure):
+    """Each ray as its input data: direction, density and weight."""
+    return [Ray(j.direction, j.law, j.weight) for j in measure.jumps if j.xi is None]
+
+
 def _moment(ray, p, lo=0.0, hi=math.inf):
     return ray.density.partial_moment(p, lo, hi)
 
@@ -262,22 +283,22 @@ def measure_helpers_by_kind(p_set):
     def rank_one(pairs):
         return sum((np.multiply.outer(a, c) for a, c in pairs), np.zeros((d,) * 4))
 
-    kernel = [a.weight / a.norm ** 2 for a in mu.atoms] + [_moment(r, 0) * r.weight for r in mu.rays]
+    kernel = [a.weight / a.norm ** 2 for a in atoms(mu)] + [_moment(r, 0) * r.weight for r in rays(mu)]
     return {
-        "total_mass": sum(a.weight for a in m.atoms) + sum(_moment(r, 0) for r in m.rays),
-        "second_moment": sum(a.weight * a.norm ** 2 for a in m.atoms) + sum(_moment(r, 2) for r in m.rays),
-        "chi_integral": mat([a.weight * a.xi for a in m.atoms if a.norm <= 1.0]
-                            + [_moment(r, 1, 0.0, 1.0) * r.direction for r in m.rays]),
-        "tail_first_moment_matrix": mat([a.weight * a.xi for a in m.atoms if a.norm > 1.0]
-                                        + [_moment(r, 1, 1.0) * r.direction for r in m.rays]),
-        "total_mass_matrix": mat([a.weight for a in mu.atoms]
-                                 + [_moment(r, 2) * r.weight for r in mu.rays]),
+        "total_mass": sum(a.weight for a in atoms(m)) + sum(_moment(r, 0) for r in rays(m)),
+        "second_moment": sum(a.weight * a.norm ** 2 for a in atoms(m)) + sum(_moment(r, 2) for r in rays(m)),
+        "chi_integral": mat([a.weight * a.xi for a in atoms(m) if a.norm <= 1.0]
+                            + [_moment(r, 1, 0.0, 1.0) * r.direction for r in rays(m)]),
+        "tail_first_moment_matrix": mat([a.weight * a.xi for a in atoms(m) if a.norm > 1.0]
+                                        + [_moment(r, 1, 1.0) * r.direction for r in rays(m)]),
+        "total_mass_matrix": mat([a.weight for a in atoms(mu)]
+                                 + [_moment(r, 2) * r.weight for r in rays(mu)]),
         "kernel_total_matrix": mat(kernel) if all(np.isfinite(k).all() for k in kernel) else None,
-        "chi_compensator_pairs": rank_one([(a.weight, a.xi / a.norm ** 2) for a in mu.atoms if a.norm <= 1.0]
+        "chi_compensator_pairs": rank_one([(a.weight, a.xi / a.norm ** 2) for a in atoms(mu) if a.norm <= 1.0]
                                           + [(r.weight, _moment(r, 1, 0.0, 1.0) * r.direction)
-                                             for r in mu.rays]),
-        "tail_pairs": rank_one([(a.xi, a.weight / a.norm ** 2) for a in mu.atoms if a.norm > 1.0]
-                               + [(r.direction, _moment(r, 1, 1.0) * r.weight) for r in mu.rays]),
+                                             for r in rays(mu)]),
+        "tail_pairs": rank_one([(a.xi, a.weight / a.norm ** 2) for a in atoms(mu) if a.norm > 1.0]
+                               + [(r.direction, _moment(r, 1, 1.0) * r.weight) for r in rays(mu)]),
     }
 
 
@@ -297,11 +318,11 @@ def field_by_kind(p_set, psi):
         return float(w @ bracket(r * np.tensordot(ray.direction, psi), small))
 
     f_terms = [np.tensordot(p_set.b, psi)]
-    f_terms += [-a.weight * bracket(np.tensordot(a.xi, psi), a.norm <= 1.0) for a in m.atoms]
-    f_terms += [-ray_bracket(r) for r in m.rays]
+    f_terms += [-a.weight * bracket(np.tensordot(a.xi, psi), a.norm <= 1.0) for a in atoms(m)]
+    f_terms += [-ray_bracket(r) for r in rays(m)]
     r_terms = [structured_apply(p_set.B, psi, adjoint=True)]
-    r_terms += [-bracket(np.tensordot(a.xi, psi), a.norm <= 1.0) / a.norm ** 2 * a.weight for a in mu.atoms]
-    r_terms += [-ray_bracket(r) * r.weight for r in mu.rays]
+    r_terms += [-bracket(np.tensordot(a.xi, psi), a.norm <= 1.0) / a.norm ** 2 * a.weight for a in atoms(mu)]
+    r_terms += [-ray_bracket(r) * r.weight for r in rays(mu)]
     return ((sum(f_terms), sum(r_terms)),
             (sum(map(abs, f_terms)), sum(np.abs(t) for t in r_terms)))
 
@@ -315,10 +336,10 @@ def jump_table_by_kind(p_set, basis):
     """
     m, mu, vec = p_set.m, p_set.mu, basis.vec
     zero = np.zeros(basis.n)
-    comps = [(a.weight, zero, vec(a.xi)) for a in m.atoms]
-    comps += [(_moment(r, 0), zero, vec(r.direction)) for r in m.rays]
-    comps += [(0.0, vec(a.weight) / a.norm ** 2, vec(a.xi)) for a in mu.atoms]
-    comps += [(0.0, _moment(r, 0) * vec(r.weight), vec(r.direction)) for r in mu.rays]
+    comps = [(a.weight, zero, vec(a.xi)) for a in atoms(m)]
+    comps += [(_moment(r, 0), zero, vec(r.direction)) for r in rays(m)]
+    comps += [(0.0, vec(a.weight) / a.norm ** 2, vec(a.xi)) for a in atoms(mu)]
+    comps += [(0.0, _moment(r, 0) * vec(r.weight), vec(r.direction)) for r in rays(mu)]
     const, rows, sizes = zip(*comps) if comps else ((), (), ())
     return (np.array(const), np.array(rows).reshape(len(comps), basis.n),
             np.array(sizes).reshape(len(comps), basis.n))
@@ -332,11 +353,11 @@ def d2_tables_by_kind(p_set, basis):
     mu atoms (1 / ||xi||^2) and rays, times the output weight.
     """
     m, mu, vec, n = p_set.m, p_set.mu, basis.vec, basis.n
-    f_coefs = [a.weight for a in m.atoms] + [_moment(r, 2) for r in m.rays]
-    f_a = [vec(a.xi) for a in m.atoms] + [vec(r.direction) for r in m.rays]
-    r_coefs = [1.0 / a.norm ** 2 for a in mu.atoms] + [_moment(r, 2) for r in mu.rays]
-    r_a = [vec(a.xi) for a in mu.atoms] + [vec(r.direction) for r in mu.rays]
-    r_w = [vec(a.weight) for a in mu.atoms] + [vec(r.weight) for r in mu.rays]
+    f_coefs = [a.weight for a in atoms(m)] + [_moment(r, 2) for r in rays(m)]
+    f_a = [vec(a.xi) for a in atoms(m)] + [vec(r.direction) for r in rays(m)]
+    r_coefs = [1.0 / a.norm ** 2 for a in atoms(mu)] + [_moment(r, 2) for r in rays(mu)]
+    r_a = [vec(a.xi) for a in atoms(mu)] + [vec(r.direction) for r in rays(mu)]
+    r_w = [vec(a.weight) for a in atoms(mu)] + [vec(r.weight) for r in rays(mu)]
     return ((np.array(f_coefs), np.reshape(f_a, (len(f_a), n))),
             (np.array(r_coefs), np.reshape(r_a, (len(r_a), n)), np.reshape(r_w, (len(r_w), n))))
 
@@ -377,8 +398,8 @@ def _atom_in_region(norm, region):
 def integrate_scalar(m, f, region=ALL):
     """integral of f(xi) m(dxi) over the region, atoms exactly, rays by quadrature."""
     lo, hi = _region_bounds(region)
-    total = sum(a.weight * f(a.xi) for a in m.atoms if _atom_in_region(a.norm, region))
-    for j, r in enumerate(m.rays):
+    total = sum(a.weight * f(a.xi) for a in atoms(m) if _atom_in_region(a.norm, region))
+    for j, r in enumerate(rays(m)):
         d_mat = r.direction
         total += radial_quad(r.density, lambda s: f(s * d_mat), lo, hi, ray_index=j)
     return float(total)
@@ -388,10 +409,10 @@ def integrate_operator(mu, f, region=ALL):
     """integral of f(xi) mu(dxi) over the region; returns a symmetric matrix."""
     lo, hi = _region_bounds(region)
     out = np.zeros((mu.dim, mu.dim))
-    for a in mu.atoms:
+    for a in atoms(mu):
         if _atom_in_region(a.norm, region):
             out += f(a.xi) * a.weight
-    for j, r in enumerate(mu.rays):
+    for j, r in enumerate(rays(mu)):
         d_mat = r.direction
         val = radial_quad(r.density, lambda s: f(s * d_mat) * s * s, lo, hi, ray_index=j)
         out += val * r.weight
@@ -402,10 +423,10 @@ def integrate_kernel(mu, f, region=ALL):
     """integral of f(xi) mu(dxi)/||xi||^2 over the region."""
     lo, hi = _region_bounds(region)
     out = np.zeros((mu.dim, mu.dim))
-    for a in mu.atoms:
+    for a in atoms(mu):
         if _atom_in_region(a.norm, region):
             out += f(a.xi) * a.weight / a.norm ** 2
-    for j, r in enumerate(mu.rays):
+    for j, r in enumerate(rays(mu)):
         d_mat = r.direction
         val = radial_quad(r.density, lambda s: f(s * d_mat), lo, hi, ray_index=j)
         out += val * r.weight

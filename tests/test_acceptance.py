@@ -23,7 +23,7 @@ from affinehs.moments import (
 )
 from affinehs.params import build_admissible, save_params, truncate
 from affinehs.pdmpsim import mc_summary, terminal_statistics
-from affinehs.params import PowerLawDensity, ScalarAtom, ScalarJumpMeasure
+from affinehs.params import PowerLawDensity, ScalarJumpMeasure, atom
 from affinehs.riccati import RiccatiOptions, solve_cascade, solve_riccati
 from affinehs.symcone import frob_norm, inner, min_eigenvalue, random_psd
 
@@ -230,7 +230,7 @@ def test_criterion_8_variational():
 def test_criterion_9_simulation_statistics():
     rate, horizon, n = 2.0, 1.0, 10_000
     unit = np.eye(2) / math.sqrt(2.0)
-    m = ScalarJumpMeasure(2, (ScalarAtom(0.5 * unit, rate / 2), ScalarAtom(1.5 * unit, rate / 2)))
+    m = ScalarJumpMeasure(2, (atom(0.5 * unit, rate / 2), atom(1.5 * unit, rate / 2)))
     p = build_admissible(2, beta=-0.5 * np.eye(2), m=m, b_extra=np.eye(2))
     counts = terminal_statistics(p, np.eye(2), horizon, n, seed=99)[:, -1]
     lam = rate * horizon
@@ -255,7 +255,7 @@ def test_criterion_9_simulation_statistics():
 # 10. bitwise reproducibility of the verify pipeline
 # ---------------------------------------------------------------------------
 
-def test_criterion_10_verify_reproducibility(tmp_path):
+def test_criterion_10_verify_reproducibility(tmp_path, pools):
     s = library.get("mc2-00")
     pfile = tmp_path / "params.json"
     save_params(s.params, pfile)
@@ -267,5 +267,5 @@ def test_criterion_10_verify_reproducibility(tmp_path):
                          "--out", str(out)])
         assert code == 0
         payloads.append((out / "verify.json").read_bytes())
-    ok = payloads[0] == payloads[1] == payloads[2]
-    _report(10, ok, "verify.json bitwise identical across 1/4/8 workers (seed 31)")
+    ok = payloads[0] == payloads[1] == payloads[2] and pools == [4, 8]
+    _report(10, ok, "verify.json bitwise identical across 1/4/8 workers (seed 31, 128-path blocks)")

@@ -1,8 +1,12 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from strategies import admissible_cases
 
 from affinehs import library
 from affinehs.cli import main
@@ -232,7 +236,16 @@ def test_verify_stage_failures(tmp_path):
     assert report["failed_stage"] == "validate"
 
 
-def test_verify_bitwise_across_workers(mc_param_file, tmp_path):
+def test_solve_rejects_a_nonpositive_cone_tolerance(mc_param_file, tmp_path):
+    # --tol 0 is a value, not the absent option: it fails as --tol -1 does
+    _, pfile = mc_param_file
+    for tol in ("0", "-1"):
+        out = tmp_path / f"tol{tol}"
+        assert main(["solve", "--params", pfile, "--tol", tol, "--out", str(out)]) == 2
+        assert not (out / "riccati.csv").exists()
+
+
+def test_verify_bitwise_across_workers(mc_param_file, tmp_path, pools):
     _, pfile = mc_param_file
     payloads = []
     for w in (1, 4, 8):
@@ -243,9 +256,31 @@ def test_verify_bitwise_across_workers(mc_param_file, tmp_path):
         assert code == 0
         payloads.append((out / "verify.json").read_bytes())
     assert payloads[0] == payloads[1] == payloads[2]
+    assert pools == [4, 8]
 
 
-def test_worker_env_cap(mc_param_file, tmp_path, monkeypatch):
+@settings(derandomize=True, max_examples=4, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=admissible_cases())
+def test_verify_bitwise_across_workers_on_random_admissible_sets(case, pools):
+    p, x, u, v, t = case
+    n_pools = len(pools)
+    codes, payloads = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_params(p, tmp / "params.json")
+        args = ["verify", "--params", str(tmp / "params.json"), "--x0", _write_matrix(tmp / "x.json", x),
+                "--u", _write_matrix(tmp / "u.json", u), "--v", _write_matrix(tmp / "v.json", v),
+                "--T", repr(t), "--n-paths", "400", "--seed", "5"]
+        for w in (1, 2, 4):
+            codes.append(main(args + ["--workers", str(w), "--out", str(tmp / f"w{w}")]))
+            payloads.append((tmp / f"w{w}" / "verify.json").read_bytes())
+    assert codes[0] in (0, 1) and codes == codes[:1] * 3
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert pools[n_pools:] == [2, 4]
+
+
+def test_worker_env_cap(mc_param_file, tmp_path, monkeypatch, pools):
     _, pfile = mc_param_file
     monkeypatch.setenv("AFFINEHS_THREADS", "1")
     out = tmp_path / "capped"
@@ -253,6 +288,7 @@ def test_worker_env_cap(mc_param_file, tmp_path, monkeypatch):
                  "--n-paths", "1200", "--seed", "9", "--workers", "8",
                  "--out", str(out)])
     assert code == 0
+    assert pools == []   # capped at one worker: no pool
     ref = tmp_path / "ref"
     monkeypatch.delenv("AFFINEHS_THREADS")
     code = main(["verify", "--params", pfile, "--T", "1.0", "--k", "4",

@@ -25,11 +25,10 @@ from affinehs.moments import (
     second_moment,
 )
 from affinehs.params import (
-    OperatorAtom,
     OperatorJumpMeasure,
     ParameterSet,
-    ScalarAtom,
     ScalarJumpMeasure,
+    atom,
     build_admissible,
     truncate,
 )
@@ -84,9 +83,9 @@ def test_bundle_empty_measures(empty_p2, rng):
 def test_bundle_small_atom():
     # one mu atom inside the ball: no tail, but a second derivative
     xi = 0.5 * E11
-    mu = OperatorJumpMeasure(2, (OperatorAtom(xi, E22),))
+    mu = OperatorJumpMeasure(2, (atom(xi, E22),))
     p = ParameterSet(2, np.eye(2), LyapunovOperator(-np.eye(2)),
-                     ScalarJumpMeasure.empty(2), mu)
+                     ScalarJumpMeasure(2), mu)
     bundle = derivative_bundle(p)
     v = np.array([[2.0, 0.3], [0.3, 1.0]])
     w = np.array([[1.0, -0.2], [-0.2, 3.0]])
@@ -210,7 +209,7 @@ def test_mean_scalar_closed_form():
     # E[<X_t, v>] = v (1 - e^{-t}) + x v e^{-t}
     from affinehs.symcone import DenseOperator
     p = ParameterSet(1, np.array([[1.0]]), DenseOperator(1, np.array([[-1.0]])),
-                     ScalarJumpMeasure.empty(1), OperatorJumpMeasure.empty(1))
+                     ScalarJumpMeasure(1), OperatorJumpMeasure(1))
     got = mean(p, np.array([[2.0]]), 1.0, np.array([[1.0]]))
     assert got == pytest.approx((1.0 - math.exp(-1.0)) + 2.0 * math.exp(-1.0), rel=1e-9)
 
@@ -297,7 +296,7 @@ def test_generator_linear(mc_truncated, rng):
     p0 = build_admissible(2, beta=-np.eye(2), b_extra=np.eye(2))
     assert generator_linear(p0, v, np.zeros((2, 2))) == pytest.approx(inner(p0.b, v), rel=1e-12)
     # all jumps below norm 1: <b + B(x), v>
-    mu = OperatorJumpMeasure(2, (OperatorAtom(0.5 * E11, E22),))
+    mu = OperatorJumpMeasure(2, (atom(0.5 * E11, E22),))
     p_small = build_admissible(2, beta=-np.eye(2), mu=mu, b_extra=np.eye(2))
     x2 = random_psd(rng, 2)
     assert generator_linear(p_small, v, x2) == pytest.approx(
@@ -367,7 +366,7 @@ def test_defective_generator_takes_the_dense_route(rng):
     # B = 0 and no operator jumps: G lowers the degree of every monomial, so
     # it is nilpotent and has no eigenbasis
     xi = np.array([[0.8, 0.1], [0.1, 0.6]])
-    m = ScalarJumpMeasure(2, (ScalarAtom(1.5 * xi / frob_norm(xi), 0.7), ScalarAtom(0.5 * E11, 0.4)))
+    m = ScalarJumpMeasure(2, (atom(1.5 * xi / frob_norm(xi), 0.7), atom(0.5 * E11, 0.4)))
     p = build_admissible(2, m=m, b_extra=np.eye(2))
     bundle = derivative_bundle(p)
     assert np.count_nonzero(np.linalg.matrix_power(bundle.G, 3)) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -23,21 +24,19 @@ import affinehs
 from affinehs.exceptions import MeasureError, ParameterFileError
 from affinehs.params import (
     ExponentialDensity,
-    OperatorAtom,
     OperatorJumpMeasure,
-    OperatorRay,
     ParameterSet,
     PointMass,
     PowerLawDensity,
-    ScalarAtom,
     ScalarJumpMeasure,
-    ScalarRay,
+    atom,
     build_admissible,
     load_params,
     orthogonal_psd_pair,
     params_from_json,
     params_to_json,
     radial_quad,
+    ray,
     save_params,
     truncate,
     validate_admissibility,
@@ -103,8 +102,7 @@ def test_radial_quad_singular_substitution():
 
 def test_radial_quad_failure_carries_ray_index():
     from affinehs.exceptions import QuadratureError
-    ray = ScalarRay(unit_dir(), ExponentialDensity(1.0, 1.0))
-    m = ScalarJumpMeasure(2, (), (ray,))
+    m = ScalarJumpMeasure(2, (ray(unit_dir(), ExponentialDensity(1.0, 1.0)),))
     with pytest.raises(QuadratureError) as err:
         integrate_scalar(m, lambda x: float("nan"))
     assert err.value.ray_index == 0
@@ -179,35 +177,74 @@ def test_jumps_match_per_kind_sums_on_random_admissible_sets(case):
 
 
 def test_only_params_maps_atoms_and_rays():
-    # every other module reads a measure through its jumps
+    # a measure holds its jumps alone; rays is a derived view that no module of the package reads
     src = Path(affinehs.__file__).parent
-    readers = sorted(f.name for f in src.glob("*.py")
-                     if f.name != "params.py" and re.search(r"\.(atoms|rays)\b", f.read_text()))
+    readers = sorted(f.name for f in src.glob("*.py") if re.search(r"\.(atoms|rays)\b", f.read_text()))
     assert readers == []
+    for s in affinehs.library.benchmark_sets():
+        for measure in (s.params.m, s.params.mu):
+            assert [f.name for f in dataclasses.fields(measure)] == ["dim", "jumps"]
+            assert not hasattr(measure, "atoms")
+            assert measure.rays == tuple(j for j in measure.jumps if not isinstance(j.law, PointMass))
+
+
+def test_atom_and_ray_jumps_by_hand():
+    xi = np.array([[1.2, 0.0], [0.0, 1.6]])         # ||xi|| = 2
+    d_mat = np.array([[0.6, 0.0], [0.0, 0.8]])      # xi / ||xi||, a unit direction
+    den = ExponentialDensity(0.5, 2.0)
+    cases = (
+        # m atom: mass w at r0 = ||xi||, output weight 1
+        (atom(xi, 0.7), d_mat, PointMass(0.7, 2.0), 1.0, xi),
+        # mu atom: kernel mass 1/||xi||^2, output weight M
+        (atom(xi, E22), d_mat, PointMass(0.25, 2.0), E22, xi),
+        # rays keep their direction and density; m weighs 1, mu weighs M
+        (ray(d_mat, den), d_mat, den, 1.0, None),
+        (ray(d_mat, den, E22), d_mat, den, E22, None),
+    )
+    for jump, direction, law, weight, xi_given in cases:
+        np.testing.assert_array_equal(jump.direction, direction)
+        assert jump.law == law
+        np.testing.assert_array_equal(jump.weight, weight)
+        assert type(jump.weight) is type(weight)
+        if xi_given is None:
+            assert jump.xi is None
+        else:
+            np.testing.assert_array_equal(jump.xi, xi_given)
+        assert not jump.direction.flags.writeable
+    m_atom, mu_atom, m_ray, mu_ray = (c[0] for c in cases)
+    assert ScalarJumpMeasure(2, (m_atom, m_ray)).jumps == (m_atom, m_ray)
+    assert OperatorJumpMeasure(2, (mu_ray, mu_atom)).jumps == (mu_ray, mu_atom)   # in the order given
+    for jump in (mu_atom, mu_ray):
+        with pytest.raises(MeasureError):
+            ScalarJumpMeasure(2, (m_atom, jump))
+    for jump in (m_atom, m_ray):
+        with pytest.raises(MeasureError):
+            OperatorJumpMeasure(2, (mu_atom, jump))
+    with pytest.raises(MeasureError):   # an m ray weighs 1; its density carries the mass
+        ray(d_mat, den, 2.0)
 
 
 def test_integrate_scalar_examples():
     xi0 = 0.8 * unit_dir()
-    m = ScalarJumpMeasure(2, (ScalarAtom(xi0, 3.0),))
+    m = ScalarJumpMeasure(2, (atom(xi0, 3.0),))
     assert integrate_scalar(m, lambda x: frob_norm(x) ** 2) == pytest.approx(
         3.0 * frob_norm(xi0) ** 2, rel=1e-12)
-    empty = ScalarJumpMeasure.empty(2)
+    empty = ScalarJumpMeasure(2)
     assert integrate_scalar(empty, lambda x: 1.0) == 0.0
     # m-mass density r^{0.5} on (0,1] (the r^2 g form of g = r^{-1.5}): total mass 2/3
-    ray = ScalarRay(unit_dir(), PowerLawDensity(c=1.0, alpha=-1.5, rmin=0.0, rmax=1.0))
-    m2 = ScalarJumpMeasure(2, (), (ray,))
+    m2 = ScalarJumpMeasure(2, (ray(unit_dir(), PowerLawDensity(c=1.0, alpha=-1.5, rmin=0.0, rmax=1.0)),))
     assert integrate_scalar(m2, lambda x: 1.0) == pytest.approx(2.0 / 3.0, rel=1e-8)
 
 
 def test_integrate_operator_examples():
     xi0 = 0.8 * unit_dir()
     weight = np.array([[0.5, 0.1], [0.1, 0.4]])
-    mu = OperatorJumpMeasure(2, (OperatorAtom(xi0, weight),))
+    mu = OperatorJumpMeasure(2, (atom(xi0, weight),))
     np.testing.assert_allclose(integrate_operator(mu, lambda x: 1.0), weight, rtol=1e-12)
     np.testing.assert_allclose(integrate_operator(mu, lambda x: 0.0), np.zeros((2, 2)), atol=0.0)
     # ray in kernel form g = r^{-1.5} on (0,1]: mu-mass density r^2 g
-    ray = OperatorRay(unit_dir(), weight, PowerLawDensity(c=1.0, alpha=0.5, rmin=0.0, rmax=1.0))
-    mu2 = OperatorJumpMeasure(2, (), (ray,))
+    mu2 = OperatorJumpMeasure(2, (ray(unit_dir(), PowerLawDensity(c=1.0, alpha=0.5, rmin=0.0, rmax=1.0),
+                                      weight),))
     # total mass: integral of r^2 g = integral of r^{0.5} = 2/3
     np.testing.assert_allclose(integrate_operator(mu2, lambda x: 1.0),
                                (2.0 / 3.0) * weight, rtol=1e-8)
@@ -220,7 +257,7 @@ def test_integrate_operator_examples():
 
 
 def test_integrate_regions():
-    atoms = (ScalarAtom(0.5 * unit_dir(), 1.0), ScalarAtom(2.0 * unit_dir(), 10.0))
+    atoms = (atom(0.5 * unit_dir(), 1.0), atom(2.0 * unit_dir(), 10.0))
     m = ScalarJumpMeasure(2, atoms)
     assert integrate_scalar(m, lambda x: 1.0, norm_leq(1.0)) == pytest.approx(1.0)
     assert integrate_scalar(m, lambda x: 1.0, norm_gt(1.0)) == pytest.approx(10.0)
@@ -229,22 +266,22 @@ def test_integrate_regions():
 
 def test_measure_invariant_violations():
     with pytest.raises(MeasureError):  # second moment diverges at infinity
-        ScalarJumpMeasure(2, (), (ScalarRay(unit_dir(), PowerLawDensity(1.0, 1.5, 1.0, math.inf)),))
+        ScalarJumpMeasure(2, (ray(unit_dir(), PowerLawDensity(1.0, 1.5, 1.0, math.inf)),))
     with pytest.raises(MeasureError):  # small-jump first moment diverges
-        ScalarJumpMeasure(2, (), (ScalarRay(unit_dir(), PowerLawDensity(1.0, 1.2, 0.0, 1.0)),))
+        ScalarJumpMeasure(2, (ray(unit_dir(), PowerLawDensity(1.0, 1.2, 0.0, 1.0)),))
     with pytest.raises(MeasureError):  # atom at the origin
-        ScalarJumpMeasure(2, (ScalarAtom(np.zeros((2, 2)), 1.0),))
+        ScalarJumpMeasure(2, (atom(np.zeros((2, 2)), 1.0),))
     with pytest.raises(MeasureError):  # non-unit ray direction
-        ScalarRay(2.0 * unit_dir(), ExponentialDensity(1.0, 1.0))
+        ray(2.0 * unit_dir(), ExponentialDensity(1.0, 1.0))
     with pytest.raises(MeasureError):  # negative weight
-        ScalarAtom(unit_dir(), -1.0)
+        atom(unit_dir(), -1.0)
     with pytest.raises(MeasureError):  # non-PSD operator weight
-        OperatorAtom(unit_dir(), np.array([[1.0, 0.0], [0.0, -0.5]]))
+        atom(unit_dir(), np.array([[1.0, 0.0], [0.0, -0.5]]))
 
 
 def test_chi_integral_linearity(rng):
-    m = ScalarJumpMeasure(2, (ScalarAtom(0.5 * unit_dir(), 2.0), ScalarAtom(3.0 * unit_dir(), 1.0)),
-                          (ScalarRay(unit_dir(), ExponentialDensity(0.6, 2.0)),))
+    m = ScalarJumpMeasure(2, (atom(0.5 * unit_dir(), 2.0), atom(3.0 * unit_dir(), 1.0),
+                              ray(unit_dir(), ExponentialDensity(0.6, 2.0))))
     i_m = m.chi_integral()
     for _ in range(10):
         h = random_symmetric(rng, 2)
@@ -255,8 +292,8 @@ def test_chi_integral_linearity(rng):
 
 def test_measure_monotonicity_in_regions():
     weight = np.array([[0.5, 0.1], [0.1, 0.4]])
-    mu = OperatorJumpMeasure(2, (OperatorAtom(0.5 * unit_dir(), weight),),
-                             (OperatorRay(unit_dir(), weight, PowerLawDensity(1.0, 0.5, 0.0, 1.0)),))
+    mu = OperatorJumpMeasure(2, (atom(0.5 * unit_dir(), weight),
+                                 ray(unit_dir(), PowerLawDensity(1.0, 0.5, 0.0, 1.0), weight)))
     cuts = [math.inf, 2.0, 1.0, 0.5, 0.25]
     masses = [frob_norm(mu.restricted(0.0, c).total_mass_matrix()) for c in cuts]
     for bigger, smaller in zip(masses, masses[1:]):
@@ -264,24 +301,23 @@ def test_measure_monotonicity_in_regions():
 
 
 def test_truncate_examples():
-    big = ScalarJumpMeasure(2, (ScalarAtom(2.0 * unit_dir(), 1.0),))
+    big = ScalarJumpMeasure(2, (atom(2.0 * unit_dir(), 1.0),))
     p_big = build_admissible(2, beta=-np.eye(2), m=big, b_extra=np.eye(2))
     t1 = truncate(p_big, 1)
-    assert len(t1.m.atoms) == 1  # all mass above norm 1: unchanged
+    assert len(t1.m.jumps) == 1  # all mass above norm 1: unchanged
 
-    ray = OperatorRay(unit_dir(), np.eye(2) / math.sqrt(2.0),
-                      PowerLawDensity(1.0, 0.5, 0.0, 1.0))
+    mu_ray = ray(unit_dir(), PowerLawDensity(1.0, 0.5, 0.0, 1.0), np.eye(2) / math.sqrt(2.0))
     p_ray = build_admissible(2, beta=-np.eye(2),
-                             mu=OperatorJumpMeasure(2, (), (ray,)), b_extra=np.eye(2))
+                             mu=OperatorJumpMeasure(2, (mu_ray,)), b_extra=np.eye(2))
     t4 = truncate(p_ray, 4)
-    den = t4.mu.rays[0].density
+    den = t4.mu.jumps[0].law
     assert den.rmin == pytest.approx(0.25)
     assert den.rmax == pytest.approx(1.0)
     # truncated activity for g = r^{-1.5} on (1/k, 1]: 2(sqrt(k) - 1)
     assert den.partial_moment(0) == pytest.approx(2.0, rel=1e-12)
     # idempotent at fixed k
     t4b = truncate(t4, 4)
-    assert t4b.mu.rays[0].density.rmin == pytest.approx(0.25)
+    assert t4b.mu.jumps[0].law.rmin == pytest.approx(0.25)
     # kernel mass grows with k in the Loewner order
     m4 = t4.mu.kernel_total_matrix()
     m8 = truncate(p_ray, 8).mu.kernel_total_matrix()
@@ -293,34 +329,34 @@ def test_restricted_measure_equals_fresh_construction():
     d2 = d2 / frob_norm(d2)
     dens = (PowerLawDensity(1.0, 0.5, 0.0, 2.0), ExponentialDensity(0.5, 2.0), PowerLawDensity(0.3, -1.5, 0.1, 0.2))
     cut = 0.25
-    for kind, make_ray, atoms in (
-            (ScalarJumpMeasure, lambda dn, den: ScalarRay(dn, den),
-             (ScalarAtom(0.2 * d1, 1.0), ScalarAtom(1.5 * d2, 0.5))),
-            (OperatorJumpMeasure, lambda dn, den: OperatorRay(dn, 0.4 * d2, den),
-             (OperatorAtom(0.2 * d1, d2), OperatorAtom(1.5 * d2, 0.5 * d1)))):
-        rays = tuple(make_ray(dn, den) for dn, den in zip((d1, d2, d1), dens))
-        got = kind(2, atoms, rays).restricted(cut)
-        kept = tuple(make_ray(r.direction, r.density.restricted(cut, math.inf)) for r in rays[:2])
-        fresh = kind(2, atoms[1:], kept)
+    for kind, weight, atom_weights in (
+            (ScalarJumpMeasure, 1.0, (1.0, 0.5)),
+            (OperatorJumpMeasure, 0.4 * d2, (d2, 0.5 * d1))):
+        atoms = tuple(atom(a * dn, w) for a, dn, w in zip((0.2, 1.5), (d1, d2), atom_weights))
+        rays = tuple(ray(dn, den, weight) for dn, den in zip((d1, d2, d1), dens))
+        got = kind(2, atoms + rays).restricted(cut)
+        kept = tuple(ray(r.direction, r.law.restricted(cut, math.inf), weight) for r in rays[:2])
+        fresh = kind(2, atoms[1:] + kept)
         assert len(got.jumps) == len(fresh.jumps) == 3
         for a, b in zip(got.jumps, fresh.jumps):
             assert np.array_equal(a.direction, b.direction)
             assert a.law == b.law
             assert np.array_equal(a.weight, b.weight)
-        assert [r.density for r in got.rays] == [r.density for r in fresh.rays]
+            assert (a.xi is None) == (b.xi is None) and (a.xi is None or np.array_equal(a.xi, b.xi))
+        assert [r.law for r in got.rays] == [r.law for r in fresh.rays]
         assert not got.rays[0].direction.flags.writeable
     # construction still validates the rays that restriction copies
     with pytest.raises(MeasureError):
-        ScalarRay(np.array([[1.0, 0.0], [0.0, -1.0]]) / math.sqrt(2.0), dens[0])
+        ray(np.array([[1.0, 0.0], [0.0, -1.0]]) / math.sqrt(2.0), dens[0])
     with pytest.raises(MeasureError):
-        OperatorRay(d1, np.array([[1.0, 0.0], [0.0, -0.5]]), dens[0])
+        ray(d1, dens[0], np.array([[1.0, 0.0], [0.0, -0.5]]))
 
 
 def test_atoms_on_cut_boundary_dropped():
-    m = ScalarJumpMeasure(2, (ScalarAtom(0.25 * unit_dir(), 1.0),))
+    m = ScalarJumpMeasure(2, (atom(0.25 * unit_dir(), 1.0),))
     p = build_admissible(2, beta=-np.eye(2), m=m, b_extra=np.eye(2))
-    assert len(truncate(p, 4).m.atoms) == 0  # norm == 1/k is removed
-    assert len(truncate(p, 5).m.atoms) == 1
+    assert len(truncate(p, 4).m.jumps) == 0  # norm == 1/k is removed
+    assert len(truncate(p, 5).m.jumps) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +375,7 @@ def test_orthogonal_pairs(rng):
 def test_validate_trivial_pass():
     from affinehs.params import ParameterSet
     p = ParameterSet(2, np.eye(2), LyapunovOperator(-np.eye(2)),
-                     ScalarJumpMeasure.empty(2), OperatorJumpMeasure.empty(2))
+                     ScalarJumpMeasure(2), OperatorJumpMeasure(2))
     report = validate_admissibility(p, n_pairs=25, seed=3)
     assert report.all_passed
 
@@ -348,7 +384,7 @@ def test_validate_drift_failure_witness():
     from affinehs.params import ParameterSet
     from affinehs.symcone import ZeroOperator
     p = ParameterSet(2, -E11, ZeroOperator(2),
-                     ScalarJumpMeasure.empty(2), OperatorJumpMeasure.empty(2))
+                     ScalarJumpMeasure(2), OperatorJumpMeasure(2))
     report = validate_admissibility(p, n_pairs=10, seed=0)
     assert not report.all_passed
     cond = report.condition("ii")
@@ -379,7 +415,7 @@ def test_builder_examples():
     np.testing.assert_allclose(p.B.apply_adjoint(x), p.B.apply(x))
 
     # a mu atom beyond norm 1 contributes no compensator
-    mu = OperatorJumpMeasure(2, (OperatorAtom(2.0 * E11, E22),))
+    mu = OperatorJumpMeasure(2, (atom(2.0 * E11, E22),))
     p2 = build_admissible(2, beta=-np.eye(2), mu=mu, b_extra=np.eye(2))
     np.testing.assert_allclose(p2.B.apply(np.eye(2)), -2.0 * np.eye(2))
 
@@ -390,7 +426,7 @@ def test_builder_examples():
 def test_builder_compensator_hand_value():
     # atom inside the ball: compensator x -> <M, x> xi / ||xi||^2
     xi = 0.5 * E11
-    mu = OperatorJumpMeasure(2, (OperatorAtom(xi, E22),))
+    mu = OperatorJumpMeasure(2, (atom(xi, E22),))
     p = build_admissible(2, beta=-np.eye(2), mu=mu, b_extra=np.eye(2))
     x = np.array([[0.3, 0.0], [0.0, 2.0]])
     expected = -2.0 * x + inner(E22, x) * xi / 0.25
@@ -401,18 +437,27 @@ def test_builder_compensator_hand_value():
 # JSON interface
 # ---------------------------------------------------------------------------
 
+def assert_same_set(back, src):
+    """back, read back from the file of src, is src to the last bit: file text, drift and jumps."""
+    assert json.dumps(params_to_json(back)) == json.dumps(params_to_json(src))
+    assert back.dim == src.dim
+    np.testing.assert_array_equal(back.b, src.b)
+    np.testing.assert_array_equal(back.B.mat, src.B.mat)
+    for got, want in ((back.m, src.m), (back.mu, src.mu)):
+        assert len(got.jumps) == len(want.jumps)
+        for a, b in zip(got.jumps, want.jumps):
+            np.testing.assert_array_equal(a.direction, b.direction)
+            assert a.law == b.law
+            np.testing.assert_array_equal(a.weight, b.weight)
+
+
 def test_params_json_roundtrip(tmp_path, bench):
-    for name in ("mc2-00", "cascade-00", "mixed-d3-00"):
-        src = next(s.params for s in bench if s.name == name)
-        path = tmp_path / f"{name}.json"
-        save_params(src, path)
-        back = load_params(path)
-        assert back.dim == src.dim
-        np.testing.assert_allclose(back.b, src.b, rtol=1e-15)
-        x = random_psd(np.random.default_rng(0), src.dim)
-        np.testing.assert_allclose(back.B.apply(x), src.B.apply(x), rtol=1e-12, atol=1e-13)
-        assert len(back.m.atoms) == len(src.m.atoms)
-        assert len(back.mu.rays) == len(src.mu.rays)
+    # an atom is written back with the xi it was given: written as r0 D instead,
+    # the m atom 0 of mixed-d3-04 would come back with another direction
+    for s in bench:
+        path = tmp_path / f"{s.name}.json"
+        save_params(s.params, path)
+        assert_same_set(load_params(path), s.params)
 
 
 def json_roundtrip(p_set):
@@ -422,7 +467,7 @@ def json_roundtrip(p_set):
 def test_params_json_merges_repeated_operator_kinds(rng):
     # both terms of one kind must survive the round trip
     d = 2
-    empty = (ScalarJumpMeasure.empty(d), OperatorJumpMeasure.empty(d))
+    empty = (ScalarJumpMeasure(d), OperatorJumpMeasure(d))
     lyap = LyapunovOperator(rng.standard_normal((d, d))) + LyapunovOperator(rng.standard_normal((d, d)))
     cong = (CongruenceSum((rng.standard_normal((d, d)),))
             + CongruenceSum(tuple(rng.standard_normal((d, d)) for _ in range(2))))
@@ -438,18 +483,11 @@ def test_params_json_merges_repeated_operator_kinds(rng):
 def test_params_json_roundtrip_is_exact(case):
     src = case[0]
     back = json_roundtrip(src)
-    assert back.dim == src.dim
-    np.testing.assert_array_equal(back.b, src.b)
-    np.testing.assert_array_equal(back.B.mat, src.B.mat)
-    for got, want in ((back.m, src.m), (back.mu, src.mu)):
-        assert len(got.atoms) == len(want.atoms) and len(got.rays) == len(want.rays)
-        for a, b in zip(got.atoms, want.atoms):
-            np.testing.assert_array_equal(a.xi, b.xi)
-            np.testing.assert_array_equal(a.weight, b.weight)
-        for a, b in zip(got.rays, want.rays):
-            np.testing.assert_array_equal(a.direction, b.direction)
-            np.testing.assert_array_equal(getattr(a, "weight", 0.0), getattr(b, "weight", 0.0))
-            assert a.density == b.density
+    assert_same_set(back, src)
+    for got, want in zip(back.m.jumps + back.mu.jumps, src.m.jumps + src.mu.jumps):
+        assert (got.xi is None) == (want.xi is None)
+        if got.xi is not None:
+            np.testing.assert_array_equal(got.xi, want.xi)
 
 
 def test_params_json_rejects_malformed(tmp_path):

@@ -13,14 +13,13 @@ from affinehs import library
 from affinehs.exceptions import SimulationError
 from affinehs.params import (
     ExponentialDensity,
-    OperatorAtom,
     OperatorJumpMeasure,
-    OperatorRay,
     ParameterSet,
     PowerLawDensity,
-    ScalarAtom,
     ScalarJumpMeasure,
+    atom,
     build_admissible,
+    ray,
     truncate,
 )
 from affinehs.pdmpsim import (
@@ -56,8 +55,8 @@ def unit_dir(d=2):
 
 def poisson_set(rate=2.0):
     """Constant jump intensity: m atoms only, no state dependence."""
-    m = ScalarJumpMeasure(2, (ScalarAtom(0.5 * unit_dir(), rate / 2.0),
-                              ScalarAtom(1.5 * unit_dir(), rate / 2.0)))
+    m = ScalarJumpMeasure(2, (atom(0.5 * unit_dir(), rate / 2.0),
+                              atom(1.5 * unit_dir(), rate / 2.0)))
     return build_admissible(2, beta=-0.5 * np.eye(2), m=m, b_extra=np.eye(2))
 
 
@@ -79,7 +78,7 @@ def test_drift_data_psd_and_values(bench):
 
 def test_drift_compensation_identity():
     # builder: b = b_extra + small-jump mean, so btilde == b_extra exactly
-    m = ScalarJumpMeasure(2, (ScalarAtom(0.5 * unit_dir(), 2.0),))
+    m = ScalarJumpMeasure(2, (atom(0.5 * unit_dir(), 2.0),))
     extra = 0.7 * np.eye(2)
     p = build_admissible(2, beta=-np.eye(2), m=m, b_extra=extra)
     np.testing.assert_allclose(drift_data(p).btilde, extra, rtol=1e-14, atol=1e-15)
@@ -87,18 +86,18 @@ def test_drift_compensation_identity():
 
 def test_flow_examples(rng):
     d0 = drift_data(ParameterSet(2, np.zeros((2, 2)), ZeroOperator(2),
-                                 ScalarJumpMeasure.empty(2), OperatorJumpMeasure.empty(2)))
+                                 ScalarJumpMeasure(2), OperatorJumpMeasure(2)))
     x = random_psd(rng, 2)
     np.testing.assert_allclose(flow(d0, x, 3.0), x, rtol=1e-12, atol=1e-14)
 
     b_mat = np.array([[0.4, 0.1], [0.1, 0.3]])
     d1 = drift_data(ParameterSet(2, b_mat, ZeroOperator(2),
-                                 ScalarJumpMeasure.empty(2), OperatorJumpMeasure.empty(2)))
+                                 ScalarJumpMeasure(2), OperatorJumpMeasure(2)))
     np.testing.assert_allclose(flow(d1, x, 2.0), x + 2.0 * b_mat, rtol=1e-10, atol=1e-12)
 
     beta = -0.3 * np.eye(2) + 0.2 * rng.standard_normal((2, 2))
     d2 = drift_data(ParameterSet(2, np.zeros((2, 2)), LyapunovOperator(beta),
-                                 ScalarJumpMeasure.empty(2), OperatorJumpMeasure.empty(2)))
+                                 ScalarJumpMeasure(2), OperatorJumpMeasure(2)))
     e_mat = scipy.linalg.expm(1.3 * beta)
     np.testing.assert_allclose(flow(d2, x, 1.3), e_mat @ x @ e_mat.T, rtol=1e-10, atol=1e-12)
     assert min_eigenvalue(flow(d2, x, 1.3)) >= -1e-9
@@ -138,8 +137,8 @@ def test_flow_defective_generator_matches_expm(rng):
     mat = np.zeros((n, n))
     mat[0, 1] = 1.0
     b_mat = np.array([[0.5, 0.0], [0.0, 0.2]])
-    dd = drift_data(ParameterSet(2, b_mat, DenseOperator(2, mat), ScalarJumpMeasure.empty(2),
-                                 OperatorJumpMeasure.empty(2)))
+    dd = drift_data(ParameterSet(2, b_mat, DenseOperator(2, mat), ScalarJumpMeasure(2),
+                                 OperatorJumpMeasure(2)))
     prop = FlowPropagator(dd)
     assert not prop._aug.use_eig
     x_vec = prop.basis.vec(random_psd(rng, 2))
@@ -150,8 +149,8 @@ def test_flow_defective_generator_matches_expm(rng):
 
 def defective_set():
     """B = 0 with a drift and jumps: the augmented generator is a Jordan block."""
-    m = ScalarJumpMeasure(2, (ScalarAtom(0.7 * unit_dir(), 1.5),))
-    mu = OperatorJumpMeasure(2, (OperatorAtom(2.0 * unit_dir(), 0.4 * unit_dir()),))
+    m = ScalarJumpMeasure(2, (atom(0.7 * unit_dir(), 1.5),))
+    mu = OperatorJumpMeasure(2, (atom(2.0 * unit_dir(), 0.4 * unit_dir()),))
     return build_admissible(2, m=m, mu=mu, b_extra=0.5 * np.eye(2))
 
 
@@ -180,7 +179,7 @@ def test_jump_times_are_roots_of_the_clock():
     # and after the last jump Lambda stays below E up to the horizon; the
     # third set starts at zero intensity, which first tests the horizon
     horizon = 2.0
-    mu = OperatorJumpMeasure(2, (OperatorAtom(2.0 * unit_dir(), 3.0 * unit_dir()),))
+    mu = OperatorJumpMeasure(2, (atom(2.0 * unit_dir(), 3.0 * unit_dir()),))
     rising = build_admissible(2, beta=-0.5 * np.eye(2), mu=mu, b_extra=np.eye(2))
     for sim, x0 in ((PathSimulator(truncate(library.get("mixed-d3-01").params, 4)), np.eye(3)),
                     (PathSimulator(defective_set()), np.eye(2)),
@@ -206,7 +205,7 @@ def test_jump_times_are_roots_of_the_clock():
 def test_non_finite_clock_raises_with_context():
     # beta = 20 I overflows e^{s Btilde} long before T = 50: the error names
     # the stream, the path and t, and the named path fails again alone
-    m = ScalarJumpMeasure(2, (ScalarAtom(0.5 * unit_dir(), 1.0),))
+    m = ScalarJumpMeasure(2, (atom(0.5 * unit_dir(), 1.0),))
     p = build_admissible(2, beta=20.0 * np.eye(2), m=m, b_extra=np.eye(2))
     message = r"not finite \(seed 13, path (\d+), t = \S+"
     with pytest.raises(SimulationError, match=message) as err:
@@ -223,8 +222,8 @@ def test_non_finite_clock_raises_with_context():
 def test_jump_intensity_examples():
     p = poisson_set(rate=3.0)
     assert jump_intensity(p, np.zeros((2, 2))) == pytest.approx(3.0, rel=1e-12)
-    mu = OperatorJumpMeasure(2, (OperatorAtom(2.0 * E11, E11),))
-    m3 = ScalarJumpMeasure(2, (ScalarAtom(0.5 * unit_dir(), 3.0),))
+    mu = OperatorJumpMeasure(2, (atom(2.0 * E11, E11),))
+    m3 = ScalarJumpMeasure(2, (atom(0.5 * unit_dir(), 3.0),))
     p2 = build_admissible(2, beta=-np.eye(2), m=m3, mu=mu, b_extra=np.eye(2))
     assert jump_intensity(p2, np.eye(2)) == pytest.approx(3.25, rel=1e-12)
     p_empty = build_admissible(2, beta=-np.eye(2), b_extra=np.eye(2))
@@ -249,7 +248,7 @@ def draw_jumps(p, x, rng, n):
 
 def test_sample_jump_single_atom(rng):
     xi = 1.3 * unit_dir()
-    m = ScalarJumpMeasure(2, (ScalarAtom(xi, 2.0),))
+    m = ScalarJumpMeasure(2, (atom(xi, 2.0),))
     p = build_admissible(2, beta=-np.eye(2), m=m, b_extra=np.eye(2))
     for jump in draw_jumps(p, np.eye(2), rng, 5):
         np.testing.assert_array_equal(jump, xi)
@@ -258,7 +257,7 @@ def test_sample_jump_single_atom(rng):
 def test_sample_jump_two_atom_frequencies(rng):
     xi1 = 0.5 * unit_dir()
     xi2 = 2.0 * unit_dir()
-    m = ScalarJumpMeasure(2, (ScalarAtom(xi1, 1.0), ScalarAtom(xi2, 3.0)))
+    m = ScalarJumpMeasure(2, (atom(xi1, 1.0), atom(xi2, 3.0)))
     p = build_admissible(2, beta=-np.eye(2), m=m, b_extra=np.eye(2))
     n = 100_000
     hits = np.count_nonzero(np.linalg.norm(draw_jumps(p, np.eye(2), rng, n), axis=(1, 2)) < 1.0)
@@ -290,25 +289,24 @@ def test_radial_inverse_cdf_round_trip():
     for k in (1, 4, 16):
         for s in library.benchmark_sets():
             p = truncate(s.params, k)
-            for ray in p.m.rays + p.mu.rays:
-                total = ray.density.cdf_mass(ray.density.rmax)
+            for den in (r.law for r in p.m.rays + p.mu.rays):
+                total = den.cdf_mass(den.rmax)
                 m = total * (1.0 - rng.random(64))   # (0, total]
                 m[0] = total
-                r = ray.density.inverse_cdf_mass(m)
-                assert np.all((r >= ray.density.rmin) & (r <= ray.density.rmax))
+                r = den.inverse_cdf_mass(m)
+                assert np.all((r >= den.rmin) & (r <= den.rmax))
                 fin = np.isfinite(r)
                 slack = np.zeros_like(m)
-                slack[fin] = 2.0 * eps * r[fin] * ray.density.pdf(r[fin])
-                err = np.abs(ray.density.cdf_mass(r) - m)
-                assert np.all(err <= 1e-12 * m + slack), (s.name, k, ray.density)
+                slack[fin] = 2.0 * eps * r[fin] * den.pdf(r[fin])
+                err = np.abs(den.cdf_mass(r) - m)
+                assert np.all(err <= 1e-12 * m + slack), (s.name, k, den)
                 n_dens += 1
     assert n_dens > 50
 
 
 def test_radial_sampler_rejects_infinite_activity():
     # a power-law ray reaching r = 0 has infinite mass: the simulator refuses it
-    mu = OperatorJumpMeasure(2, (), (OperatorRay(unit_dir(), 0.3 * unit_dir(),
-                                                 PowerLawDensity(0.2, 0.5, 0.0, 1.0)),))
+    mu = OperatorJumpMeasure(2, (ray(unit_dir(), PowerLawDensity(0.2, 0.5, 0.0, 1.0), 0.3 * unit_dir()),))
     p = build_admissible(2, beta=-np.eye(2), mu=mu, b_extra=np.eye(2))
     assert not p.is_finite_activity
     with pytest.raises(SimulationError, match="infinite"):
@@ -425,12 +423,13 @@ def test_mc_laplace_scalar_compound_poisson():
     assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
 
-def test_mc_worker_reproducibility():
+def test_mc_worker_reproducibility(pools):
     s = library.get("mc2-04")
     p = truncate(s.params, 4)
     runs = [terminal_statistics(p, s.x0, 1.0, 1200, seed=3, workers=w) for w in (1, 4, 8)]
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
+    assert pools == [4, 8]
 
 
 def test_mc_worker_reproducibility_across_blocks(monkeypatch):

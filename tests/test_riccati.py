@@ -12,16 +12,15 @@ from affinehs import library
 from affinehs.exceptions import RiccatiSolverError
 from affinehs.params import (
     ExponentialDensity,
-    OperatorAtom,
     OperatorJumpMeasure,
-    OperatorRay,
     ParameterSet,
     PowerLawDensity,
-    ScalarAtom,
     ScalarJumpMeasure,
+    atom,
     build_admissible,
     orthogonal_psd_pair,
     radial_quad,
+    ray,
     truncate,
 )
 from affinehs.riccati import (
@@ -60,8 +59,8 @@ def test_eval_f_examples(atom_p1, bench):
     # one atom at xi = 2 with weight 1, u = 0.5, b = 0
     from affinehs.params import ParameterSet
     from affinehs.symcone import ZeroOperator
-    m = ScalarJumpMeasure(1, (ScalarAtom(np.array([[2.0]]), 1.0),))
-    p1 = ParameterSet(1, np.zeros((1, 1)), ZeroOperator(1), m, OperatorJumpMeasure.empty(1))
+    m = ScalarJumpMeasure(1, (atom(np.array([[2.0]]), 1.0),))
+    p1 = ParameterSet(1, np.zeros((1, 1)), ZeroOperator(1), m, OperatorJumpMeasure(1))
     assert eval_F(p1, np.array([[0.5]])) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
 
@@ -75,8 +74,8 @@ def test_eval_r_examples(atom_p1):
     # one mu atom at xi = 2 with M = 1, B = 0, u = 0.5: (1 - e^{-1})/4
     from affinehs.params import ParameterSet
     from affinehs.symcone import ZeroOperator
-    mu = OperatorJumpMeasure(1, (OperatorAtom(np.array([[2.0]]), np.array([[1.0]])),))
-    p3 = ParameterSet(1, np.zeros((1, 1)), ZeroOperator(1), ScalarJumpMeasure.empty(1), mu)
+    mu = OperatorJumpMeasure(1, (atom(np.array([[2.0]]), np.array([[1.0]])),))
+    p3 = ParameterSet(1, np.zeros((1, 1)), ZeroOperator(1), ScalarJumpMeasure(1), mu)
     got = eval_R(p3, np.array([[0.5]]))
     assert got[0, 0] == pytest.approx((1.0 - math.exp(-1.0)) / 4.0, rel=1e-14)
 
@@ -113,8 +112,7 @@ def test_eval_k_truncations(atom_p1, rng):
 def test_rk_to_r_tail_bound(rng):
     # || R_k(u) - R(u) || <= || mu({||xi|| <= 1/k}) || * ||u||^2 for ray measures
     weight = np.array([[0.5, 0.1], [0.1, 0.4]])
-    ray = OperatorRay(unit_dir(), weight, PowerLawDensity(0.7, 0.5, 0.0, 1.0))
-    mu = OperatorJumpMeasure(2, (), (ray,))
+    mu = OperatorJumpMeasure(2, (ray(unit_dir(), PowerLawDensity(0.7, 0.5, 0.0, 1.0), weight),))
     p = build_admissible(2, beta=-np.eye(2), mu=mu, b_extra=np.eye(2))
     for k in (2, 4, 16):
         tail = p.mu.restricted(0.0, 1.0 / k).total_mass_matrix()
@@ -193,13 +191,12 @@ def test_ray_rule_exponential_closed_form():
 def test_field_assembles_ray_brackets(rng):
     # F and R of one m ray and one mu ray against the closed form at the
     # slope <direction, u>: checks how the field places the rule's nodes
-    from affinehs.params import ParameterSet, ScalarJumpMeasure, ScalarRay
     from affinehs.symcone import ZeroOperator
     den = ExponentialDensity(0.8, 1.7, 0.0, 3.0)
     direction, weight = unit_dir(), np.array([[0.5, 0.1], [0.1, 0.4]])
     p = ParameterSet(2, np.zeros((2, 2)), ZeroOperator(2),
-                     ScalarJumpMeasure(2, (), (ScalarRay(direction, den),)),
-                     OperatorJumpMeasure(2, (), (OperatorRay(direction, weight, den),)))
+                     ScalarJumpMeasure(2, (ray(direction, den),)),
+                     OperatorJumpMeasure(2, (ray(direction, den, weight),)))
     with mpmath.workdps(30):
         for _ in range(5):
             u = random_psd(rng, 2, scale=2.0)
@@ -243,7 +240,7 @@ def test_ray_rules_match_radial_quad_on_library_rays(bench):
     for s in bench:
         for k in (None, 1, 2, 4, 8, 16, 32, 64):
             p = truncate(s.params, k) if k else s.params
-            densities.update((r.density, None) for r in p.m.rays + p.mu.rays)
+            densities.update((r.law, None) for r in p.m.rays + p.mu.rays)
     worst = 0.0
     for den in densities:
         got = rule_bracket(den, SLOPES)
@@ -368,7 +365,7 @@ def test_growth_bound_tight_linear_case():
     from affinehs.params import ParameterSet
     from affinehs.symcone import DenseOperator
     p = ParameterSet(1, np.zeros((1, 1)), DenseOperator(1, np.array([[3.0]])),
-                     ScalarJumpMeasure.empty(1), OperatorJumpMeasure.empty(1))
+                     ScalarJumpMeasure(1), OperatorJumpMeasure(1))
     sol = solve_riccati(p, np.array([[1.0]]), 1.0)
     assert sol.psi_final[0, 0] == pytest.approx(math.exp(3.0), rel=1e-8)
 
@@ -530,7 +527,7 @@ def test_stacked_levels_do_not_depend_on_their_order():
     # level's jumps offset, so level k = 1 sets the step size; the error norm
     # is the largest over the levels, so the controller and every level's
     # values are the same whichever level comes first
-    mu = OperatorJumpMeasure(1, (), (OperatorRay(np.eye(1), np.eye(1), PowerLawDensity(1.0, 0.9, 0.0, 1.0)),))
+    mu = OperatorJumpMeasure(1, (ray(np.eye(1), PowerLawDensity(1.0, 0.9, 0.0, 1.0), np.eye(1)),))
     p = build_admissible(1, beta=-0.5 * np.eye(1), mu=mu, b_extra=0.5 * np.eye(1))
     grid = (0.0, 0.5, 1.0)
     first = _solve_levels(p, np.eye(1), 1.0, RiccatiOptions(), (1, 64), grid)
@@ -547,8 +544,8 @@ def test_stacked_step_rejected_when_any_level_leaves_the_cone():
     # cone at once where they are kept (k = 4) and stays put where the
     # cut removes them (k = 1)
     e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    mu = OperatorJumpMeasure(2, (), (OperatorRay(e1, e2, PowerLawDensity(1.0, 0.5, 0.5, 1.0)),))
-    p = ParameterSet(2, np.zeros((2, 2)), ZeroOperator(2), ScalarJumpMeasure.empty(2), mu)
+    mu = OperatorJumpMeasure(2, (ray(e1, PowerLawDensity(1.0, 0.5, 0.5, 1.0), e2),))
+    p = ParameterSet(2, np.zeros((2, 2)), ZeroOperator(2), ScalarJumpMeasure(2), mu)
     assert solve_riccati(p, e1, 1.0, k=1).min_eig.min() == 0.0
     for ks in ((4,), (1, 4), (4, 1)):
         with pytest.raises(RiccatiSolverError, match="cone breach"):
