@@ -11,7 +11,6 @@ import numpy as np
 
 from affinehs import library
 from affinehs.riccati import (
-    RiccatiOptions,
     eval_F,
     eval_R,
     solution_to_csv,
@@ -32,9 +31,8 @@ sol = solve_riccati(p, u, 1.0, t_eval=np.linspace(0, 1, 5))
 print("\nlimit solve: phi(T) = %.8f, min eig psi = %.2e, %d steps"
       % (sol.phi_final, sol.min_eig[-1], sol.diagnostics["n_steps"]))
 
-# cascade over k = 1, 2, 4, ..., 64
-opts = RiccatiOptions(k_schedule=(1, 2, 4, 8, 16, 32, 64))
-sol_k, diag = solve_cascade(p, u, 1.0, opts=opts)
+# cascade over the truncation levels k = 1, 2, 4, ..., 64
+sol_k, diag = solve_cascade(p, u, 1.0)
 print("\ncascade residuals sup_t ||psi_k - psi_{k/2}||:")
 for k, res in diag.residuals.items():
     print(f"  k = {k:>2}: {res:.3e}")

@@ -89,18 +89,20 @@ def cmd_validate(args):
 def cmd_solve(args):
     p_set = load_params(args.params)
     u = _load_matrix(args.u, p_set.dim, 0.5)
-    opts = _riccati.RiccatiOptions(cone_tol=args.tol) if args.tol is not None else _riccati.RiccatiOptions()
     grid = np.linspace(0.0, args.T, args.grid)
     if args.cascade:
-        sol, diag = _riccati.solve_cascade(p_set, u, args.T, opts=opts, t_eval=grid)
+        sol, diag = _riccati.solve_cascade(p_set, u, args.T, t_eval=grid)
         _write_json(_outpath(args, "cascade.json"), diag.to_json())
+        k = sol.k
     else:
-        sol = _riccati.solve_riccati(p_set, u, args.T, opts=opts, k=args.k, t_eval=grid)
+        k = args.k
+        sol = _riccati.solve_riccati(p_set if k is None else truncate(p_set, k), u, args.T,
+                                     t_eval=grid)
     csv_path = _outpath(args, "riccati.csv")
     with open(csv_path, "w") as fh:
         _riccati.solution_to_csv(sol, fh)
-    _write_json(_outpath(args, "solve_diagnostics.json"), {"k": sol.k, **sol.diagnostics})
-    print(f"solution written to {csv_path} (k={sol.k})")
+    _write_json(_outpath(args, "solve_diagnostics.json"), {"k": k, **sol.diagnostics})
+    print(f"solution written to {csv_path} (k={k})")
     return EXIT_OK
 
 
@@ -135,7 +137,7 @@ def cmd_simulate(args):
     sim = _pdmp.PathSimulator(p_set)
     iu = [(i, j) for i in range(p_set.dim) for j in range(i, p_set.dim)]
     names = [f"x_{i + 1}{j + 1}" for i, j in iu]
-    path_csv = args.paths_out or _outpath(args, "paths.csv")
+    path_csv = _outpath(args, "paths.csv")
     tic = time.perf_counter()
     with open(path_csv, "w") as fh:
         fh.write(",".join(["path_id", "event_index", "time", "event_type"] + names) + "\n")
@@ -250,26 +252,26 @@ def cmd_verify(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--params", required=True, help="parameter JSON file")
-    sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=None, help="cone tolerance override")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def build_parser():
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--params", required=True, help="parameter JSON file")
+    files.add_argument("--out", default=".", help="output directory")
+    check = argparse.ArgumentParser(add_help=False)   # the commands that test admissibility
+    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--tol", type=float, default=None,
+                       help="admissibility slack (default 1e-9 * (1 + norm of the tested operand))")
+    check.add_argument("--format", choices=("json", "csv"), default="json")
+    check.add_argument("--n-pairs", type=int, default=50)
+
     parser = argparse.ArgumentParser(prog="affinehs",
                                      description="Affine jump processes on the PSD cone")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", help="admissibility report for a parameter file")
-    _add_common(sp)
-    sp.add_argument("--n-pairs", type=int, default=50)
+    sp = sub.add_parser("validate", parents=[files, check],
+                        help="admissibility report for a parameter file")
     sp.set_defaults(func=cmd_validate)
 
-    sp = sub.add_parser("solve", help="solve the transform ODEs")
-    _add_common(sp)
+    sp = sub.add_parser("solve", parents=[files], help="solve the transform ODEs")
     sp.add_argument("--u", default=None, help="initial condition file (default 0.5*I)")
     sp.add_argument("--T", type=float, default=1.0)
     sp.add_argument("--k", type=int, default=None, help="truncation level")
@@ -277,8 +279,7 @@ def build_parser():
     sp.add_argument("--grid", type=int, default=33)
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("moments", help="moment and Laplace table over a time grid")
-    _add_common(sp)
+    sp = sub.add_parser("moments", parents=[files], help="moment and Laplace table over a time grid")
     sp.add_argument("--x0", default=None)
     sp.add_argument("--v", default=None)
     sp.add_argument("--u", default=None)
@@ -287,24 +288,22 @@ def build_parser():
     sp.add_argument("--grid", type=int, default=11)
     sp.set_defaults(func=cmd_moments)
 
-    sp = sub.add_parser("simulate", help="write simulated path events to CSV")
-    _add_common(sp)
+    sp = sub.add_parser("simulate", parents=[files], help="write simulated path events to CSV")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--x0", default=None)
     sp.add_argument("--T", type=float, default=1.0)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--n-paths", type=int, default=100)
-    sp.add_argument("--paths-out", default=None, help="override the paths.csv location")
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("verify", help="end-to-end analytic vs Monte Carlo pipeline")
-    _add_common(sp)
+    sp = sub.add_parser("verify", parents=[files, check],
+                        help="end-to-end analytic vs Monte Carlo pipeline")
     sp.add_argument("--x0", default=None)
     sp.add_argument("--u", default=None)
     sp.add_argument("--v", default=None)
     sp.add_argument("--T", type=float, default=1.0)
     sp.add_argument("--k", type=int, default=4)
     sp.add_argument("--n-paths", type=int, default=20000)
-    sp.add_argument("--n-pairs", type=int, default=50)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--fault-injection", action="store_true",
                     help="corrupt the analytic transform to exercise the failure path")

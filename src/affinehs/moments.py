@@ -159,7 +159,7 @@ def second_moment(p_set, x, t, v, w=None):
     return _at(bundle.basis.vec(x), coefs)
 
 
-def laplace(p_set, x, t, u, opts=None):
+def laplace(p_set, x, t, u):
     """E[e^{-<X_t, u>} | X_0 = x] = exp(-phi(t,u) - <x, psi(t,u)>), in (0, 1].
 
     Solves the transform ODEs directly, also for infinite-activity sets:
@@ -170,7 +170,7 @@ def laplace(p_set, x, t, u, opts=None):
     x = symcone.check_symmetric(x)
     if t == 0.0:
         return math.exp(-inner(x, u))
-    sol = _riccati.solve_riccati(p_set, u, t, opts=opts, t_eval=(0.0, t))
+    sol = _riccati.solve_riccati(p_set, u, t, t_eval=(0.0, t))
     return math.exp(-sol.phi_final - inner(x, sol.psi_final))
 
 

@@ -610,11 +610,13 @@ def validate_admissibility(p_set, tol=None, n_pairs=50, seed=0):
     """Check the four admissibility conditions, randomized where quantified.
 
     Conditions over all orthogonal cone pairs (u, x) are sampled at n_pairs
-    seeded draws; the report records the worst witness.  The default cone
-    tolerance is 1e-9 * (1 + ||operand||).
+    seeded draws; the report records the worst witness.  tol is the slack
+    each condition allows, >= 0; by default 1e-9 * (1 + ||operand||).
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"the admissibility slack must be >= 0, got {tol}")
     rng = np.random.default_rng(seed)
     results = []
 

@@ -203,7 +203,8 @@ class _JumpTable:
         outs *= mass[:, None]
         self.const = outs[:, 0]
         self.rows = outs[:, 1:]
-        self.directions = [j.direction for j in jumps]
+        self.directions = np.array([j.direction for j in jumps]).reshape(
+            len(jumps), p_set.dim, p_set.dim)
         self.laws = [j.law for j in jumps]
         self.is_ray = np.array([not isinstance(law, PointMass) for law in self.laws], dtype=bool)
         self.atom_radius = np.array([1.0 if ray else law.r0 for law, ray in zip(self.laws, self.is_ray)])
@@ -211,8 +212,8 @@ class _JumpTable:
                           for law, ray in zip(self.laws, self.is_ray)]
         self.m_total = float(sum(self.const))
         self.kappa_vec = self.rows.sum(axis=0)
-        for arr in (self.size_vecs, self.const, self.rows, self.is_ray, self.atom_radius,
-                    self.kappa_vec):
+        for arr in (self.size_vecs, self.const, self.rows, self.directions, self.is_ray,
+                    self.atom_radius, self.kappa_vec):
             arr.setflags(write=False)
 
     def choose(self, x_vecs, u):
@@ -285,8 +286,8 @@ class CounterStream:
     its output word pairs (w0, w1) and (w2, w3) as
     (w_hi * 2^21 + floor(w_lo / 2^11)) / 2^53, a double in [0, 1).
     A path's draws therefore do not depend on the other paths of its block.
-    Every path starts reading at `draw`; `snapshot` gives a one-path stream
-    that resumes a path where it stands.
+    Every path starts reading at `draw`, so CounterStream(seed, i, 1, j)
+    resumes path i before its draw j.
     """
 
     REFILL = 32        # draws buffered per path
@@ -326,9 +327,6 @@ class CounterStream:
             self._refill(rows[used > self.REFILL // 2])
         self._cursor[rows] = cur + 1
         return self._buf[rows, cur - self._base[rows]]
-
-    def snapshot(self, row):
-        return CounterStream(self.seed, self.start + row, 1, draw=self._cursor[row])
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +386,8 @@ class PathSimulator:
         to the horizon while the horizon is unevaluated and bisects after.
         A path whose Lambda at the horizon is below E ends there.  Returns
         the terminal states and the jump count of each path; with `record`,
-        every jump is appended as (path row, t, size, post-jump state,
-        stream snapshot), each path's jumps in time order.
+        every step that jumps appends the arrays (path rows, times,
+        components, radii, post-jump states, draw cursors) of its jumps.
         """
         fp, table = self.flowprop, self.table
         n_paths = len(x_vecs)
@@ -448,9 +446,8 @@ class PathSimulator:
                 jumps[live[hit]] += 1
                 fresh[hit] = True
                 if record is not None:
-                    for r, c, a in zip(hit, comp, sizes):
-                        record.append((live[r], t[r], a * table.directions[c], x[r].copy(),
-                                       stream.snapshot(live[r])))
+                    record.append((live[hit], t[hit], comp, sizes, x[hit],
+                                   stream._cursor[live[hit]]))
             if end.any():
                 e = np.flatnonzero(end)
                 terminal[live[e]] = fp.advance(z[e], hi[e])
@@ -467,29 +464,35 @@ class PathSimulator:
         CounterStream(stream.integers(2**63)).  rng_states[j] is a one-path
         CounterStream that resumes the path after jump j.
         """
-        basis = self.basis
         x0 = _initial_state(x0)
         if T < 0:
             raise ValueError("T must be >= 0")
         if isinstance(stream, np.random.Generator):
             stream = CounterStream(stream.integers(2 ** 63))
-        events = []
-        term, _ = self._lockstep(basis.vec(x0)[None], T, stream, events)
-        d = self.dim
-        term_mat = self._matrices(term)[0]
-        worst_eig = min(min_eigenvalue(x0), min_eigenvalue(term_mat))
-        times = np.asarray([e[1] for e in events])
-        sizes = np.asarray([e[2] for e in events]).reshape(len(events), d, d)
-        states = self._matrices([e[3] for e in events])
-        for st in states:
-            worst_eig = min(worst_eig, min_eigenvalue(st))
-        return SimPath(times, sizes, states, term_mat, worst_eig, tuple(e[4] for e in events))
+        record = []
+        term, jumps = self._lockstep(self.basis.vec(x0)[None], T, stream, record)
+        (times, comp, radii, states, cursors), = self._by_path(record, jumps)
+        term_mat = self.basis.unvec(term[0])
+        worst_eig = float(min_eigenvalue(np.concatenate([[x0, term_mat], states])).min())
+        return SimPath(times, radii[:, None, None] * self.table.directions[comp], states,
+                       term_mat, worst_eig,
+                       tuple(CounterStream(stream.seed, stream.start, 1, draw=c) for c in cursors))
 
-    def _matrices(self, x_vecs):
-        """The symmetric matrices of a list of state vectors, (len, d, d)."""
-        d = self.dim
-        return np.asarray([symcone.symmetrize(self.basis.unvec(v)) for v in x_vecs]).reshape(
-            len(x_vecs), d, d)
+    def _by_path(self, record, jumps):
+        """The jumps a _lockstep record holds, per path: (times, components,
+        radii, post-jump state matrices, draw cursors), in time order.
+
+        jumps is the jump count of each path.  A stable sort by path keeps
+        each path's jumps in the order of the steps that recorded them.
+        """
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64),
+                 np.zeros(0), np.zeros((0, self.basis.n)), np.zeros(0, dtype=np.int64))
+        rows, *cols = (np.concatenate(col) for col in zip(empty, *record))
+        order = np.argsort(rows, kind="stable")
+        cols = [col[order] for col in cols]
+        cols[3] = self.basis.unvec(cols[3])
+        ends = np.cumsum(jumps)
+        return [[col[end - count: end] for col in cols] for count, end in zip(jumps, ends)]
 
     def events(self, x0, T, seed, n_paths):
         """The jumps of paths 0..n_paths-1 of the counter stream `seed`.
@@ -506,11 +509,9 @@ class PathSimulator:
             record = []
             term, jumps = self._lockstep(np.broadcast_to(x_vec, (count, self.basis.n)), T,
                                          CounterStream(seed, lo, count), record)
-            record.sort(key=lambda e: e[0])   # stable: a path's jumps stay in time order
-            ends = np.cumsum(jumps)
-            for row, terminal in enumerate(self._matrices(term)):
-                mine = record[ends[row] - jumps[row]: ends[row]]
-                yield np.asarray([e[1] for e in mine]), self._matrices([e[3] for e in mine]), terminal
+            for (times, _, _, states, _), terminal in zip(self._by_path(record, jumps),
+                                                          self.basis.unvec(term)):
+                yield times, states, terminal
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +597,14 @@ def mc_summary(p_set, x0, T, n_paths, seed, u=None, v=None, w=None, workers=1):
 
 
 def worker_cap():
-    """Worker limit from the AFFINEHS_THREADS environment variable (0 = no cap)."""
+    """Worker limit from the AFFINEHS_THREADS environment variable (0 = no cap).
+
+    Raises ValueError when the variable is set to something other than an integer.
+    """
     raw = os.environ.get("AFFINEHS_THREADS", "").strip()
     if not raw:
         return 0
     try:
         return max(1, int(raw))
     except ValueError:
-        return 0
+        raise ValueError(f"AFFINEHS_THREADS must be an integer, got {raw!r}") from None

@@ -6,11 +6,12 @@ phi(0) = 0, psi(0) = u, where F and R are built from a parameter set
 leaves it.  The integrator, the Dormand-Prince 8(5,3) pair with a
 starting-step estimate, enforces the same property numerically by
 rejecting, with half the step, every step whose state dips below the cone
-tolerance.  Removing jumps of norm <= 1/k gives globally Lipschitz
-right-hand sides whose solutions decrease monotonically (in the Loewner
-order) to the untruncated solution as k grows; solve_cascade runs that
-schedule as one solve, all levels stepped together by one controller, and
-reports the convergence residuals.
+tolerance _CONE_TOL.  Removing jumps of norm <= 1/k (params.truncate)
+gives globally Lipschitz right-hand sides whose solutions decrease
+monotonically (in the Loewner order) to the untruncated solution as k
+grows; solve_cascade runs the schedule k in _K_SCHEDULE as one solve, all
+levels stepped together by one controller, and reports the convergence
+residuals.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .params import PointMass, PowerLawDensity, compiled, jump_rows, truncation_
 from .params import radial_quad, truncate  # noqa: F401
 
 __all__ = [
-    "RiccatiOptions",
     "RiccatiSolution",
     "CascadeDiagnostics",
     "eval_F",
@@ -52,20 +52,8 @@ _MAX_T = 100.0
 _N_GRID = 33           # output times when t_eval is omitted
 _MAX_STEPS = 200_000
 _GROWTH_FUDGE = 1e-6   # relative slack of the growth-bound check
-
-
-@dataclass(frozen=True)
-class RiccatiOptions:
-    """Cone tolerance and cascade schedule of the cone-aware integrator."""
-
-    cone_tol: float = 1e-9
-    k_schedule: tuple = (1, 2, 4, 8, 16, 32, 64)
-
-    def __post_init__(self):
-        if self.cone_tol <= 0:
-            raise ValueError("the cone tolerance must be positive")
-        if any(k2 <= k1 for k1, k2 in zip(self.k_schedule, self.k_schedule[1:])):
-            raise ValueError("k schedule must be strictly increasing")
+_CONE_TOL = 1e-9       # a state whose min eigenvalue is below -_CONE_TOL leaves the cone
+_K_SCHEDULE = (1, 2, 4, 8, 16, 32, 64)   # truncation levels of solve_cascade
 
 
 @dataclass(eq=False)
@@ -77,7 +65,7 @@ class RiccatiSolution:
     psi: np.ndarray  # (N, d, d)
     min_eig: np.ndarray
     step_size: np.ndarray
-    k: int | None  # truncation level; None means the untruncated (limit) field
+    k: int | None  # the cascade level; None for a solve of the set as given
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -306,28 +294,27 @@ _E3 = _B - np.array([0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.73
                      0.0, 0.0, 0.022058823529411766])
 
 
-def solve_riccati(p_set, u, T, opts=None, k=None, t_eval=None):
-    """Integrate the transform ODEs up to T with cone-aware step control.
+def solve_riccati(p_set, u, T, t_eval=None):
+    """Integrate the transform ODEs of p_set up to T with cone-aware step control.
 
     Parameters
     ----------
-    p_set : ParameterSet
+    p_set : ParameterSet; truncate it first (params.truncate) to drop the
+        jumps of norm <= 1/k.
     u : initial condition for psi, PSD within the cone tolerance.
     T : horizon, t >= 0.
-    opts : RiccatiOptions, defaults used when omitted.
-    k : optional truncation level; jumps of norm <= 1/k are removed first.
     t_eval : output times; 0 and T are always included.  The controller
         lands on every output time exactly (no interpolation).
 
     Returns a RiccatiSolution whose grid values satisfy phi(0) = 0,
-    psi(0) = u, cone positivity within opts.cone_tol, and the exponential
+    psi(0) = u, cone positivity within _CONE_TOL, and the exponential
     growth bound of the field.
     """
-    return _solve_levels(p_set, u, T, opts or RiccatiOptions(), (k,), t_eval)[0]
+    return _solve_levels(p_set, u, T, (None,), t_eval)[0]
 
 
-def solve_cascade(p_set, u, T, opts=None, t_eval=None):
-    """Solve the truncation levels of opts.k_schedule and check monotone decrease.
+def solve_cascade(p_set, u, T, t_eval=None):
+    """Solve the truncation levels of _K_SCHEDULE and check monotone decrease.
 
     All levels are integrated side by side under one step controller.
     Returns the largest-k solution together with per-level residuals
@@ -335,11 +322,8 @@ def solve_cascade(p_set, u, T, opts=None, t_eval=None):
     cone tolerance raises CascadeError (it flags an integrator or measure
     bug, not a modelling choice).
     """
-    opts = opts or RiccatiOptions()
-    ks = tuple(opts.k_schedule)
-    if not ks:
-        raise ValueError("k schedule must be nonempty")
-    sols = _solve_levels(p_set, u, T, opts, ks, t_eval)
+    ks = _K_SCHEDULE
+    sols = _solve_levels(p_set, u, T, ks, t_eval)
 
     residuals = {}
     worst = 0.0
@@ -349,7 +333,7 @@ def solve_cascade(p_set, u, T, opts=None, t_eval=None):
     gap_norms = np.linalg.norm(gaps, axis=(2, 3)).max(axis=1)
     for k_prev, k, gap_min, gap_norm in zip(ks, ks[1:], gap_mins, gap_norms):
         worst = min(worst, float(gap_min))
-        if gap_min < -opts.cone_tol:
+        if gap_min < -_CONE_TOL:
             raise CascadeError(
                 f"cascade monotonicity violated between k={k_prev} and k={k}: "
                 f"min eig(psi_{k_prev} - psi_{k}) = {gap_min:.3e}")
@@ -380,7 +364,7 @@ def _levels(p_set, cuts):
     return compiled(p_set, ("levels", cuts), build)
 
 
-def _solve_levels(p_set, u, T, opts, ks, t_eval):
+def _solve_levels(p_set, u, T, ks, t_eval):
     """Integrate the truncation levels ks (None: untruncated) under one controller.
 
     The integrator is the Dormand-Prince 8(5,3) pair with Hairer's
@@ -398,7 +382,7 @@ def _solve_levels(p_set, u, T, opts, ks, t_eval):
     cuts = tuple(0.0 if k is None else truncation_cut(k) for k in ks)
     u = symcone.check_symmetric(u)
     u_norm = frob_norm(u)
-    if min_eigenvalue(u) < -opts.cone_tol * (1.0 + u_norm):
+    if min_eigenvalue(u) < -_CONE_TOL * (1.0 + u_norm):
         raise ValueError("initial condition u must lie in the PSD cone")
 
     field, slot, rates = _levels(p_set, cuts)
@@ -468,7 +452,7 @@ def _solve_levels(p_set, u, T, opts, ks, t_eval):
             continue
 
         me = float(min_eigenvalue(matrices(y_new)).min())
-        if me < -opts.cone_tol:
+        if me < -_CONE_TOL:
             diag["n_rejected_cone"] += 1
             h_ctrl, h_cap = 0.5 * h, h
             continue

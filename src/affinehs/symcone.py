@@ -166,13 +166,14 @@ class VecBasis:
         return out
 
     def unvec(self, v):
+        """The symmetric matrix of coordinates v, or the matrices of a stack (..., n)."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise DimensionMismatchError(f"expected shape {(self.n,)}, got {v.shape}")
-        a = np.zeros((self.dim, self.dim))
-        a[self._iu] = v[self.dim:] / _SQRT2
-        a += a.T
-        a[self._di] = v[: self.dim]
+        if v.shape[-1:] != (self.n,):
+            raise DimensionMismatchError(f"expected shape (..., {self.n}), got {v.shape}")
+        a = np.zeros(v.shape[:-1] + (self.dim, self.dim))
+        a[(..., *self._iu)] = v[..., self.dim:] / _SQRT2
+        a += a.swapaxes(-1, -2)
+        a[(..., *self._di)] = v[..., : self.dim]
         return a
 
 

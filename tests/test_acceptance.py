@@ -24,7 +24,7 @@ from affinehs.moments import (
 from affinehs.params import build_admissible, save_params, truncate
 from affinehs.pdmpsim import mc_summary, terminal_statistics
 from affinehs.params import PowerLawDensity, ScalarJumpMeasure, atom
-from affinehs.riccati import RiccatiOptions, solve_cascade, solve_riccati
+from affinehs.riccati import solve_cascade, solve_riccati
 from affinehs.symcone import frob_norm, inner, min_eigenvalue, random_psd
 
 from oracle import affine_gradient, forcing_by_generator, growth_rate, rk4_scalar_batch
@@ -138,8 +138,7 @@ def test_criterion_5_cascade():
     details = []
     for name in ("cascade-00", "cascade-01"):
         s = library.get(name)
-        opts = RiccatiOptions(k_schedule=(1, 2, 4, 8, 16, 32, 64))
-        sol, diag = solve_cascade(s.params, s.u, s.T, opts=opts)
+        sol, diag = solve_cascade(s.params, s.u, s.T)
         res = diag.residuals
         ok = ok and diag.worst_monotonicity >= -1e-8 and res[64] < res[2]
         details.append(f"{name}: worst mono {diag.worst_monotonicity:.1e}, "

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import tempfile
@@ -9,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from strategies import admissible_cases
 
 from affinehs import library
-from affinehs.cli import main
-from affinehs.params import load_params, save_params, truncate
+from affinehs.cli import build_parser, main
+from affinehs.params import load_params, save_params, truncate, validate_admissibility
 from affinehs.pdmpsim import CounterStream, PathSimulator, terminal_statistics
 from affinehs.symcone import VecBasis, sym_to_json
 
@@ -236,13 +237,69 @@ def test_verify_stage_failures(tmp_path):
     assert report["failed_stage"] == "validate"
 
 
-def test_solve_rejects_a_nonpositive_cone_tolerance(mc_param_file, tmp_path):
-    # --tol 0 is a value, not the absent option: it fails as --tol -1 does
+def test_a_negative_admissibility_slack_is_an_input_error(mc_param_file, tmp_path):
+    # a slack below 0 would fail admissible sets on rounding; 0 stays allowed
+    s, pfile = mc_param_file
+    with pytest.raises(ValueError, match="slack"):
+        validate_admissibility(s.params, tol=-1.0)
+    assert validate_admissibility(s.params, tol=0.0).conditions
+    for cmd in ("validate", "verify"):
+        out = tmp_path / cmd
+        assert main([cmd, "--params", pfile, "--tol", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+    zero = tmp_path / "zero"
+    assert main(["validate", "--params", pfile, "--tol", "0", "--out", str(zero)]) in (0, 1)
+    assert (zero / "admissibility.json").exists()
+
+
+def test_a_malformed_worker_cap_is_an_input_error(mc_param_file, tmp_path, monkeypatch):
     _, pfile = mc_param_file
-    for tol in ("0", "-1"):
-        out = tmp_path / f"tol{tol}"
-        assert main(["solve", "--params", pfile, "--tol", tol, "--out", str(out)]) == 2
-        assert not (out / "riccati.csv").exists()
+    monkeypatch.setenv("AFFINEHS_THREADS", "junk")
+    out = tmp_path / "junk"
+    assert main(["verify", "--params", pfile, "--n-paths", "200", "--out", str(out)]) == 2
+    assert not (out / "verify.json").exists()
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records, once _reads is set, every attribute read."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--n-pairs", "5"],
+    ["solve", "--k", "4", "--grid", "5"],
+    ["moments", "--k", "4", "--grid", "3"],
+    ["simulate", "--k", "4", "--n-paths", "20"],
+    ["verify", "--n-paths", "200", "--n-pairs", "5"],
+], ids=lambda argv: argv[0])
+def test_every_registered_option_is_read(argv, mc_param_file, tmp_path):
+    # an option the command never reads is one a user sets to no effect
+    _, pfile = mc_param_file
+    args = build_parser().parse_args(argv + ["--params", pfile, "--out", str(tmp_path)],
+                                     namespace=_ReadLog())
+    registered = set(vars(args)) - {"command", "func"}
+    args._reads = set()
+    assert args.func(args) == 0
+    assert registered - args._reads == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "1"], ["solve", "--tol", "1e-9"], ["solve", "--format", "csv"],
+    ["moments", "--seed", "1"], ["moments", "--tol", "1e-9"], ["moments", "--format", "csv"],
+    ["simulate", "--tol", "1e-9"], ["simulate", "--format", "csv"],
+    ["simulate", "--paths-out", "paths.csv"],
+], ids=" ".join)
+def test_options_a_command_does_not_read_are_refused(argv, mc_param_file, tmp_path):
+    _, pfile = mc_param_file
+    out = tmp_path / "out"
+    argv = [a if a != "paths.csv" else str(tmp_path / a) for a in argv]
+    assert main(argv + ["--params", pfile, "--out", str(out)]) == 2
+    assert not out.exists() and not (tmp_path / "paths.csv").exists()
 
 
 def test_verify_bitwise_across_workers(mc_param_file, tmp_path, pools):

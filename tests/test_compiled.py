@@ -58,7 +58,7 @@ def test_compiled_arrays_are_read_only(name):
     assert riccati._levels(p, (0.0,))[0] is field
     bundle = moments._bundle(p)
     assert moments._bundle(p) is bundle
-    cascade_field = riccati._levels(p, tuple(1.0 / k for k in riccati.RiccatiOptions().k_schedule))[0]
+    cascade_field = riccati._levels(p, tuple(1.0 / k for k in riccati._K_SCHEDULE))[0]
     arrays = [field.lin, field.node_dirs, field.node_out, field.member, field.node_small, rates,
               cascade_field.node_dirs, bundle.G, bundle.exp._w, bundle.exp._vr, bundle.exp._vinv]
     for arr in arrays:

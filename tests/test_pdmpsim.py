@@ -174,7 +174,7 @@ def test_clock_matches_quadrature_of_intensity(rng):
 
 
 def test_jump_times_are_roots_of_the_clock():
-    # the snapshot after jump j reads the Exp(1) level E of jump j + 1 first;
+    # rng_states[j], the stream after jump j, reads the Exp(1) level E of jump j + 1 first;
     # Lambda from the post-jump state over the gap to the next jump hits E,
     # and after the last jump Lambda stays below E up to the horizon; the
     # third set starts at zero intensity, which first tests the horizon
@@ -500,7 +500,8 @@ def test_worker_cap_env(monkeypatch):
     monkeypatch.setenv("AFFINEHS_THREADS", "3")
     assert worker_cap() == 3
     monkeypatch.setenv("AFFINEHS_THREADS", "junk")
-    assert worker_cap() == 0
+    with pytest.raises(ValueError, match="AFFINEHS_THREADS.*'junk'"):
+        worker_cap()
     monkeypatch.delenv("AFFINEHS_THREADS")
     assert worker_cap() == 0
 

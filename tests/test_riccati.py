@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 
-from affinehs import library
+from affinehs import library, riccati
 from affinehs.exceptions import RiccatiSolverError
 from affinehs.params import (
     ExponentialDensity,
@@ -24,7 +24,6 @@ from affinehs.params import (
     truncate,
 )
 from affinehs.riccati import (
-    RiccatiOptions,
     _Field,
     _solve_levels,
     eval_F,
@@ -326,8 +325,8 @@ def test_truncated_solution_lipschitz_in_initial_condition(rng):
         for _ in range(3):
             u = random_psd(rng, p.dim)
             v = random_psd(rng, p.dim)
-            su = solve_riccati(p, u, 1.0, k=k, t_eval=grid)
-            sv = solve_riccati(p, v, 1.0, k=k, t_eval=grid)
+            su = solve_riccati(truncate(p, k), u, 1.0, t_eval=grid)
+            sv = solve_riccati(truncate(p, k), v, 1.0, t_eval=grid)
             for t, a, b in zip(grid, su.psi, sv.psi):
                 cap = math.exp(cap_rate * t) * frob_norm(u - v) * (1 + 1e-6) + 1e-12
                 assert frob_norm(a - b) <= cap
@@ -370,16 +369,16 @@ def test_growth_bound_tight_linear_case():
     assert sol.psi_final[0, 0] == pytest.approx(math.exp(3.0), rel=1e-8)
 
 
-def test_rhs_eval_count():
+def test_rhs_eval_count(monkeypatch):
     # a u on the cone's boundary and a vanishing cone tolerance make the
     # rounding of the step land outside the cone now and then
+    monkeypatch.setattr(riccati, "_CONE_TOL", 1e-300)
     rejected = 0
     for name in ("cascade-00", "mc2-01", "mixed-d2-01"):
         s = library.get(name)
         u = np.zeros((s.params.dim,) * 2)
         u[0, 0] = 1.0
-        opts = RiccatiOptions(cone_tol=1e-300)
-        diag = solve_riccati(s.params, u, 1.0, opts=opts, k=4).diagnostics
+        diag = solve_riccati(truncate(s.params, 4), u, 1.0).diagnostics
         attempts = diag["n_steps"] + diag["n_rejected_error"] + diag["n_rejected_cone"]
         assert diag["n_rhs_evals"] == 2 + 12 * attempts
         rejected += diag["n_rejected_cone"]
@@ -387,22 +386,16 @@ def test_rhs_eval_count():
     assert solve_riccati(library.get("mc2-01").params, np.eye(2), 0.0).diagnostics["n_rhs_evals"] == 0
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        RiccatiOptions(k_schedule=(4, 2))
-    with pytest.raises(ValueError):
-        RiccatiOptions(cone_tol=-1.0)
-
-
 # ---------------------------------------------------------------------------
 # cascade
 # ---------------------------------------------------------------------------
 
-def test_cascade_trivial_when_mass_above_one(atom_p1):
-    opts = RiccatiOptions(k_schedule=(1, 2, 4))
-    sol, diag = solve_cascade(atom_p1, np.array([[0.5]]), 1.0, opts=opts)
+def test_cascade_trivial_when_mass_above_one(atom_p1, monkeypatch):
+    monkeypatch.setattr(riccati, "_K_SCHEDULE", (1, 2, 4))
+    sol, diag = solve_cascade(atom_p1, np.array([[0.5]]), 1.0)
+    assert diag.ks == (1, 2, 4)
     assert all(v == 0.0 for v in diag.residuals.values())
-    sol0, diag0 = solve_cascade(atom_p1, np.zeros((1, 1)), 1.0, opts=opts)
+    sol0, diag0 = solve_cascade(atom_p1, np.zeros((1, 1)), 1.0)
     assert np.all(sol0.psi == 0.0)
 
 
@@ -412,8 +405,8 @@ def test_cascade_converges_to_direct_limit_solve():
     s = library.get("cascade-00")
     grid = (0.0, 0.5, 1.0)
     direct = solve_riccati(s.params, s.u, 1.0, t_eval=grid)
-    opts = RiccatiOptions(k_schedule=(1, 2, 4, 8, 16, 32, 64))
-    deep, diag = solve_cascade(s.params, s.u, 1.0, opts=opts, t_eval=grid)
+    deep, diag = solve_cascade(s.params, s.u, 1.0, t_eval=grid)
+    assert diag.ks == (1, 2, 4, 8, 16, 32, 64)
     gap = max(frob_norm(a - b) for a, b in zip(direct.psi, deep.psi))
     assert gap <= 2.0 * diag.final_residual + 1e-9
     # and every level bounds the limit from above in the cone order
@@ -436,11 +429,11 @@ def test_cascade_residuals_decrease():
 def test_cascade_levels_match_dop853():
     # a second integrator on each level's own field: scipy's DOP853 at
     # rtol 1e-12 against every level of the stacked solve
-    ks = RiccatiOptions().k_schedule
+    ks = riccati._K_SCHEDULE
     for s in library.benchmark_sets():
         if s.params.is_finite_activity:
             continue
-        levels = _solve_levels(s.params, s.u, 1.0, RiccatiOptions(), ks, (0.0, 1.0))
+        levels = _solve_levels(s.params, s.u, 1.0, ks, (0.0, 1.0))
         for k, sol in zip(ks, levels):
             field = _Field(truncate(s.params, k))
             y0 = np.concatenate([[0.0], field.basis.vec(s.u)])
@@ -510,14 +503,14 @@ def test_transform_solves_take_few_steps(library_solves_k4):
 @given(admissible_cases())
 def test_cascade_levels_on_random_admissible_sets(case):
     p, _, u, _, t = case
-    ks = RiccatiOptions().k_schedule
+    ks = riccati._K_SCHEDULE
     grid = (0.0, 0.5 * t, t)
-    levels = _solve_levels(p, u, t, RiccatiOptions(), ks, grid)
+    levels = _solve_levels(p, u, t, ks, grid)
     for i, (k, sol) in enumerate(zip(ks, levels)):
         assert sol.min_eig.min() >= -1e-9
         for deeper in levels[i + 1:]:
             assert all(min_eigenvalue(a - b) >= -1e-9 for a, b in zip(sol.psi, deeper.psi))
-        alone = solve_riccati(p, u, t, k=k, t_eval=grid)
+        alone = solve_riccati(truncate(p, k), u, t, t_eval=grid)
         assert np.abs(sol.psi - alone.psi).max() <= 1e-8 * max(1.0, np.abs(alone.psi).max())
         assert np.abs(sol.phi - alone.phi).max() <= 1e-8 * max(1.0, np.abs(alone.phi).max())
 
@@ -530,8 +523,8 @@ def test_stacked_levels_do_not_depend_on_their_order():
     mu = OperatorJumpMeasure(1, (ray(np.eye(1), PowerLawDensity(1.0, 0.9, 0.0, 1.0), np.eye(1)),))
     p = build_admissible(1, beta=-0.5 * np.eye(1), mu=mu, b_extra=0.5 * np.eye(1))
     grid = (0.0, 0.5, 1.0)
-    first = _solve_levels(p, np.eye(1), 1.0, RiccatiOptions(), (1, 64), grid)
-    last = _solve_levels(p, np.eye(1), 1.0, RiccatiOptions(), (64, 1), grid)
+    first = _solve_levels(p, np.eye(1), 1.0, (1, 64), grid)
+    last = _solve_levels(p, np.eye(1), 1.0, (64, 1), grid)
     assert first[0].diagnostics["n_steps"] == last[0].diagnostics["n_steps"]
     for a, b in zip(first, last[::-1]):
         assert np.abs(a.psi - b.psi).max() <= 1e-12 * np.abs(a.psi).max()
@@ -546,10 +539,10 @@ def test_stacked_step_rejected_when_any_level_leaves_the_cone():
     e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     mu = OperatorJumpMeasure(2, (ray(e1, PowerLawDensity(1.0, 0.5, 0.5, 1.0), e2),))
     p = ParameterSet(2, np.zeros((2, 2)), ZeroOperator(2), ScalarJumpMeasure(2), mu)
-    assert solve_riccati(p, e1, 1.0, k=1).min_eig.min() == 0.0
+    assert solve_riccati(truncate(p, 1), e1, 1.0).min_eig.min() == 0.0
     for ks in ((4,), (1, 4), (4, 1)):
         with pytest.raises(RiccatiSolverError, match="cone breach"):
-            _solve_levels(p, e1, 1.0, RiccatiOptions(), ks, None)
+            _solve_levels(p, e1, 1.0, ks, None)
 
 
 # ---------------------------------------------------------------------------
