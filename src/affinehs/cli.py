@@ -108,7 +108,7 @@ def cmd_solve(args):
 
 def cmd_moments(args):
     p_set = load_params(args.params)
-    if args.k:
+    if args.k is not None:
         p_set = truncate(p_set, args.k)
     x0 = _load_matrix(args.x0, p_set.dim, 1.0)
     v = _load_matrix(args.v, p_set.dim, 1.0)
@@ -131,7 +131,7 @@ def cmd_moments(args):
 
 def cmd_simulate(args):
     p_set = load_params(args.params)
-    if args.k:
+    if args.k is not None:
         p_set = truncate(p_set, args.k)
     x0 = _load_matrix(args.x0, p_set.dim, 1.0)
     sim = _pdmp.PathSimulator(p_set)
@@ -274,8 +274,9 @@ def build_parser():
     sp = sub.add_parser("solve", parents=[files], help="solve the transform ODEs")
     sp.add_argument("--u", default=None, help="initial condition file (default 0.5*I)")
     sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--k", type=int, default=None, help="truncation level")
-    sp.add_argument("--cascade", action="store_true", help="run the k schedule")
+    levels = sp.add_mutually_exclusive_group()   # the cascade runs its own k schedule
+    levels.add_argument("--k", type=int, default=None, help="truncation level")
+    levels.add_argument("--cascade", action="store_true", help="run the k schedule")
     sp.add_argument("--grid", type=int, default=33)
     sp.set_defaults(func=cmd_solve)
 

@@ -206,13 +206,15 @@ class _Field:
     levels[l][i] is jump i's law on the norms in (cut_l, 1] at level l, None
     where that is empty; one level without a cut by default.  Every cut is
     at most 1, so the jumps of norm > 1 are the same at every level and
-    their rules are built once.  The state is [phi_1..phi_L, vec psi_1..vec
-    psi_L] in VecBasis coordinates, and rhs returns [F_1..F_L, vec R_1..vec
-    R_L]; lin, node_dirs and node_out are block-diagonal over the levels,
-    and column l of member picks level l's coordinates.  Every law is the
-    list of nodes of its ray_rule.  Node j jumps by node_dirs[j] and adds
-    W_j (expm1(-x_j) + small_j x_j) times its output row to the field, where
-    x_j = <node_dirs[j], psi>.
+    their rules are built once.  rhs maps [vec psi_1..vec psi_L], in VecBasis
+    coordinates, to [F_1..F_L, vec R_1..vec R_L]; column l of member picks
+    level l's coordinates of the latter.  Every law is the list of nodes of
+    its ray_rule.  Node j jumps by dirs[j] and adds W_j (expm1(-x_j) +
+    small_j x_j) times its output row out[j], where x_j = <dirs[j], psi>.
+    The compensator small_j x_j is linear in psi, so it is folded once into
+    the linear part (b and B*): lin_c = lin - out^T (small dirs).  A call is
+    z = expand @ psi = (-x, lin_c psi), expm1 of the head of z in place, and
+    collect @ z, where collect = [-out^T, I].
     """
 
     def __init__(self, p_set, levels=None):
@@ -230,32 +232,39 @@ class _Field:
             blocks.append((r[:, None] * np.repeat(dirs, sizes, axis=0),
                            w[:, None] * np.repeat(outs, sizes, axis=0), small))
 
-        self.node_small = np.concatenate([small for _, _, small in blocks])
-        self.lin = np.zeros((n_lev * (n + 1), n_lev * n))
-        self.node_dirs = np.zeros((len(self.node_small), n_lev * n))
-        self.node_out = np.zeros((len(self.node_small), n_lev * (n + 1)))
-        self.member = np.zeros((n_lev * (n + 1), n_lev))
+        small = np.concatenate([node_small for _, _, node_small in blocks])
+        self.n_nodes = n_nodes = len(small)
+        m = n_lev * (n + 1)
+        self.expand = np.zeros((n_nodes + m, n_lev * n))
+        self.collect = np.zeros((m, n_nodes + m))
+        self.member = np.zeros((m, n_lev))
+        neg_dirs, lin = self.expand[:n_nodes], self.expand[n_nodes:]
+        neg_out = self.collect[:, :n_nodes].T
         b_vec, b_adj = basis.vec(p_set.b), p_set.B.mat.T
         start = 0
         for lvl, (node_dirs, node_out, _) in enumerate(blocks):
-            cols = slice(lvl * n, (lvl + 1) * n)  # vec psi_l in the state, less the phis
+            cols = slice(lvl * n, (lvl + 1) * n)  # vec psi_l in the argument
             out = slice(n_lev + lvl * n, n_lev + (lvl + 1) * n)  # vec R_l in the field
             rows = slice(start, start + len(node_dirs))
             start = rows.stop
-            self.lin[lvl, cols] = b_vec
-            self.lin[out, cols] = b_adj
-            self.node_dirs[rows, cols] = node_dirs
-            self.node_out[rows, lvl] = node_out[:, 0]
-            self.node_out[rows, out] = node_out[:, 1:]
+            lin[lvl, cols] = b_vec
+            lin[out, cols] = b_adj
+            neg_dirs[rows, cols] = -node_dirs
+            neg_out[rows, lvl] = -node_out[:, 0]
+            neg_out[rows, out] = -node_out[:, 1:]
             self.member[lvl, lvl] = 1.0
             self.member[out, lvl] = 1.0
-        for arr in (self.node_small, self.lin, self.node_dirs, self.node_out, self.member):
+        lin -= neg_out.T @ (small[:, None] * neg_dirs)   # the folded compensator
+        self.collect[:, n_nodes:] = np.eye(m)
+        for arr in (self.expand, self.collect, self.member):
             arr.setflags(write=False)
 
-    def rhs(self, psi_vec):
-        """Returns (F(psi), vec R(psi)) as one vector, stacked over the levels."""
-        x = self.node_dirs @ psi_vec
-        return self.lin @ psi_vec - (np.expm1(-x) + self.node_small * x) @ self.node_out
+    def rhs(self, psi_vec, out=None):
+        """(F(psi), vec R(psi)) as one vector, stacked over the levels, written into out if given."""
+        z = self.expand @ psi_vec
+        head = z[:self.n_nodes]
+        np.expm1(head, out=head)
+        return np.dot(self.collect, z, out=out)
 
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving Ordinary
@@ -292,6 +301,10 @@ _E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
                 0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
 _E3 = _B - np.array([0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7338466882816118,
                      0.0, 0.0, 0.022058823529411766])
+# The tableau over the extended stage array [y, k_1, ..., k_12] (see
+# _solve_levels), and _B, _E5 and _E3 as one matrix.
+_A_EXT = np.array([np.concatenate([[0.0], row, np.zeros(12 - len(row))]) for row in _A])
+_B_E5_E3 = np.array([_B, _E5, _E3])
 
 
 def solve_riccati(p_set, u, T, t_eval=None):
@@ -372,6 +385,9 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     error norm is the largest of the levels' combined 5th/3rd-order
     estimates; a step is rejected, with half the step, when any level dips
     below the cone tolerance; each level keeps its own growth bound.
+    A step holds the state in row 0 of an extended stage array and stage i
+    in row i + 1: stage i's argument is one product of [1, h _A[i]] with the
+    rows before it, over the psi coordinates (the field does not read phi).
     Returns one RiccatiSolution per level, each carrying the shared
     controller's diagnostics.
     """
@@ -387,6 +403,7 @@ def _solve_levels(p_set, u, T, ks, t_eval):
 
     field, slot, rates = _levels(p_set, cuts)
     d, n, levels = p_set.dim, field.basis.n, len(rates)
+    rhs, member, psi_member = field.rhs, field.member, field.member[levels:]
     bound_slack = 1e-12 * (1.0 + u_norm)
     emb_t = symcone._embedding(d).T
 
@@ -403,29 +420,29 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     diag = {"n_steps": 0, "n_rejected_error": 0, "n_rejected_cone": 0,
             "n_rhs_evals": 0, "max_cone_violation": 0.0}
 
-    def f(yv):
-        diag["n_rhs_evals"] += 1
-        return field.rhs(yv[levels:])
-
     def level_norms(v, scale):
         """RMS norm of v / scale over each level's coordinates."""
-        return np.sqrt((v / scale) ** 2 @ field.member / (n + 1))
+        return np.sqrt((v / scale) ** 2 @ member / (n + 1))
 
+    ext, coef, arg = np.empty((13, y.size)), np.empty((12, 13)), np.empty(levels * n)
+    stage_sums = [(coef[i, :i + 1], ext[:i + 1, levels:], ext[i + 1]) for i in range(1, 12)]
     t = 0.0
     next_out = 1
     abs_y = np.abs(y)
+    ext[0] = y
     if T > 0.0:
         # starting step (Hairer, Norsett & Wanner, II.4): an Euler probe of
         # 1% of the state sizes the second derivative; the smallest over the levels
-        k1 = f(y)
+        k1 = rhs(y[levels:], out=ext[1])
+        diag["n_rhs_evals"] += 1
         scale = _ABS_TOL + _REL_TOL * abs_y
         d0, d1 = level_norms(y, scale), level_norms(k1, scale)
         h0 = min(T, np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
                              0.01 * d0 / np.maximum(d1, 1e-5)).min())
-        d2 = np.maximum(d1, level_norms(f(y + h0 * k1) - k1, scale) / h0)
+        d2 = np.maximum(d1, level_norms(rhs((y + h0 * k1)[levels:]) - k1, scale) / h0)
+        diag["n_rhs_evals"] += 1
         h1 = np.where(d2 <= 1e-15, max(1e-6, 1e-3 * h0), (0.01 / np.maximum(d2, 1e-15)) ** 0.125)
         h_ctrl = min(100.0 * h0, h1.min(), T)
-    stages = np.empty((12, y.size))
     h_cap = _INF   # after a rejection, the next step is no longer than the rejected one
     h_floor = 1e-14 * T
     while next_out < len(grid):
@@ -434,15 +451,20 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         if h < h_floor:
             raise RiccatiSolverError(
                 f"stiffness/cone breach: step size underflow at t = {t:.6g} (h = {h:.3e})")
-        stages[0] = k1
-        for i in range(1, 12):
-            stages[i] = f(y + h * (_A[i] @ stages[:i]))
-        y_new = y + h * (_B @ stages)
-        fsal = f(y_new)   # the first stage of the next step
+        np.multiply(h, _A_EXT, out=coef)
+        coef[:, 0] = 1.0
+        for row, prev, stage in stage_sums:
+            np.dot(row, prev, out=arg)
+            rhs(arg, out=stage)
+            diag["n_rhs_evals"] += 1
+        comb = _B_E5_E3 @ ext[1:]
+        y_new = y + h * comb[0]
+        psi_new = y_new[levels:]
+        fsal = rhs(psi_new)   # the first stage of the next step
+        diag["n_rhs_evals"] += 1
         abs_new = np.abs(y_new)
         scale = _ABS_TOL + _REL_TOL * np.maximum(abs_y, abs_new)
-        e5 = ((_E5 @ stages) / scale) ** 2 @ field.member
-        e3 = ((_E3 @ stages) / scale) ** 2 @ field.member
+        e5, e3 = (comb[1:] / scale) ** 2 @ member
         denom = np.sqrt((e5 + 0.01 * e3) * (n + 1))
         err_norm = h * np.divide(e5, denom, out=np.zeros(levels), where=denom > 0.0).max()
 
@@ -459,7 +481,7 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         diag["max_cone_violation"] = max(diag["max_cone_violation"], -me)
 
         t_new = t + h
-        norms = np.sqrt(y_new[levels:] ** 2 @ field.member[levels:])
+        norms = np.sqrt(psi_new ** 2 @ psi_member)
         caps = np.exp(rates * t_new) * u_norm * (1.0 + _GROWTH_FUDGE) + bound_slack
         if (norms > caps).any():
             lvl = int(np.argmax(norms - caps))
@@ -469,7 +491,7 @@ def _solve_levels(p_set, u, T, ks, t_eval):
 
         t = t_new
         y, abs_y = y_new, abs_new
-        k1 = fsal
+        ext[0], ext[1] = y, fsal
         diag["n_steps"] += 1
         if diag["n_steps"] > _MAX_STEPS:
             raise RiccatiSolverError(f"exceeded max_steps = {_MAX_STEPS}")

@@ -293,6 +293,7 @@ def test_every_registered_option_is_read(argv, mc_param_file, tmp_path):
     ["moments", "--seed", "1"], ["moments", "--tol", "1e-9"], ["moments", "--format", "csv"],
     ["simulate", "--tol", "1e-9"], ["simulate", "--format", "csv"],
     ["simulate", "--paths-out", "paths.csv"],
+    ["solve", "--cascade", "--k", "4"],   # the cascade runs its own levels
 ], ids=" ".join)
 def test_options_a_command_does_not_read_are_refused(argv, mc_param_file, tmp_path):
     _, pfile = mc_param_file
@@ -300,6 +301,16 @@ def test_options_a_command_does_not_read_are_refused(argv, mc_param_file, tmp_pa
     argv = [a if a != "paths.csv" else str(tmp_path / a) for a in argv]
     assert main(argv + ["--params", pfile, "--out", str(out)]) == 2
     assert not out.exists() and not (tmp_path / "paths.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "moments", "simulate", "verify"])
+def test_truncation_level_below_one_is_an_input_error(command, mc_param_file, tmp_path, capsys):
+    # --k 0 is not "untruncated" on any command
+    _, pfile = mc_param_file
+    out = tmp_path / "out"
+    assert main([command, "--k", "0", "--params", pfile, "--out", str(out)]) == 2
+    assert "truncation level must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_bitwise_across_workers(mc_param_file, tmp_path, pools):

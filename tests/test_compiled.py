@@ -59,11 +59,35 @@ def test_compiled_arrays_are_read_only(name):
     bundle = moments._bundle(p)
     assert moments._bundle(p) is bundle
     cascade_field = riccati._levels(p, tuple(1.0 / k for k in riccati._K_SCHEDULE))[0]
-    arrays = [field.lin, field.node_dirs, field.node_out, field.member, field.node_small, rates,
-              cascade_field.node_dirs, bundle.G, bundle.exp._w, bundle.exp._vr, bundle.exp._vinv]
+    arrays = [field.expand, field.collect, field.member, rates, cascade_field.expand,
+              cascade_field.collect, bundle.G, bundle.exp._w, bundle.exp._vr, bundle.exp._vinv]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
+
+
+def _solves(p, u):
+    grid = (0.0, 0.5 * T, T)
+    one = riccati.solve_riccati(p, u, T, t_eval=grid)
+    sol, diag = riccati.solve_cascade(p, u, T, t_eval=grid)
+    return [one.phi, one.psi, one.min_eig, one.diagnostics,
+            sol.phi, sol.psi, sol.min_eig, sol.diagnostics, diag.residuals]
+
+
+@pytest.mark.parametrize("names", [("cascade-00", "cascade-03"), ("cascade-02", "mixed-d5-02")])
+def test_solves_on_the_same_compiled_fields_do_not_interfere(names):
+    # A, then B, then A at another u, then A again, against copies of A
+    # solved alone: scratch space kept in the compiled field of a set would
+    # carry one solve's state into the next, or change the results of the last
+    (sa, pa), (sb, pb) = ((s, s.params) for s in map(library.get, names))
+    alone = _solves(dataclasses.replace(pa), sa.u)
+    alone_2u = _solves(dataclasses.replace(pa), 2.0 * sa.u)
+    first = _solves(pa, sa.u)
+    _solves(pb, sb.u)
+    second = _solves(pa, 2.0 * sa.u)
+    again = _solves(pa, sa.u)
+    for got, want in ((first, alone), (second, alone_2u), (again, alone)):
+        _assert_same(got, want)
 
 
 @pytest.mark.parametrize("name", NAMES)

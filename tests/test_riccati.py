@@ -22,6 +22,7 @@ from affinehs.params import (
     radial_quad,
     ray,
     truncate,
+    truncation_cut,
 )
 from affinehs.riccati import (
     _Field,
@@ -35,7 +36,7 @@ from affinehs.riccati import (
 )
 from affinehs.symcone import ZeroOperator, frob_norm, inner, min_eigenvalue, random_psd
 
-from oracle import growth_rate, rk4_scalar_batch, truncated_lipschitz_bound
+from oracle import field_by_kind, growth_rate, rk4_scalar_batch, truncated_lipschitz_bound
 from strategies import admissible_cases
 
 
@@ -202,6 +203,62 @@ def test_field_assembles_ray_brackets(rng):
             bracket = exp_bracket_closed_form(den, inner(direction, u))
             assert eval_F(p, u) == pytest.approx(-bracket, rel=1e-10)
             np.testing.assert_allclose(eval_R(p, u), -bracket * weight, rtol=1e-10)
+
+
+FOLD_SLOPES = (1.0, 1e-3, 1e-6, 0.0)
+
+
+def test_folded_compensator_matches_closed_forms_at_small_slopes():
+    # the field holds the compensator small_j x_j in its linear part and
+    # expm1(-x_j) in its node part; at small slopes they cancel to O(s^2),
+    # which the 30-digit closed forms resolve
+    direction, weight = unit_dir(), np.array([[0.5, 0.1], [0.1, 0.4]])
+    den = ExponentialDensity(0.8, 1.7, 0.25, 3.0)   # rmin < 1 < rmax: both pieces
+
+    def atom_bracket(r0, s):  # expm1(-s r0) + 1{r0 <= 1} s r0
+        x = mpmath.mpf(s) * r0
+        return float(mpmath.expm1(-x) + (x if r0 <= 1.0 else 0))
+
+    # (m jump, mu jump, F per unit bracket, R per unit bracket, bracket)
+    cases = [(atom(r0 * direction, 0.7), atom(r0 * direction, weight), 0.7, weight / r0 ** 2,
+              lambda s, r0=r0: atom_bracket(r0, s)) for r0 in (0.6, 1.7)]
+    cases.append((ray(direction, den), ray(direction, den, weight), 1.0, weight,
+                  lambda s: exp_bracket_closed_form(den, s)))
+    with mpmath.workdps(30):
+        for m_jump, mu_jump, f_unit, r_unit, bracket in cases:
+            field = _Field(ParameterSet(2, np.zeros((2, 2)), ZeroOperator(2),
+                                        ScalarJumpMeasure(2, (m_jump,)),
+                                        OperatorJumpMeasure(2, (mu_jump,))))
+            for s in FOLD_SLOPES:
+                out = field.rhs(field.basis.vec(s * direction))
+                ref = bracket(s)
+                assert out[0] == pytest.approx(-f_unit * ref, rel=1e-12, abs=1e-15), (m_jump, s)
+                np.testing.assert_allclose(field.basis.unvec(out[1:]), -ref * r_unit,
+                                           rtol=1e-12, atol=1e-15, err_msg=f"{mu_jump} {s}")
+
+
+def test_folded_compensator_matches_the_termwise_sum_on_library(bench):
+    # every library set, untruncated and at k = 4, and the seven-level
+    # cascade field of the infinite-activity sets, against oracle.field_by_kind,
+    # which adds expm1(-x_j) + small_j x_j node by node, at psi = s u
+    ks = riccati._K_SCHEDULE
+    for st in bench:
+        stacks = [(st.params, (None,)), (truncate(st.params, 4), (None,))]
+        if not st.params.is_finite_activity:
+            stacks.append((st.params, ks))
+        for p, levels in stacks:
+            cuts = tuple(0.0 if k is None else truncation_cut(k) for k in levels)
+            field, slot, rates = riccati._levels(p, cuts)
+            n_lev, n = len(rates), field.basis.n
+            for s in FOLD_SLOPES:
+                psi = s * st.u
+                out = field.rhs(np.tile(field.basis.vec(psi), n_lev))
+                for k, lvl in zip(levels, slot):
+                    (f, r), _ = field_by_kind(p if k is None else truncate(p, k), psi)
+                    got = np.concatenate([[out[lvl]], out[n_lev + lvl * n:n_lev + (lvl + 1) * n]])
+                    want = np.concatenate([[f], field.basis.vec(r)])
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15,
+                                               err_msg=f"{st.name} k={k} s={s}")
 
 
 def test_ray_rule_power_law_series():
