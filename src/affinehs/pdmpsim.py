@@ -12,11 +12,15 @@ horizon without a jump when Lambda stays below E.
 
 The paths of a block are simulated in lockstep: every step evaluates the
 clock of all live paths at once (one batched exponential in the
-eigen-coordinates of the augmented generator) and every random number comes
+eigen-coordinates of the augmented generator), and a path that jumps in a
+step starts its next segment in the same step.  Every random number comes
 from a counter-based stream.  Draw j of path i is a pure function of
 (seed, i, j), and blocks of _BLOCK paths have fixed boundaries, so results
 are bitwise identical for a fixed (seed, n_paths) regardless of how many
-worker processes are used.
+worker processes are used.  A path reads the level of its first segment,
+then per jump one window of three draws: the component, a ray's radius and
+the next level.  The stream computes 8 draws per path at its first fill,
+which most paths never outrun, and 32 at every refill.
 """
 
 from __future__ import annotations
@@ -154,17 +158,22 @@ class FlowPropagator:
             return np.real(e @ self._from_coords)
         return self._dense_dot(z, t)[..., : self._n]
 
-    def clock(self, z, s):
+    def clock_base(self, z):
+        """The s-free part of `clock` at anchors z (P, .), zeros on the dense route."""
+        return (z @ self._clock_w0).real if self._aug.use_eig else np.zeros((len(z), 3))
+
+    def clock(self, z, s, base=None):
         """Integrated intensity Lambda(s), intensity lambda(s) and its slope
-        lambda'(s) along the flow from anchors z (P, .) after times s (P,)."""
+        lambda'(s) along the flow from anchors z (P, .) after times s (P,).
+        base is clock_base(z), computed here when not given."""
         if self._aug.use_eig:
             g = np.expm1(np.multiply.outer(s, self._aug._w))
             with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
                 g *= z
                 out = (g @ self._clock_w).real
-            base = (z @ self._clock_w0).real
-            base[:, 0] *= s
-            out += base
+            base = self.clock_base(z) if base is None else base
+            out[:, 0] += base[:, 0] * s
+            out[:, 1:] += base[:, 1:]
         else:
             out = self._dense_dot(z, s) @ self._clock_w
         return out[:, 0], out[:, 1], out[:, 2]
@@ -207,6 +216,7 @@ class _JumpTable:
             len(jumps), p_set.dim, p_set.dim)
         self.laws = [j.law for j in jumps]
         self.is_ray = np.array([not isinstance(law, PointMass) for law in self.laws], dtype=bool)
+        self.ray_comps = np.flatnonzero(self.is_ray).tolist()
         self.atom_radius = np.array([1.0 if ray else law.r0 for law, ray in zip(self.laws, self.is_ray)])
         self.ray_total = [float(law.cdf_mass(law.rmax)) if ray else None
                           for law, ray in zip(self.laws, self.is_ray)]
@@ -225,17 +235,14 @@ class _JumpTable:
             raise SimulationError("jump drawn at zero intensity")
         return np.minimum((cum < (u * total)[:, None]).sum(axis=1), len(self.const) - 1)
 
-    def scales(self, comp, uniforms):
+    def scales(self, comp, u):
         """Size factor of each jump of components comp: an atom's radius, and
-        for a ray the radius whose cumulative mass is u times the ray's, with
-        the u of the ray jumps at positions sel given by uniforms(sel)."""
+        for a ray the radius whose cumulative mass is u times the ray's."""
         scale = self.atom_radius[comp]
-        ray = np.flatnonzero(self.is_ray[comp])
-        if ray.size:
-            u = uniforms(ray)
-            for c in np.unique(comp[ray]):
-                sel = comp[ray] == c
-                scale[ray[sel]] = self.laws[c].inverse_cdf_mass(u[sel] * self.ray_total[c])
+        for c in self.ray_comps:
+            sel = comp == c
+            if sel.any():
+                scale[sel] = self.laws[c].inverse_cdf_mass(u[sel] * self.ray_total[c])
         return scale
 
 
@@ -288,45 +295,58 @@ class CounterStream:
     A path's draws therefore do not depend on the other paths of its block.
     Every path starts reading at `draw`, so CounterStream(seed, i, 1, j)
     resumes path i before its draw j.
+
+    Draws are computed ahead into a buffer per path: FIRST at the stream's
+    first fill, which most paths never outrun, and REFILL at every later one.
     """
 
-    REFILL = 32        # draws buffered per path
-    REFILL_ROWS = 256  # paths per Philox call, which bounds its temporary arrays
+    FIRST = 8                # draws per path of the first fill
+    REFILL = 32              # draws per path of every later fill
+    FILL_BLOCKS = 8192       # Philox blocks per call, which bounds its temporary arrays
 
     def __init__(self, seed, start=0, count=1, draw=0):
         self.seed = int(seed) & _MASK64
         self.start = int(start)
         self._key = (self.seed & _M32, self.seed >> 32)
-        self._path = np.arange(self.start, self.start + count, dtype=_U64)
+        path = np.arange(self.start, self.start + count, dtype=_U64)
+        self._path_words = (path & _M32, path >> 32)   # words 2 and 3 of a path's counters
         self._cursor = np.full(count, int(draw), dtype=np.int64)
-        self._base = self._cursor - self.REFILL   # empty buffers: the first take fills them
+        self._end = self._cursor & ~1   # a row's last columns buffer the draws before end
+        self._width = self.FIRST
         self._buf = np.empty((count, self.REFILL))
 
     def _refill(self, rows):
-        self._base[rows] = self._cursor[rows] & ~1
-        for lo in range(0, len(rows), self.REFILL_ROWS):
-            part = rows[lo: lo + self.REFILL_ROWS]
-            blocks = (self._base[part, None] // 2 + np.arange(self.REFILL // 2)).astype(_U64)
-            path = np.broadcast_to(self._path[part, None], blocks.shape)
-            out = philox4x32((blocks.ravel(), np.zeros(blocks.size, dtype=_U64),
-                              (path & _M32).ravel(), (path >> 32).ravel()), self._key)
+        width, self._width = self._width, self.REFILL
+        half = width // 2
+        base = self._cursor[rows] & ~1
+        self._end[rows] = base + width
+        per_call = self.FILL_BLOCKS // half
+        for lo in range(0, len(rows), per_call):
+            part = rows[lo: lo + per_call]
+            blocks = (base[lo: lo + per_call, None] // 2 + np.arange(half)).astype(_U64).ravel()
+            out = philox4x32((blocks, np.zeros_like(blocks), self._path_words[0][part].repeat(half),
+                              self._path_words[1][part].repeat(half)), self._key)
             words = (out[0::2] << 21) | (out[1::2] >> 11)
-            self._buf[part] = words.T.reshape(len(part), self.REFILL) * 2.0 ** -53
+            self._buf[part, self.REFILL - width:] = words.T.reshape(len(part), width) * 2.0 ** -53
 
-    def take(self, rows):
-        """The next draw of each path in rows (positions within the stream).
+    def take(self, rows, width=None):
+        """The next draw of each path in rows (positions within the stream),
+        or with `width` (at most FIRST - 1) its next `width` consecutive
+        draws as the columns of a (len(rows), width) array; each path's
+        cursor moves past what it read.
 
-        Buffers are refilled when a path of rows has fewer than four draws
-        left, more than one jump takes (its clock level, component and ray
-        radius); every path of rows past half its buffer is refilled with it,
-        so refills come in few large batches.
+        The paths of rows with fewer draws buffered than they read are
+        refilled first, in one batch.
         """
         cur = self._cursor[rows]
-        used = cur - self._base[rows]
-        if np.any(used > self.REFILL - 4):
-            self._refill(rows[used > self.REFILL // 2])
-        self._cursor[rows] = cur + 1
-        return self._buf[rows, cur - self._base[rows]]
+        n = 1 if width is None else width
+        short = self._end[rows] - cur < n
+        if short.any():
+            self._refill(rows[short])
+        self._cursor[rows] = cur + n
+        col = cur + self.REFILL - self._end[rows]
+        window = self._buf[rows[:, None], col[:, None] + np.arange(n)]
+        return window[:, 0] if width is None else window
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +397,20 @@ class PathSimulator:
         """Simulate every path of a block at once.
 
         Path i starts at row i of x_vecs and reads its uniforms from
-        stream.take: per jump the Exp(1) level E of its clock, the component
-        and a ray's radius.  The flow from the last jump (the anchor) jumps
-        at the root s of Lambda(s) = E, where Lambda is nondecreasing since
-        the intensity is nonnegative on the cone.  Each step evaluates the
-        clock of every live path once and shrinks its bracket [lo, hi] of the
-        root: a Halley step inside the bracket is taken, a step out of it goes
-        to the horizon while the horizon is unevaluated and bisects after.
-        A path whose Lambda at the horizon is below E ends there.  Returns
-        the terminal states and the jump count of each path; with `record`,
-        every step that jumps appends the arrays (path rows, times,
-        components, radii, post-jump states, draw cursors) of its jumps.
+        stream.take: first the Exp(1) level E of its clock, then per jump one
+        window of three draws, the component, a ray's radius and the next E;
+        a jump without a ray gives the third draw back and reads E second.
+        The flow from the last jump (the anchor) jumps at the root s of
+        Lambda(s) = E, where Lambda is nondecreasing since the intensity is
+        nonnegative on the cone.  Each step evaluates the clock of every live
+        path once and shrinks its bracket [lo, hi] of the root: a Halley step
+        inside the bracket is taken, a step out of it goes to the horizon
+        while the horizon is unevaluated and bisects after.  A path whose
+        Lambda at the horizon is below E ends there; a path that jumps starts
+        its next segment in the same step.  Returns the terminal states and
+        the jump count of each path; with `record`, every step that jumps
+        appends the arrays (path rows, times, components, radii, post-jump
+        states, draw cursors after each jump's own draws) of its jumps.
         """
         fp, table = self.flowprop, self.table
         n_paths = len(x_vecs)
@@ -398,62 +421,67 @@ class PathSimulator:
         step_tol, bracket_tol = 1e-6 * max(T, 1.0), 1e-14 * max(T, 1.0)
         terminal = np.empty((n_paths, self.basis.n))
         live = np.arange(n_paths)
-        x = np.array(x_vecs, dtype=float)
+        # states are held in C order: BLAS may sum a strided array's products in another order
+        x = np.array(x_vecs, dtype=float, order="C")
         z = fp.coords(x)
-        t = np.zeros(n_paths)
-        level, s, lo, hi = (np.empty(n_paths) for _ in range(4))
-        open_end = np.empty(n_paths, dtype=bool)   # hi is the horizon, not yet evaluated
-        fresh = np.ones(n_paths, dtype=bool)
-        while live.size:
-            f = np.flatnonzero(fresh)
-            if f.size:
-                z[f] = fp.coords(x[f])
-                level[f] = -np.log1p(-stream.take(live[f]))
-                lo[f] = 0.0
-                hi[f] = T - t[f]
-                open_end[f] = True
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    s[f] = np.fmin(level[f] / (table.m_total + x[f] @ table.kappa_vec), hi[f])
-                fresh[f] = False
-            lam_int, lam, dlam = fp.clock(z, s)
-            bad = ~(np.isfinite(lam_int) & np.isfinite(lam))
-            if bad.any():
-                r = np.flatnonzero(bad)[0]
-                raise SimulationError(
-                    f"jump clock is not finite (seed {stream.seed}, path {stream.start + live[r]}, "
-                    f"t = {float(t[r] + s[r])!r}, Lambda = {lam_int[r]:g}, lambda = {lam[r]:g})")
-            gap = lam_int - level
-            below = gap < 0.0
-            end = below & open_end & (s == hi)
-            lo = np.where(below, s, lo)
-            hi = np.where(below, hi, s)
-            open_end &= below
-            with np.errstate(divide="ignore", invalid="ignore"):
+        base = fp.clock_base(z)
+        level = -np.log1p(-stream.take(live))
+        t, lo, hi = np.zeros(n_paths), np.zeros(n_paths), np.full(n_paths, float(T))
+        open_end = np.ones(n_paths, dtype=bool)   # hi is the horizon, not yet evaluated
+        # Halley's denominator and the first guess's rate may be 0; the clock is checked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.fmin(level / (table.m_total + x @ table.kappa_vec), hi)
+            while live.size:
+                lam_int, lam, dlam = fp.clock(z, s, base)
+                finite = np.isfinite(lam_int) & np.isfinite(lam)
+                if not finite.all():
+                    r = np.flatnonzero(~finite)[0]
+                    raise SimulationError(
+                        f"jump clock is not finite (seed {stream.seed}, path {stream.start + live[r]}, "
+                        f"t = {float(t[r] + s[r])!r}, Lambda = {lam_int[r]:g}, lambda = {lam[r]:g})")
+                gap = lam_int - level
+                below = gap < 0.0
+                open_end &= below
+                end = open_end & (s == hi)
+                lo = np.where(below, s, lo)
+                hi = np.where(below, hi, s)
                 step = -2.0 * gap * lam / (2.0 * lam * lam - gap * dlam)
-            s_new = s + step
-            inside = (s_new > lo) & (s_new < hi)
-            s_next = np.where(inside, s_new, np.where(open_end, hi, 0.5 * (lo + hi)))
-            root = (gap == 0.0) | (inside & (np.abs(step) <= step_tol)) | (
-                ~open_end & (hi - lo <= bracket_tol))
-            s = np.where(gap == 0.0, s, s_next)
-            hit = np.flatnonzero(root & ~end)
-            if hit.size:
-                t[hit] += s[hit]
-                x[hit] = fp.advance(z[hit], s[hit])
-                comp = table.choose(x[hit], stream.take(live[hit]))
-                sizes = table.scales(comp, lambda sel: stream.take(live[hit[sel]]))
-                x[hit] += sizes[:, None] * table.size_vecs[comp]
-                jumps[live[hit]] += 1
-                fresh[hit] = True
-                if record is not None:
-                    record.append((live[hit], t[hit], comp, sizes, x[hit],
-                                   stream._cursor[live[hit]]))
-            if end.any():
+                s_new = s + step
+                inside = (s_new > lo) & (s_new < hi)
+                s_next = np.where(inside, s_new, np.where(open_end, hi, 0.5 * (lo + hi)))
+                exact = gap == 0.0
+                root = exact | (inside & (np.abs(step) <= step_tol)) | (
+                    ~open_end & (hi - lo <= bracket_tol))
+                s = np.where(exact, s, s_next)
+                hit = np.flatnonzero(root & ~end)
+                if hit.size:
+                    rows, sh = live[hit], s[hit]
+                    th = t[hit] + sh
+                    xh = np.array(fp.advance(z.take(hit, axis=0), sh), order="C")   # from a strided view
+                    u = stream.take(rows, 3)
+                    comp = table.choose(xh, u[:, 0])
+                    ray = table.is_ray[comp]
+                    sizes = table.scales(comp, u[:, 1])
+                    xh += sizes[:, None] * table.size_vecs[comp]
+                    stream._cursor[rows] -= ~ray   # a jump without a ray gives its third draw back
+                    jumps[rows] += 1
+                    if record is not None:
+                        record.append((rows, th, comp, sizes, xh, stream._cursor[rows] - 1))
+                    # the next segment starts at the post-jump state, in this step
+                    z[hit] = zh = fp.coords(xh)
+                    base[hit] = fp.clock_base(zh)
+                    t[hit] = th
+                    level[hit] = lh = -np.log1p(-np.where(ray, u[:, 2], u[:, 1]))
+                    lo[hit], open_end[hit] = 0.0, True
+                    hi[hit] = hh = T - th
+                    s[hit] = np.fmin(lh / (table.m_total + xh @ table.kappa_vec), hh)
                 e = np.flatnonzero(end)
-                terminal[live[e]] = fp.advance(z[e], hi[e])
-                keep = ~end
-                live, x, z, t, level, s, lo, hi, open_end, fresh = (
-                    a[keep] for a in (live, x, z, t, level, s, lo, hi, open_end, fresh))
+                if e.size:
+                    terminal[live[e]] = fp.advance(z.take(e, axis=0), hi[e])
+                    keep = np.flatnonzero(~end)
+                    live, t, level, s, lo, hi, open_end = (
+                        a[keep] for a in (live, t, level, s, lo, hi, open_end))
+                    z, base = z.take(keep, axis=0), base.take(keep, axis=0)
         return terminal, jumps
 
     def run(self, x0, T, stream):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -479,6 +480,93 @@ def test_counter_stream_draws_do_not_depend_on_the_batch():
     np.testing.assert_array_equal(far_draws, alone[2 ** 33 + 1])
     assert 0.0 <= alone[0].min() and alone[0].max() < 1.0
     assert len(np.unique(np.concatenate(list(alone.values())))) == 4 * n_draws
+
+
+def philox_draws(seed, path, count):
+    """Draws 0, ..., count - 1 of one path, straight from philox4x32."""
+    blocks = np.arange((count + 1) // 2, dtype=np.uint64)
+    zero = np.zeros_like(blocks)
+    out = philox4x32((blocks, zero, zero + (path & 0xFFFFFFFF), zero + (path >> 32)),
+                     (seed & 0xFFFFFFFF, seed >> 32))
+    pairs = np.stack([(out[0] << 21) | (out[1] >> 11), (out[2] << 21) | (out[3] >> 11)], axis=1)
+    return (pairs.ravel() * 2.0 ** -53)[:count]
+
+
+def test_counter_stream_windows_match_single_draws():
+    # a window of w draws is what w single draws give, and what philox4x32
+    # gives: across the first fill (a window over draws 6, 7, 8), later
+    # refills, and from an odd draw, where a refill starts one draw early
+    seed, path, n_draws = 2 ** 40 + 5, 2 ** 33 + 1, 120
+    ref = philox_draws(seed, path, n_draws)
+    single = CounterStream(seed, path)
+    np.testing.assert_array_equal([single.take(np.array([0]))[0] for _ in range(n_draws)], ref)
+    for start, widths in ((0, (3,)), (7, (3,)), (0, (1, 2, 3)), (7, (2, 3, 3, 1))):
+        stream, cursor = CounterStream(seed, path, 1, draw=start), start
+        for w in itertools.cycle(widths):
+            if cursor + w > n_draws:
+                break
+            window = stream.take(np.array([0]), w)
+            assert window.shape == (1, w)
+            np.testing.assert_array_equal(window[0], ref[cursor: cursor + w])
+            cursor += w
+    # in a batch, whatever the other rows read in between
+    rng = np.random.default_rng(1)
+    windows, singles = CounterStream(seed, 0, 8), CounterStream(seed, 0, 8)
+    for _ in range(60):
+        rows = np.flatnonzero(rng.random(8) < 0.5)
+        w = int(rng.integers(1, 4))
+        got = windows.take(rows, w)
+        assert got.shape == (len(rows), w)
+        np.testing.assert_array_equal(got, np.stack([singles.take(rows) for _ in range(w)], axis=1))
+
+
+def test_jump_windows_move_the_cursor_by_two_or_three():
+    # a path reads its first level, then 2 draws per atom jump and 3 per ray
+    # jump; rng_states[j] resumes it before the level that follows jump j
+    s = library.get("mixed-d3-05")
+    sim = PathSimulator(truncate(s.params, 4))
+    n = 300
+    stream, record = CounterStream(17, 0, n), []
+    _, jumps = sim._lockstep(np.broadcast_to(sim.basis.vec(s.x0), (n, sim.basis.n)), 2.0,
+                             stream, record)
+    per_jump = 2 + sim.table.is_ray
+    n_ray = 0
+    for i, (_, comp, _, _, cursors) in enumerate(sim._by_path(record, jumps)):
+        assert stream._cursor[i] == 1 + per_jump[comp].sum()
+        np.testing.assert_array_equal(cursors, np.cumsum(per_jump[comp]))
+        n_ray += sim.table.is_ray[comp].sum()
+    assert 0 < n_ray < jumps.sum()
+
+
+@pytest.mark.parametrize("name, complex_spectrum", [("mixed-d5-02", True), ("mixed-d5-04", False)])
+def test_lockstep_bits_do_not_depend_on_the_start_block_layout(name, complex_spectrum):
+    # a broadcast start block and a C-ordered copy give the same bits
+    s = library.get(name)
+    sim = PathSimulator(truncate(s.params, 4))
+    assert np.iscomplexobj(sim.flowprop._aug._w) == complex_spectrum
+    block = np.broadcast_to(sim.basis.vec(s.x0), (1000, sim.basis.n))
+    term, jumps = sim._lockstep(block, 1.5, CounterStream(4, 0, 1000))
+    term_c, jumps_c = sim._lockstep(np.array(block, order="C"), 1.5, CounterStream(4, 0, 1000))
+    assert np.array_equal(term, term_c)
+    assert np.array_equal(jumps, jumps_c)
+
+
+def test_philox_work_stays_bounded(monkeypatch):
+    # the first fill is small and a refill serves only the paths that run
+    # short, so a block computes fewer than 3 draws per draw it reads
+    import affinehs.pdmpsim as mod
+    computed = []
+
+    def counting(counter, key):
+        computed.append(2 * np.size(counter[0]))
+        return philox4x32(counter, key)
+
+    monkeypatch.setattr(mod, "philox4x32", counting)
+    s = library.get("mixed-d5-02")
+    sim = PathSimulator(truncate(s.params, 4))
+    stream = CounterStream(7, 0, 1000)
+    sim._lockstep(np.broadcast_to(sim.basis.vec(s.x0), (1000, sim.basis.n)), 1.0, stream)
+    assert sum(computed) < 3 * stream._cursor.sum()
 
 
 def test_mc_matches_analytics_one_set():
