@@ -32,7 +32,6 @@ import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.integrate
 
 from .exceptions import (
     DimensionMismatchError,
@@ -158,6 +157,8 @@ class PowerLawDensity(_RadialRange):
 
         r = (rmin^q + q m / c)^(1/q) with q = -alpha, written through log1p so
         that it keeps its precision at both ends; r = rmin e^(m/c) at alpha = 0.
+        For a tail (q < 0), c rmin^q / q is minus the float partial_moment(0)
+        returns for [rmin, inf), so r is finite for every m below that mass.
         """
         m = np.asarray(m, dtype=float)
         q = -self.alpha
@@ -165,7 +166,7 @@ class PowerLawDensity(_RadialRange):
             r = self.rmin * np.exp(m / self.c)
         elif self.rmin > 0.0:
             with np.errstate(divide="ignore"):  # m = total mass with rmax = inf gives r = inf
-                r = self.rmin * np.exp(np.log1p(np.maximum(q * m / (self.c * self.rmin ** q), -1.0)) / q)
+                r = self.rmin * np.exp(np.log1p(np.maximum(m / (self.c * self.rmin ** q / q), -1.0)) / q)
         else:
             r = (q * m / self.c) ** (1.0 / q)
         return np.minimum(r, self.rmax)
@@ -192,29 +193,36 @@ class ExponentialDensity(_RadialRange):
         return np.where((r >= self.rmin) & (r <= self.rmax), out, 0.0)
 
     def partial_moment(self, p, lo=0.0, hi=_INF):
-        from scipy.special import gammaincc, gamma
-
+        """integral of r^p rho(r) dr over [lo, hi] within the support, for integer p >= 0."""
+        if not float(p).is_integer() or p < 0:
+            raise MeasureError(f"exponential partial moments need an integer p >= 0, got p = {p}")
+        p = int(p)
         a = max(lo, self.rmin)
         b = min(hi, self.rmax)
         if b <= a:
             return 0.0
-        s = p + 1.0
-        scale = self.c * self.lam ** (-s) * gamma(s)
-        upper_a = gammaincc(s, self.lam * a)
-        upper_b = 0.0 if b == _INF else gammaincc(s, self.lam * b)
-        return float(scale * (upper_a - upper_b))
+        return self._tail(p, a) - (0.0 if b == _INF else self._tail(p, b))
+
+    def _tail(self, p, x):
+        """integral of r^p c e^(-lam r) dr over [x, inf): c lam^(-s) Gamma(s, lam x),
+        s = p + 1, where Gamma(s, y) = (s-1)! e^(-y) sum_{k<s} y^k / k! at integer s."""
+        y = self.lam * x
+        series = sum(y ** k / math.factorial(k) for k in range(p + 1))
+        return self.c * self.lam ** -(p + 1.0) * math.factorial(p) * math.exp(-y) * series
 
     def cdf_mass(self, r):
+        """Vectorized integral of rho over [rmin, r]: the mass of [rmin, inf) times
+        1 - e^(-lam (r - rmin)), so that cdf_mass(inf) is partial_moment(0) exactly."""
         r = np.minimum(np.asarray(r, dtype=float), self.rmax)
-        out = -(self.c / self.lam) * math.exp(-self.lam * self.rmin) * np.expm1(
-            -self.lam * (np.maximum(r, self.rmin) - self.rmin))
+        out = -self._tail(0, self.rmin) * np.expm1(-self.lam * (np.maximum(r, self.rmin) - self.rmin))
         return np.where(r <= self.rmin, 0.0, out)
 
     def inverse_cdf_mass(self, m):
-        """Vectorized radius r with cdf_mass(r) = m: rmin - log1p(-lam m e^(lam rmin) / c) / lam."""
+        """Vectorized radius r with cdf_mass(r) = m: rmin - log1p(-m / M) / lam, with M
+        the mass of [rmin, inf); r is finite for every m below M."""
         m = np.asarray(m, dtype=float)
-        y = np.maximum(-self.lam * m * math.exp(self.lam * self.rmin) / self.c, -1.0)
-        with np.errstate(divide="ignore"):  # m = total mass with rmax = inf gives r = inf
+        y = np.maximum(-m / self._tail(0, self.rmin), -1.0)
+        with np.errstate(divide="ignore"):  # m = M gives r = inf
             r = self.rmin - np.log1p(y) / self.lam
         return np.minimum(r, self.rmax)
 
@@ -249,6 +257,8 @@ def radial_quad(density, fn, lo=0.0, hi=_INF, abs_tol=1e-10, rel_tol=1e-8, ray_i
     are regularized by the substitution r = s^(1/(1-alpha)); the caller must
     ensure fn decays fast enough at 0 for the product to be integrable.
     """
+    import scipy.integrate  # only here: the package itself runs on numpy alone
+
     a = max(lo, density.rmin)
     b = min(hi, density.rmax)
     if b <= a:

@@ -201,15 +201,16 @@ class _JumpTable:
     Component c is jump c of the parameter set.  It has mass const[c] +
     rows[c] @ x and jump size scale * directions[c], where scale is an atom's
     radius, taken without a draw, or a ray's radius drawn through the
-    closed-form inverse CDF of laws[c], whose total mass is ray_total[c].
+    closed-form inverse CDF of laws[c].  mass[c], the law's total, scales
+    both const[c] and rows[c] and the radius draws, so they share one value.
     """
 
     def __init__(self, p_set, basis):
         jumps, self.size_vecs, outs = jump_rows(p_set, basis)
-        mass = np.array([j.law.partial_moment(0) for j in jumps])
-        if not np.all(np.isfinite(mass)):
+        self.mass = np.array([j.law.partial_moment(0) for j in jumps])
+        if not np.all(np.isfinite(self.mass)):
             raise SimulationError("jump activity is infinite: truncate first")
-        outs *= mass[:, None]
+        outs *= self.mass[:, None]
         self.const = outs[:, 0]
         self.rows = outs[:, 1:]
         self.directions = np.array([j.direction for j in jumps]).reshape(
@@ -218,11 +219,9 @@ class _JumpTable:
         self.is_ray = np.array([not isinstance(law, PointMass) for law in self.laws], dtype=bool)
         self.ray_comps = np.flatnonzero(self.is_ray).tolist()
         self.atom_radius = np.array([1.0 if ray else law.r0 for law, ray in zip(self.laws, self.is_ray)])
-        self.ray_total = [float(law.cdf_mass(law.rmax)) if ray else None
-                          for law, ray in zip(self.laws, self.is_ray)]
         self.m_total = float(sum(self.const))
         self.kappa_vec = self.rows.sum(axis=0)
-        for arr in (self.size_vecs, self.const, self.rows, self.directions, self.is_ray,
+        for arr in (self.size_vecs, self.mass, self.const, self.rows, self.directions, self.is_ray,
                     self.atom_radius, self.kappa_vec):
             arr.setflags(write=False)
 
@@ -242,7 +241,7 @@ class _JumpTable:
         for c in self.ray_comps:
             sel = comp == c
             if sel.any():
-                scale[sel] = self.laws[c].inverse_cdf_mass(u[sel] * self.ray_total[c])
+                scale[sel] = self.laws[c].inverse_cdf_mass(u[sel] * self.mass[c])
         return scale
 
 

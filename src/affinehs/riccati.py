@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .exceptions import CascadeError, RiccatiSolverError
 from . import symcone
@@ -146,11 +145,28 @@ def _legendre(edges):
     return ((edges[:-1, None] + half) + half * _LEG_X).ravel(), (half * _LEG_W).ravel()
 
 
+def _gauss_jacobi(beta):
+    """RAY_NODES-point Gauss rule for the weight (1 + x)^beta on [-1, 1], beta > -1.
+
+    Golub and Welsch (1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the monic Jacobi recurrence, and the
+    weights are the total mass 2^(beta+1) / (beta+1) times the squared first
+    components of the unit eigenvectors.
+    """
+    k = np.arange(1.0, RAY_NODES)
+    two_k = 2.0 * k + beta
+    diag = np.concatenate([[beta / (beta + 2.0)], beta * beta / (two_k * (two_k + 2.0))])
+    off = 2.0 * k * (k + beta) / (two_k * np.sqrt(two_k * two_k - 1.0))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+
+
 def _piece_rule(density, a, b):
     """Nodes r and weights W with sum W g(r) = integral of g(r) density(r) dr over [a, b].
 
     Power law reaching 0: Gauss-Jacobi with weight r^(1-alpha), which holds
-    the r^(-1-alpha) r^2 behaviour of the bracket (alpha < 1 by admissibility).
+    the r^(-1-alpha) r^2 behaviour of the bracket (alpha < 1 by admissibility);
+    its nodes and weights come from `_gauss_jacobi` by Golub-Welsch.
     Power law on [a, b], a > 0: Gauss-Legendre in log r.  Power-law tail and
     every exponential piece: Gauss-Legendre on decade panels of a variable y
     in (0, 1] in which the jump mass is uniform (exponential: y = e^(-lam(r-a)))
@@ -160,7 +176,7 @@ def _piece_rule(density, a, b):
     if isinstance(density, PowerLawDensity) and b < _INF:
         alpha = density.alpha
         if a == 0.0:
-            x, w = roots_jacobi(RAY_NODES, 0.0, 1.0 - alpha)
+            x, w = _gauss_jacobi(1.0 - alpha)
             r = 0.5 * b * (1.0 + x)
             return r, c * (0.5 * b) ** (2.0 - alpha) * w / (r * r)
         span = math.log(b / a)

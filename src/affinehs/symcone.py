@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DimensionMismatchError,
@@ -95,9 +94,13 @@ def min_eigenvalue(a):
     """Smallest eigenvalue of a symmetric matrix, or of each matrix of a stack.
 
     Dimensions 1 and 2 use the closed form; larger matrices go through the
-    LAPACK symmetric eigensolver, whose non-convergence is reported as
-    EigenSolverError with the solver diagnostics attached.  A stack
-    (..., d, d) gives an array of shape (...); one matrix gives a float.
+    LAPACK symmetric eigensolver, which reads one triangle only, so the
+    input must be exactly symmetric (the package passes check_symmetric
+    output, psi matrices from the isometry, VecBasis.unvec states, and
+    differences of these).
+    Its non-convergence is reported as EigenSolverError with the solver
+    diagnostics attached.  A stack (..., d, d) gives an array of shape
+    (...); one matrix gives a float.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
@@ -111,7 +114,7 @@ def min_eigenvalue(a):
         out = (half_tr - np.hypot(gap, off)).T
     else:
         try:
-            out = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))[..., 0]
+            out = np.linalg.eigvalsh(a)[..., 0]
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at desk scale
             raise EigenSolverError(f"symmetric eigensolver did not converge: {exc}") from exc
     return float(out) if a.ndim == 2 else out
@@ -371,9 +374,12 @@ class ExpPropagator:
     """Repeated evaluation of e^{tM} y for one square matrix M and many t.
 
     Diagonalizes M once and keeps the factors, read-only; falls back to
-    dense scaling-and-squaring when M is numerically defective.  Results
-    agree with scipy.linalg.expm to ~1e-12 on well-conditioned eigenbases.
-    Either route raises OperatorExpError when e^{tM} y is not finite.
+    dense scaling-and-squaring (scipy.linalg.expm) when M is numerically
+    defective.  That route and params.radial_quad are the package's only
+    uses of scipy, each imported where it runs; no library set is defective.
+    Results agree with scipy.linalg.expm to ~1e-12 on well-conditioned
+    eigenbases.  Either route raises OperatorExpError when e^{tM} y is not
+    finite.
     """
 
     def __init__(self, mat):
@@ -402,6 +408,7 @@ class ExpPropagator:
             if self.use_eig:
                 out = np.real(self._vr @ (np.exp(t * self._w) * (self._vinv @ y)))
             else:
+                import scipy.linalg
                 out = scipy.linalg.expm(t * self.mat) @ np.asarray(y, dtype=float)
         if not np.all(np.isfinite(out)):
             raise OperatorExpError(

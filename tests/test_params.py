@@ -89,6 +89,36 @@ def test_exponential_moments_match_quadrature():
     assert den.partial_moment(1, 0.5, 2.0) == pytest.approx(ref, rel=1e-10)
 
 
+def test_exponential_moments_match_mpmath_on_library_laws(bench):
+    # the closed-form upper incomplete gamma at integer s against mpmath's
+    # gammainc at 30 digits, on every library exponential law, as given and
+    # truncated, over the ranges the measures integrate and one finite range
+    import mpmath
+    laws = set()
+    for s in bench:
+        for k in (None, 1, 2, 4, 8, 16, 32, 64):
+            p = truncate(s.params, k) if k else s.params
+            laws.update(j.law for j in p.m.jumps + p.mu.jumps if isinstance(j.law, ExponentialDensity))
+    assert len(laws) > 50
+    with mpmath.workdps(30):
+        for law in laws:
+            for p in (0, 1, 2):
+                for lo, hi in ((0.0, math.inf), (0.0, 1.0), (1.0, math.inf), (0.5, 2.0)):
+                    a, b = max(lo, law.rmin), min(hi, law.rmax)
+                    ref = law.c * mpmath.mpf(law.lam) ** -(p + 1) \
+                        * mpmath.gammainc(p + 1, law.lam * a, law.lam * b)
+                    assert law.partial_moment(p, lo, hi) == pytest.approx(float(ref), rel=1e-13, abs=0.0), \
+                        (law, p, lo, hi)
+
+
+def test_exponential_moments_refuse_non_integer_orders():
+    den = ExponentialDensity(c=0.7, lam=2.3)
+    for p in (1.5, -1, 0.25):
+        with pytest.raises(MeasureError, match=f"p = {p}"):
+            den.partial_moment(p)
+    assert den.partial_moment(2.0) == den.partial_moment(2)
+
+
 def test_radial_quad_singular_substitution():
     den = PowerLawDensity(c=1.0, alpha=0.5, rmin=0.0, rmax=1.0)
     # integrand r^2 against r^{-1.5}: exactly 2/3

@@ -20,6 +20,7 @@ from affinehs.params import (
     ScalarJumpMeasure,
     atom,
     build_admissible,
+    jump_rows,
     ray,
     truncate,
 )
@@ -303,6 +304,34 @@ def test_radial_inverse_cdf_round_trip():
                 assert np.all(err <= 1e-12 * m + slack), (s.name, k, den)
                 n_dens += 1
     assert n_dens > 50
+
+
+def test_jump_table_reads_one_mass_per_ray():
+    # a ray's component mass and its radius draws share one total, and the
+    # largest uniform, 1 - 2^-53, still draws a finite radius in the support
+    u = np.array([0.5, 1.0 - 2.0 ** -53])
+    n_rays = 0
+    for k in (1, 4, 16):
+        for s in library.benchmark_sets():
+            p = truncate(s.params, k)
+            table = PathSimulator(p).table
+            _, _, outs = jump_rows(p, VecBasis(p.dim))
+            assert np.array_equal(table.const, outs[:, 0] * table.mass)
+            assert np.array_equal(table.rows, outs[:, 1:] * table.mass[:, None])
+            for c in table.ray_comps:
+                law = table.laws[c]
+                assert table.mass[c] == law.partial_moment(0)
+                r = table.scales(np.array([c, c]), u)
+                assert np.array_equal(r, law.inverse_cdf_mass(u * table.mass[c]))
+                assert np.all(np.isfinite(r) & (law.rmin <= r) & (r <= law.rmax)), (s.name, k, law, r)
+                n_rays += 1
+    assert n_rays >= 100
+    # tails to infinity beyond the library's: power laws with alpha > 2, exponentials
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        for law in (PowerLawDensity(rng.uniform(0.1, 2.0), rng.uniform(2.01, 6.0), rng.uniform(0.01, 3.0)),
+                    ExponentialDensity(rng.uniform(0.1, 2.0), rng.uniform(0.1, 10.0), rng.uniform(0.0, 3.0))):
+            assert np.all(np.isfinite(law.inverse_cdf_mass(u * law.partial_moment(0)))), law
 
 
 def test_radial_sampler_rejects_infinite_activity():

@@ -291,6 +291,17 @@ def test_ray_rule_power_law_tail_to_infinity():
                 assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (den, s)
 
 
+def test_gauss_jacobi_rule_matches_scipy_roots_jacobi():
+    # Golub-Welsch against scipy's rule for the weight (1 + x)^(1 - alpha)
+    # over the power laws the admissibility condition allows
+    from scipy.special import roots_jacobi
+    for alpha in np.linspace(-1.5, 0.99, 12):
+        x, w = riccati._gauss_jacobi(1.0 - alpha)
+        x_ref, w_ref = roots_jacobi(riccati.RAY_NODES, 0.0, 1.0 - alpha)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-14, err_msg=f"alpha={alpha}")
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0, err_msg=f"alpha={alpha}")
+
+
 def test_ray_rules_match_radial_quad_on_library_rays(bench):
     densities = {}
     for s in bench:
@@ -553,6 +564,14 @@ def test_transform_solves_take_few_steps(library_solves_k4):
     steps = [sol.diagnostics["n_steps"] for _, _, sol, _, _ in library_solves_k4]
     assert len(steps) == 3 * len(library.benchmark_sets())
     assert np.mean(steps) <= 8.0
+
+
+def test_psi_matrices_are_exactly_symmetric(library_solves_k4, bench):
+    # the cone check hands these matrices to eigvalsh, which reads one triangle
+    sols = [sol for _, _, sol, _, _ in library_solves_k4]
+    sols += [riccati.solve_cascade(s.params, s.u, 1.0)[0] for s in bench if not s.params.is_finite_activity]
+    for sol in sols:
+        assert np.array_equal(sol.psi, sol.psi.swapaxes(-1, -2))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None,

@@ -63,6 +63,15 @@ def test_min_eigenvalue_closed_forms_match_lapack(rng):
         assert got[2, 1] == min_eigenvalue(stack[2, 1])
 
 
+def test_min_eigenvalue_reads_exactly_symmetric_stacks_as_they_are(rng):
+    # eigvalsh of a symmetric input equals eigvalsh of its symmetrized copy bit for bit
+    for d in (3, 4, 5):
+        a = rng.standard_normal((6, 4, d, d))
+        a = a + a.swapaxes(-1, -2)
+        assert np.array_equal(min_eigenvalue(a), np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))[..., 0])
+        assert min_eigenvalue(a[2, 3]) == np.linalg.eigvalsh(a[2, 3])[0]
+
+
 def test_cone_leq_examples():
     assert cone_leq(np.zeros((2, 2)), np.eye(2), 0.0)
     assert not cone_leq(np.eye(2), np.zeros((2, 2)), 1e-12)
