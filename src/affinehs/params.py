@@ -212,7 +212,7 @@ class ExponentialDensity(_RadialRange):
 
     def cdf_mass(self, r):
         """Vectorized integral of rho over [rmin, r]: the mass of [rmin, inf) times
-        1 - e^(-lam (r - rmin)), so that cdf_mass(inf) is partial_moment(0) exactly."""
+        1 - e^(-lam (r - rmin)); with rmax = inf, cdf_mass(inf) is partial_moment(0)."""
         r = np.minimum(np.asarray(r, dtype=float), self.rmax)
         out = -self._tail(0, self.rmin) * np.expm1(-self.lam * (np.maximum(r, self.rmin) - self.rmin))
         return np.where(r <= self.rmin, 0.0, out)
