@@ -163,13 +163,12 @@ def laplace(p_set, x, t, u):
     """E[e^{-<X_t, u>} | X_0 = x] = exp(-phi(t,u) - <x, psi(t,u)>), in (0, 1].
 
     Solves the transform ODEs directly, also for infinite-activity sets:
-    the ray rules absorb the singular endpoint r = 0.
+    the ray rules absorb the singular endpoint r = 0.  At t = 0 the solve
+    takes no step, but it still refuses a u outside the PSD cone.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     x = symcone.check_symmetric(x)
-    if t == 0.0:
-        return math.exp(-inner(x, u))
     sol = _riccati.solve_riccati(p_set, u, t, t_eval=(0.0, t))
     return math.exp(-sol.phi_final - inner(x, sol.psi_final))
 

@@ -3,15 +3,15 @@
 The transform pair (phi, psi) solves phi' = F(psi), psi' = R(psi) with
 phi(0) = 0, psi(0) = u, where F and R are built from a parameter set
 (b, B, m, mu).  R is quasi-monotone on the cone, so the exact flow never
-leaves it.  The integrator, the Dormand-Prince 8(5,3) pair with a
-starting-step estimate, enforces the same property numerically by
-rejecting, with half the step, every step whose state dips below the cone
-tolerance _CONE_TOL.  Removing jumps of norm <= 1/k (params.truncate)
-gives globally Lipschitz right-hand sides whose solutions decrease
-monotonically (in the Loewner order) to the untruncated solution as k
-grows; solve_cascade runs the schedule k in _K_SCHEDULE as one solve, all
-levels stepped together by one controller, and reports the convergence
-residuals.
+leaves it.  The integrator, the Dormand-Prince 8(5,3) pair started at
+five times Hairer's starting-step estimate, enforces the same property
+numerically by rejecting, with half the step, every step whose state dips
+below the cone tolerance _CONE_TOL.  Removing jumps of norm <= 1/k
+(params.truncate) gives globally Lipschitz right-hand sides whose
+solutions decrease monotonically (in the Loewner order) to the
+untruncated solution as k grows; solve_cascade runs the schedule k in
+_K_SCHEDULE as one solve, all levels stepped together by one controller,
+and reports the convergence residuals.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ _INF = math.inf
 # step controller of the cone-aware integrator
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
+_START_FACTOR = 5.0    # the first step is this multiple of Hairer's starting-step estimate
+_LAND_SLACK = 1.05     # a step lands on the next output time when it is this close to it
 _MAX_T = 100.0
 _N_GRID = 33           # output times when t_eval is omitted
 _MAX_STEPS = 200_000
@@ -333,7 +335,9 @@ def solve_riccati(p_set, u, T, t_eval=None):
     u : initial condition for psi, PSD within the cone tolerance.
     T : horizon, t >= 0.
     t_eval : output times; 0 and T are always included.  The controller
-        lands on every output time exactly (no interpolation).
+        lands on every output time exactly (no interpolation); a step
+        within 5% of the distance left is stretched to land, so no sliver
+        step follows it.
 
     Returns a RiccatiSolution whose grid values satisfy phi(0) = 0,
     psi(0) = u, cone positivity within _CONE_TOL, and the exponential
@@ -396,11 +400,17 @@ def _levels(p_set, cuts):
 def _solve_levels(p_set, u, T, ks, t_eval):
     """Integrate the truncation levels ks (None: untruncated) under one controller.
 
-    The integrator is the Dormand-Prince 8(5,3) pair with Hairer's
-    starting-step estimate.  The state stacks the levels (see _Field).  The
-    error norm is the largest of the levels' combined 5th/3rd-order
-    estimates; a step is rejected, with half the step, when any level dips
-    below the cone tolerance; each level keeps its own growth bound.
+    The integrator is the Dormand-Prince 8(5,3) pair.  Its first step is
+    _START_FACTOR times Hairer's starting-step estimate, capped at T: the
+    estimate is conservative by design, and a first step that is too long
+    fails the error test and is resized like any other.  When the distance
+    to the next output time is at most _LAND_SLACK times the controller's
+    step, the step is that distance, so no sliver step is left; after a
+    rejection no step is longer than the rejected one.  The state stacks the
+    levels (see _Field).  The error norm is the largest of the levels'
+    combined 5th/3rd-order estimates; a step is rejected, with half the
+    step, when any level dips below the cone tolerance; each level keeps its
+    own growth bound.
     A step holds the state in row 0 of an extended stage array and stage i
     in row i + 1: stage i's argument is one product of [1, h _A[i]] with the
     rows before it, over the psi coordinates (the field does not read phi).
@@ -427,8 +437,8 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         """The psi matrices of stacked states, (len(ys), levels, d, d)."""
         return (ys[..., levels:].reshape(-1, levels, n) @ emb_t).reshape(-1, levels, d, d)
 
-    grid = np.linspace(0.0, T, _N_GRID) if t_eval is None else np.asarray(t_eval, dtype=float)
-    grid = np.unique(np.concatenate([[0.0], grid[(grid >= 0) & (grid <= T)], [T]]))
+    times = np.linspace(0.0, T, _N_GRID) if t_eval is None else np.asarray(t_eval, dtype=float)
+    grid = np.array(sorted({0.0, T, *(x for x in times.ravel().tolist() if 0.0 <= x <= T)}))
 
     y = np.concatenate([np.zeros(levels)] + [field.basis.vec(u)] * levels)
     out_y = [y]
@@ -453,17 +463,20 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         diag["n_rhs_evals"] += 1
         scale = _ABS_TOL + _REL_TOL * abs_y
         d0, d1 = level_norms(y, scale), level_norms(k1, scale)
-        h0 = min(T, np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
-                             0.01 * d0 / np.maximum(d1, 1e-5)).min())
-        d2 = np.maximum(d1, level_norms(rhs((y + h0 * k1)[levels:]) - k1, scale) / h0)
+        h0 = min(T, *(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / max(b, 1e-5)
+                      for a, b in zip(d0.tolist(), d1.tolist())))
+        d2 = np.maximum(d1, level_norms(rhs(y[levels:] + h0 * k1[levels:]) - k1, scale) / h0)
         diag["n_rhs_evals"] += 1
         h1 = np.where(d2 <= 1e-15, max(1e-6, 1e-3 * h0), (0.01 / np.maximum(d2, 1e-15)) ** 0.125)
-        h_ctrl = min(100.0 * h0, h1.min(), T)
+        h_ctrl = min(_START_FACTOR * min(100.0 * h0, h1.min()), T)
+        h_land = _LAND_SLACK * h_ctrl   # the longest step that lands on an output time
     h_cap = _INF   # after a rejection, the next step is no longer than the rejected one
     h_floor = 1e-14 * T
     while next_out < len(grid):
         target = grid[next_out]
-        h = min(h_ctrl, target - t)
+        h = target - t
+        if h > h_land:
+            h = h_ctrl
         if h < h_floor:
             raise RiccatiSolverError(
                 f"stiffness/cone breach: step size underflow at t = {t:.6g} (h = {h:.3e})")
@@ -472,27 +485,29 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         for row, prev, stage in stage_sums:
             np.dot(row, prev, out=arg)
             rhs(arg, out=stage)
-            diag["n_rhs_evals"] += 1
         comb = _B_E5_E3 @ ext[1:]
         y_new = y + h * comb[0]
         psi_new = y_new[levels:]
         fsal = rhs(psi_new)   # the first stage of the next step
-        diag["n_rhs_evals"] += 1
+        diag["n_rhs_evals"] += 12   # stages 2 to 12 and the next step's first
         abs_new = np.abs(y_new)
         scale = _ABS_TOL + _REL_TOL * np.maximum(abs_y, abs_new)
-        e5, e3 = (comb[1:] / scale) ** 2 @ member
-        denom = np.sqrt((e5 + 0.01 * e3) * (n + 1))
-        err_norm = h * np.divide(e5, denom, out=np.zeros(levels), where=denom > 0.0).max()
+        e5, e3 = ((comb[1:] / scale) ** 2 @ member).tolist()
+        # a level whose 5th-order estimate vanishes has error 0
+        err_norm = h * max(a / math.sqrt((a + 0.01 * b) * (n + 1)) if a else 0.0
+                           for a, b in zip(e5, e3))
 
         if err_norm > 1.0:
             diag["n_rejected_error"] += 1
             h_ctrl, h_cap = h * max(0.2, 0.9 * err_norm ** -0.125), h
+            h_land = _LAND_SLACK * h_ctrl
             continue
 
         me = float(min_eigenvalue(matrices(y_new)).min())
         if me < -_CONE_TOL:
             diag["n_rejected_cone"] += 1
             h_ctrl, h_cap = 0.5 * h, h
+            h_land = _LAND_SLACK * h_ctrl
             continue
         diag["max_cone_violation"] = max(diag["max_cone_violation"], -me)
 
@@ -519,7 +534,8 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         # growing past a rejected step would only be rejected again; not
         # growing at all would aim every retry at the same rejected point
         grow = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.125)
-        h_ctrl, h_cap = min(h * grow, h_cap), _INF
+        h_ctrl = min(h * grow, h_cap)
+        h_land, h_cap = min(_LAND_SLACK * h_ctrl, h_cap), _INF
 
     ys = np.array(out_y)
     psi = matrices(ys).swapaxes(0, 1)  # (levels, N, d, d)

@@ -83,7 +83,7 @@ def inner(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_same_dim(a, b)
-    return float(np.tensordot(a, b))
+    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def frob_norm(a):

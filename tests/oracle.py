@@ -1,10 +1,11 @@
 """Independent brute-force oracles used by the tests.
 
-The scalar fixed-step RK4 oracle rebuilds F and R directly from the raw
-atom data of a d = 1 parameter set (no code shared with the production
-right-hand side) and integrates with the classic fourth-order scheme.  It
-is vectorized across parameter sets so a dt = 1e-5 run over a batch stays
-fast.
+The fixed-step RK4 oracle integrates an autonomous field with the classic
+fourth-order scheme and no step control, a reference for the solver's
+step controller.  Its scalar batch rebuilds F and R directly from the raw
+atom data of d = 1 parameter sets (no code shared with the production
+right-hand side), vectorized across the sets so a dt = 1e-5 run over a
+batch stays fast.
 
 The moment oracle evaluates the derivative formulas for the first and
 second moments (derivatives of the Laplace transform at u = 0) by
@@ -104,6 +105,19 @@ def scalar_atom_arrays(p_sets):
     return b, bstar, (m_xi, m_w, m_xi <= 1.0), (mu_xi, mu_m, mu_xi <= 1.0)
 
 
+def rk4(field, y0, T, n_steps):
+    """y(T) for y' = field(y), y(0) = y0, by n_steps classic RK4 steps."""
+    y = np.array(y0, dtype=float)
+    h = T / n_steps
+    for _ in range(n_steps):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 def rk4_scalar_batch(p_sets, u0, T, dt):
     """Fixed-step RK4 for a batch of d = 1 atom-only sets.
 
@@ -120,21 +134,13 @@ def rk4_scalar_batch(p_sets, u0, T, dt):
     coef[1, :, m_xi.shape[1]:] = mu_m / mu_xi ** 2
     lin = np.stack([b, bstar])
 
-    def field(u):
-        x = xi * u[:, None]
-        return lin * u - (coef * (np.expm1(-x) + chi * x)).sum(axis=2)
+    def field(y):
+        x = xi * y[1][:, None]
+        return lin * y[1] - (coef * (np.expm1(-x) + chi * x)).sum(axis=2)
 
-    n_steps = int(round(T / dt))
-    y = np.zeros((2, len(u0)))
-    y[1] = u0
-    half = 0.5 * dt
-    for _ in range(n_steps):
-        k1 = field(y[1])
-        k2 = field(y[1] + half * k1[1])
-        k3 = field(y[1] + half * k2[1])
-        k4 = field(y[1] + dt * k3[1])
-        y += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y[0], y[1]
+    y0 = np.zeros((2, len(u0)))
+    y0[1] = u0
+    return tuple(rk4(field, y0, T, int(round(T / dt))))
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)

@@ -253,6 +253,15 @@ def test_laplace_examples(mc_truncated):
     assert vals[0] >= vals[1] >= vals[2]
 
 
+def test_laplace_refuses_u_outside_the_cone_at_every_t(mc_truncated):
+    # at t = 0 the value would be exp(-<x, u>) = exp(tr x) > 1 for u = -I,
+    # outside the (0, 1] that the docstring promises
+    p, x, _ = mc_truncated
+    for t in (0.0, 0.5):
+        with pytest.raises(ValueError, match="u must lie in the PSD cone"):
+            laplace(p, x, t, -np.eye(2))
+
+
 def test_laplace_solves_infinite_activity_directly():
     s = library.get("cascade-02")
     val = laplace(s.params, s.x0, 0.5, s.u)

@@ -36,7 +36,7 @@ from affinehs.riccati import (
 )
 from affinehs.symcone import ZeroOperator, frob_norm, inner, min_eigenvalue, random_psd
 
-from oracle import field_by_kind, growth_rate, rk4_scalar_batch, truncated_lipschitz_bound
+from oracle import field_by_kind, growth_rate, rk4, rk4_scalar_batch, truncated_lipschitz_bound
 from strategies import admissible_cases
 
 
@@ -559,11 +559,118 @@ def test_transform_solves_match_dop853_at_tight_tolerance(library_solves_k4):
 
 
 def test_transform_solves_take_few_steps(library_solves_k4):
-    # the eighth-order pair takes about 4.7 steps per solve here; a
+    # the eighth-order pair takes about 4.15 steps per solve here; a
     # fifth-order pair at the same tolerance takes about 20
     steps = [sol.diagnostics["n_steps"] for _, _, sol, _, _ in library_solves_k4]
     assert len(steps) == 3 * len(library.benchmark_sets())
-    assert np.mean(steps) <= 8.0
+    assert np.mean(steps) <= 4.3
+
+
+def test_cascade_solves_take_few_steps(bench):
+    # the seven stacked levels of the 14 infinite-activity sets take about
+    # 3.07 steps per solve, and no attempt is rejected
+    diags = [solve_cascade(s.params, s.u, T, t_eval=(0.0, T))[0].diagnostics
+             for s in bench if not s.params.is_finite_activity for T in (0.25, 0.5, 1.0)]
+    assert len(diags) == 3 * 14
+    assert np.mean([d["n_steps"] for d in diags]) <= 3.2
+    assert sum(d["n_rejected_error"] + d["n_rejected_cone"] for d in diags) == 0
+
+
+def test_solves_from_the_long_first_step_match_rk4_on_random_admissible_sets():
+    # the first step is five times Hairer's estimate; a start too long for
+    # the error test costs a rejected attempt, never accuracy.  Against 1000
+    # classic RK4 steps on the same field (whose own error is below 1e-12
+    # here), the (0, t) solve agrees to 1e-9 of the state's size, and
+    # rejections stay at most 5% of all attempts
+    attempts, rejected = [], []
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(admissible_cases())
+    def check(case):
+        p, _, u, _, t = case
+        sol = solve_riccati(p, u, t, t_eval=(0.0, t))
+        diag = sol.diagnostics
+        rejected.append(diag["n_rejected_error"] + diag["n_rejected_cone"])
+        attempts.append(diag["n_steps"] + rejected[-1])
+        field = _Field(p)
+        ref = rk4(lambda y: field.rhs(y[1:]), np.concatenate([[0.0], field.basis.vec(u)]), t, 1000)
+        got = np.concatenate([[sol.phi_final], field.basis.vec(sol.psi_final)])
+        assert np.abs(got - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    check()
+    assert len(attempts) >= 60
+    assert sum(rejected) <= 0.05 * sum(attempts)
+
+
+@pytest.fixture
+def attempt_steps(monkeypatch):
+    """The step h of every attempt the solver makes, in order: each attempt
+    scales the tableau _A_EXT by its h once, and this view of it logs that h."""
+    steps = []
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            steps.append(float(inputs[0]))
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    monkeypatch.setattr(riccati, "_A_EXT", riccati._A_EXT.view(Logged))
+    return steps
+
+
+def reject_first_cone_check(monkeypatch):
+    """Make the solver's first cone check fail: its first min_eigenvalue call
+    checks u, the second checks the state after the first step."""
+    calls = []
+
+    def spy(a):
+        calls.append(a)
+        return min_eigenvalue(a) - (1.0 if len(calls) == 2 else 0.0)
+
+    monkeypatch.setattr(riccati, "min_eigenvalue", spy)
+
+
+def test_a_step_within_5_percent_of_the_output_time_lands_on_it(attempt_steps, monkeypatch):
+    p, u = truncate(library.get("mc2-01").params, 4), library.get("mc2-01").u
+    solve_riccati(p, u, 2.0, t_eval=(0.0, 2.0))
+    h1 = attempt_steps[0]
+    assert h1 < 1.0
+    # the first step does not depend on T once T exceeds it
+    for stretch, steps in ((1.04, [1.04 * h1]), (1.06, [h1, 1.06 * h1 - h1])):
+        attempt_steps.clear()
+        sol = solve_riccati(p, u, stretch * h1, t_eval=(0.0, stretch * h1))
+        assert attempt_steps == pytest.approx(steps, rel=1e-12)
+        assert sol.diagnostics["n_steps"] == len(steps)
+        assert sol.t[-1] == stretch * h1
+    # the landing step still passes the growth and the cone checks
+    T = 1.04 * h1
+    with monkeypatch.context() as m:
+        m.setattr(riccati, "_GROWTH_FUDGE", -0.5)
+        with pytest.raises(RiccatiSolverError, match=f"growth bound breached at t = {T:.6g},"):
+            solve_riccati(p, u, T, t_eval=(0.0, T))
+    attempt_steps.clear()
+    reject_first_cone_check(monkeypatch)
+    sol = solve_riccati(p, u, T, t_eval=(0.0, T))
+    assert sol.diagnostics["n_rejected_cone"] == 1
+    assert attempt_steps[:2] == [T, 0.5 * T]
+
+
+def test_no_step_after_a_rejection_is_longer_than_the_rejected_one(attempt_steps, monkeypatch):
+    p, u = truncate(library.get("mc2-01").params, 4), library.get("mc2-01").u
+    reject_first_cone_check(monkeypatch)
+    solve_riccati(p, u, 2.0, t_eval=(0.0, 2.0))
+    h_r = attempt_steps[0]
+    # after the rejected h_r and the accepted retry h_r / 2, the controller
+    # would grow to h_r or beyond, and the distance left, 1.03 h_r, is within
+    # 5% of it; landing there would go past the rejected step
+    T = 1.53 * h_r
+    attempt_steps.clear()
+    reject_first_cone_check(monkeypatch)
+    sol = solve_riccati(p, u, T, t_eval=(0.0, T))
+    assert attempt_steps[:3] == [h_r, 0.5 * h_r, h_r]
+    assert max(attempt_steps) == h_r
+    assert sol.diagnostics["n_steps"] == 3
+    assert sol.t[-1] == T
 
 
 def test_psi_matrices_are_exactly_symmetric(library_solves_k4, bench):
