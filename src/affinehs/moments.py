@@ -72,14 +72,17 @@ def _fold(mat):
     return (mat[..., iu, ju] + mat[..., ju, iu]) * np.where(iu == ju, 0.5, 1.0)
 
 
-def _transport(bundle, t, coefs):
+def _transport(bundle, t, coefs, lead=None):
     """e^{tG} coefs: the coefficients of x -> E[p(X_t) | X_0 = x].
 
-    Raises OperatorExpError when the exponential is not finite.
+    With lead, coefs and the result are the leading lead coefficients: G is
+    block upper-triangular, so a polynomial of degree <= 1 (lead = 1 + n)
+    stays one under e^{tG}.  Raises OperatorExpError when the exponential
+    is not finite.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    return bundle.exp.dot(t, coefs)
+    return bundle.exp.dot(t, coefs, lead)
 
 
 def _at(x_vec, coefs):
@@ -142,14 +145,14 @@ def _bundle(p_set):
 def mean(p_set, x, t, v):
     """E[<X_t, v> | X_0 = x]: <x, v> transported by e^{tG}, evaluated at x.
 
-    G maps the polynomials of degree <= 1 into themselves, so only the
-    leading 1 + n coefficients of the transported <x, v> are read.
+    G maps the polynomials of degree <= 1 into themselves, so <x, v> is
+    transported by the leading (1 + n) block of e^{tG} alone.
     """
     bundle = _bundle(p_set)
     basis = bundle.basis
-    coefs = np.zeros(len(bundle.G))
-    coefs[1: basis.n + 1] = basis.vec(v)
-    return _at(basis.vec(x), _transport(bundle, t, coefs)[: basis.n + 1])
+    coefs = np.zeros(basis.n + 1)
+    coefs[1:] = basis.vec(v)
+    return _at(basis.vec(x), _transport(bundle, t, coefs, lead=basis.n + 1))
 
 
 def second_moment(p_set, x, t, v, w=None):

@@ -17,7 +17,9 @@ and reports the convergence residuals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,7 +234,9 @@ class _Field:
     The compensator small_j x_j is linear in psi, so it is folded once into
     the linear part (b and B*): lin_c = lin - out^T (small dirs).  A call is
     z = expand @ psi = (-x, lin_c psi), expm1 of the head of z in place, and
-    collect @ z, where collect = [-out^T, I].
+    collect @ z, where collect = [-out^T, I].  An integrator passes its own
+    buffers for z (work) and for the result (out), so a call allocates
+    nothing; without them a call allocates both.
     """
 
     def __init__(self, p_set, levels=None):
@@ -277,9 +281,10 @@ class _Field:
         for arr in (self.expand, self.collect, self.member):
             arr.setflags(write=False)
 
-    def rhs(self, psi_vec, out=None):
-        """(F(psi), vec R(psi)) as one vector, stacked over the levels, written into out if given."""
-        z = self.expand @ psi_vec
+    def rhs(self, psi_vec, out=None, work=None):
+        """(F(psi), vec R(psi)) as one vector, stacked over the levels, written into out if given;
+        the node slopes z go into work (len(expand) entries) if given."""
+        z = np.dot(self.expand, psi_vec, out=work)
         head = z[:self.n_nodes]
         np.expm1(head, out=head)
         return np.dot(self.collect, z, out=out)
@@ -320,9 +325,12 @@ _E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
 _E3 = _B - np.array([0.2440944881889764, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7338466882816118,
                      0.0, 0.0, 0.022058823529411766])
 # The tableau over the extended stage array [y, k_1, ..., k_12] (see
-# _solve_levels), and _B, _E5 and _E3 as one matrix.
-_A_EXT = np.array([np.concatenate([[0.0], row, np.zeros(12 - len(row))]) for row in _A])
-_B_E5_E3 = np.array([_B, _E5, _E3])
+# _solve_levels): rows 0 to 11 are the stages, rows 12 to 14 are _B, _E5
+# and _E3.  A step scales it by h once, so that its last three rows give
+# y_new - y and both error estimates, already times h.
+_A_EXT = np.array([np.concatenate([[0.0], row, np.zeros(12 - len(row))]) for row in _A]
+                  + [np.concatenate([[0.0], row]) for row in (_B, _E5, _E3)])
+_LOG_MAX = math.log(sys.float_info.max)   # the largest x whose exp is finite
 
 
 def solve_riccati(p_set, u, T, t_eval=None):
@@ -343,7 +351,7 @@ def solve_riccati(p_set, u, T, t_eval=None):
     psi(0) = u, cone positivity within _CONE_TOL, and the exponential
     growth bound of the field.
     """
-    return _solve_levels(p_set, u, T, (None,), t_eval)[0]
+    return _solve_levels(p_set, u, T, (None,), t_eval).solution(0)
 
 
 def solve_cascade(p_set, u, T, t_eval=None):
@@ -356,12 +364,11 @@ def solve_cascade(p_set, u, T, t_eval=None):
     bug, not a modelling choice).
     """
     ks = _K_SCHEDULE
-    sols = _solve_levels(p_set, u, T, ks, t_eval)
+    levels = _solve_levels(p_set, u, T, ks, t_eval)
 
     residuals = {}
     worst = 0.0
-    psi = np.array([s.psi for s in sols])
-    gaps = psi[:-1] - psi[1:]
+    gaps = levels.psi[:-1] - levels.psi[1:]
     gap_mins = min_eigenvalue(gaps).min(axis=1)
     gap_norms = np.linalg.norm(gaps, axis=(2, 3)).max(axis=1)
     for k_prev, k, gap_min, gap_norm in zip(ks, ks[1:], gap_mins, gap_norms):
@@ -374,7 +381,7 @@ def solve_cascade(p_set, u, T, t_eval=None):
 
     final_res = residuals.get(ks[-1], 0.0)
     diag = CascadeDiagnostics(ks, residuals, worst, final_res)
-    sol = sols[-1]
+    sol = levels.solution(-1)
     sol.diagnostics["cascade_residual"] = final_res
     return sol, diag
 
@@ -397,6 +404,25 @@ def _levels(p_set, cuts):
     return compiled(p_set, ("levels", cuts), build)
 
 
+class _Levels(NamedTuple):
+    """The output of _solve_levels, stacked over ks in their order: phi
+    (levels, N), psi (levels, N, d, d) and min_eig (levels, N) on the grid t,
+    with the step sizes and the diagnostics of the one controller."""
+
+    ks: tuple
+    t: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
+    min_eig: np.ndarray
+    step_size: np.ndarray
+    diagnostics: dict
+
+    def solution(self, i):
+        """The RiccatiSolution of level ks[i]; it holds the diagnostics dict itself."""
+        return RiccatiSolution(self.t, self.phi[i], self.psi[i], self.min_eig[i],
+                               self.step_size, self.ks[i], self.diagnostics)
+
+
 def _solve_levels(p_set, u, T, ks, t_eval):
     """Integrate the truncation levels ks (None: untruncated) under one controller.
 
@@ -410,26 +436,32 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     levels (see _Field).  The error norm is the largest of the levels'
     combined 5th/3rd-order estimates; a step is rejected, with half the
     step, when any level dips below the cone tolerance; each level keeps its
-    own growth bound.
+    own growth bound.  The per-level tests run on Python floats.
     A step holds the state in row 0 of an extended stage array and stage i
     in row i + 1: stage i's argument is one product of [1, h _A[i]] with the
-    rows before it, over the psi coordinates (the field does not read phi).
-    Returns one RiccatiSolution per level, each carrying the shared
-    controller's diagnostics.
+    rows before it, over the psi coordinates (the field does not read phi),
+    and y_new with both error estimates is one product of the last three
+    rows of h _A_EXT (with 1 for y in _B's row) with the whole array.  The
+    solve allocates its buffers and stage views once, and every right-hand
+    side writes its node slopes into one work buffer.  The min_eig of an
+    output time is the cone check of the step that landed on it.
+    Returns the levels stacked in the order of ks (_Levels).
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     if T > _MAX_T:
         raise ValueError(f"T = {T} exceeds the horizon limit {_MAX_T}")
     cuts = tuple(0.0 if k is None else truncation_cut(k) for k in ks)
-    u = symcone.check_symmetric(u)
-    u_norm = frob_norm(u)
-    if min_eigenvalue(u) < -_CONE_TOL * (1.0 + u_norm):
+    u, u_norm = symcone._check_symmetric_norm(u)
+    u_min = min_eigenvalue(u)
+    if u_min < -_CONE_TOL * (1.0 + u_norm):
         raise ValueError("initial condition u must lie in the PSD cone")
 
     field, slot, rates = _levels(p_set, cuts)
     d, n, levels = p_set.dim, field.basis.n, len(rates)
     rhs, member, psi_member = field.rhs, field.member, field.member[levels:]
+    rate_list = rates.tolist()
+    fudge = 1.0 + _GROWTH_FUDGE
     bound_slack = 1e-12 * (1.0 + u_norm)
     emb_t = symcone._embedding(d).T
 
@@ -440,35 +472,43 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     times = np.linspace(0.0, T, _N_GRID) if t_eval is None else np.asarray(t_eval, dtype=float)
     grid = np.array(sorted({0.0, T, *(x for x in times.ravel().tolist() if 0.0 <= x <= T)}))
 
-    y = np.concatenate([np.zeros(levels)] + [field.basis.vec(u)] * levels)
-    out_y = [y]
-    out_h = [0.0]
+    size = levels * (n + 1)
+    ext, coef, arg = np.empty((13, size)), np.empty(_A_EXT.shape), np.empty(levels * n)
+    work, comb, fsal = np.empty(len(field.expand)), np.empty((3, size)), np.empty(size)
+    scale, abs_y, abs_new = np.empty(size), np.empty(size), np.empty(size)
+    stage_sums = [(coef[i, :i + 1], ext[:i + 1, levels:], ext[i + 1]) for i in range(1, 12)]
+    step_rows, y, y_new, errs = coef[12:], ext[0], comb[0], comb[1:]
+    psi, psi_new = y[levels:], y_new[levels:]
+    y[:levels] = 0.0
+    psi.reshape(levels, n)[:] = field.basis.vec(u)
+    np.abs(y, out=abs_y)
+    out_y, out_h, out_min = [y.copy()], [0.0], [[u_min] * levels]
     diag = {"n_steps": 0, "n_rejected_error": 0, "n_rejected_cone": 0,
             "n_rhs_evals": 0, "max_cone_violation": 0.0}
 
-    def level_norms(v, scale):
-        """RMS norm of v / scale over each level's coordinates."""
+    def level_norms(v):
+        """RMS norm of v / scale over each level's coordinates, for v one state or a stack."""
         return np.sqrt((v / scale) ** 2 @ member / (n + 1))
 
-    ext, coef, arg = np.empty((13, y.size)), np.empty((12, 13)), np.empty(levels * n)
-    stage_sums = [(coef[i, :i + 1], ext[:i + 1, levels:], ext[i + 1]) for i in range(1, 12)]
     t = 0.0
     next_out = 1
-    abs_y = np.abs(y)
-    ext[0] = y
     if T > 0.0:
         # starting step (Hairer, Norsett & Wanner, II.4): an Euler probe of
         # 1% of the state sizes the second derivative; the smallest over the levels
-        k1 = rhs(y[levels:], out=ext[1])
-        diag["n_rhs_evals"] += 1
-        scale = _ABS_TOL + _REL_TOL * abs_y
-        d0, d1 = level_norms(y, scale), level_norms(k1, scale)
+        rhs(psi, out=ext[1], work=work)
+        np.multiply(_REL_TOL, abs_y, out=scale)
+        scale += _ABS_TOL
+        d0, d1 = level_norms(ext[:2]).tolist()
         h0 = min(T, *(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / max(b, 1e-5)
-                      for a, b in zip(d0.tolist(), d1.tolist())))
-        d2 = np.maximum(d1, level_norms(rhs(y[levels:] + h0 * k1[levels:]) - k1, scale) / h0)
-        diag["n_rhs_evals"] += 1
-        h1 = np.where(d2 <= 1e-15, max(1e-6, 1e-3 * h0), (0.01 / np.maximum(d2, 1e-15)) ** 0.125)
-        h_ctrl = min(_START_FACTOR * min(100.0 * h0, h1.min()), T)
+                      for a, b in zip(d0, d1)))
+        np.multiply(h0, ext[1, levels:], out=arg)
+        arg += psi
+        probe = rhs(arg, out=ext[2], work=work)
+        probe -= ext[1]
+        diag["n_rhs_evals"] += 2
+        h1 = min(max(1e-6, 1e-3 * h0) if d2 <= 1e-15 else (0.01 / d2) ** 0.125
+                 for d2 in (max(a, b / h0) for a, b in zip(d1, level_norms(probe).tolist())))
+        h_ctrl = min(_START_FACTOR * min(100.0 * h0, h1), T)
         h_land = _LAND_SLACK * h_ctrl   # the longest step that lands on an output time
     h_cap = _INF   # after a rejection, the next step is no longer than the rejected one
     h_floor = 1e-14 * T
@@ -481,21 +521,23 @@ def _solve_levels(p_set, u, T, ks, t_eval):
             raise RiccatiSolverError(
                 f"stiffness/cone breach: step size underflow at t = {t:.6g} (h = {h:.3e})")
         np.multiply(h, _A_EXT, out=coef)
-        coef[:, 0] = 1.0
+        coef[:13, 0] = 1.0
         for row, prev, stage in stage_sums:
             np.dot(row, prev, out=arg)
-            rhs(arg, out=stage)
-        comb = _B_E5_E3 @ ext[1:]
-        y_new = y + h * comb[0]
-        psi_new = y_new[levels:]
-        fsal = rhs(psi_new)   # the first stage of the next step
+            rhs(arg, out=stage, work=work)
+        np.dot(step_rows, ext, out=comb)
+        rhs(psi_new, out=fsal, work=work)   # the first stage of the next step
         diag["n_rhs_evals"] += 12   # stages 2 to 12 and the next step's first
-        abs_new = np.abs(y_new)
-        scale = _ABS_TOL + _REL_TOL * np.maximum(abs_y, abs_new)
-        e5, e3 = ((comb[1:] / scale) ** 2 @ member).tolist()
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        scale *= _REL_TOL
+        scale += _ABS_TOL
+        np.divide(errs, scale, out=errs)
+        np.square(errs, out=errs)
+        e5, e3 = (errs @ member).tolist()
         # a level whose 5th-order estimate vanishes has error 0
-        err_norm = h * max(a / math.sqrt((a + 0.01 * b) * (n + 1)) if a else 0.0
-                           for a, b in zip(e5, e3))
+        err_norm = max(a / math.sqrt((a + 0.01 * b) * (n + 1)) if a else 0.0
+                       for a, b in zip(e5, e3))
 
         if err_norm > 1.0:
             diag["n_rejected_error"] += 1
@@ -503,7 +545,8 @@ def _solve_levels(p_set, u, T, ks, t_eval):
             h_land = _LAND_SLACK * h_ctrl
             continue
 
-        me = float(min_eigenvalue(matrices(y_new)).min())
+        mins = min_eigenvalue(matrices(y_new))[0].tolist()
+        me = min(mins)
         if me < -_CONE_TOL:
             diag["n_rejected_cone"] += 1
             h_ctrl, h_cap = 0.5 * h, h
@@ -512,24 +555,27 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         diag["max_cone_violation"] = max(diag["max_cone_violation"], -me)
 
         t_new = t + h
-        norms = np.sqrt(psi_new ** 2 @ psi_member)
-        caps = np.exp(rates * t_new) * u_norm * (1.0 + _GROWTH_FUDGE) + bound_slack
-        if (norms > caps).any():
-            lvl = int(np.argmax(norms - caps))
+        # the growth cap is +inf where its exponential would overflow
+        norms = [math.sqrt(a) for a in (np.square(psi_new) @ psi_member).tolist()]
+        caps = [(math.exp(x) if x <= _LOG_MAX else _INF) * u_norm * fudge + bound_slack
+                for x in (rate * t_new for rate in rate_list)]
+        if any(a > b for a, b in zip(norms, caps)):
+            lvl = max(range(levels), key=lambda i: norms[i] - caps[i])
             raise RiccatiSolverError(
                 f"growth bound breached at t = {t_new:.6g}, level k = {ks[slot.index(lvl)]}: "
                 f"||psi|| = {norms[lvl]:.6g} > {caps[lvl]:.6g}")
 
         t = t_new
-        y, abs_y = y_new, abs_new
-        ext[0], ext[1] = y, fsal
+        y[:], ext[1] = y_new, fsal
+        abs_y, abs_new = abs_new, abs_y
         diag["n_steps"] += 1
         if diag["n_steps"] > _MAX_STEPS:
             raise RiccatiSolverError(f"exceeded max_steps = {_MAX_STEPS}")
         if abs(t - target) <= 1e-12 * max(1.0, T):
             t = target
-            out_y.append(y)
+            out_y.append(y.copy())
             out_h.append(h)
+            out_min.append(mins)
             next_out += 1
         # growing past a rejected step would only be rejected again; not
         # growing at all would aim every retry at the same rejected point
@@ -538,11 +584,9 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         h_land, h_cap = min(_LAND_SLACK * h_ctrl, h_cap), _INF
 
     ys = np.array(out_y)
-    psi = matrices(ys).swapaxes(0, 1)  # (levels, N, d, d)
-    min_eig = min_eigenvalue(psi)
-    steps = np.array(out_h)
-    return [RiccatiSolution(grid, ys[:, lvl], psi[lvl], min_eig[lvl], steps, k, dict(diag))
-            for lvl, k in zip(slot, ks)]
+    order = list(slot)
+    return _Levels(tuple(ks), grid, ys[:, order].T, matrices(ys).swapaxes(0, 1)[order],
+                   np.array(out_min).T[order], np.array(out_h), diag)
 
 
 # ---------------------------------------------------------------------------

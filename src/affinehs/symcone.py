@@ -63,14 +63,19 @@ def check_symmetric(a, rel_tol=1e-12):
     non-square input and ValueError when the asymmetry exceeds
     rel_tol * (1 + ||a||).
     """
+    return _check_symmetric_norm(a, rel_tol)[0]
+
+
+def _check_symmetric_norm(a, rel_tol=1e-12):
+    """check_symmetric(a, rel_tol) and the Frobenius norm ||a|| its test computed."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    scale = 1.0 + np.linalg.norm(a)
+    norm = float(np.linalg.norm(a))
     asym = np.abs(a - a.T).max()
-    if asym > rel_tol * scale:
+    if asym > rel_tol * (1.0 + norm):
         raise ValueError(f"matrix is asymmetric: max |a - a.T| = {asym:.3e} exceeds {rel_tol:.1e}*(1+||a||)")
-    return symmetrize(a)
+    return symmetrize(a), norm
 
 
 def _check_same_dim(a, b):
@@ -400,16 +405,25 @@ class ExpPropagator:
             for arr in (self._w, self._vr, self._vinv):
                 arr.setflags(write=False)
 
-    def dot(self, t, y):
-        """e^{tM} y without forming the dense exponential when diagonalized."""
+    def dot(self, t, y, lead=None):
+        """e^{tM} y without forming the dense exponential when diagonalized.
+
+        With lead, M must leave the span of the first lead coordinates
+        invariant (M[lead:, :lead] == 0, as in a block upper-triangular M):
+        y then holds those lead coordinates, and the result is
+        e^{t M[:lead, :lead]} y, the leading block of e^{tM} applied to y.
+        The eigen route reads only the leading blocks of its factors; the
+        dense route exponentiates only the leading block of M.
+        """
         if t == 0:
             return np.array(y, dtype=float)   # e^{0M} = I exactly, on either route
         with np.errstate(invalid="ignore", over="ignore"):
             if self.use_eig:
-                out = np.real(self._vr @ (np.exp(t * self._w) * (self._vinv @ y)))
+                vr, vinv = self._vr[:lead], self._vinv[:, :lead]
+                out = np.real(vr @ (np.exp(t * self._w) * (vinv @ y)))
             else:
                 import scipy.linalg
-                out = scipy.linalg.expm(t * self.mat) @ np.asarray(y, dtype=float)
+                out = scipy.linalg.expm(t * self.mat[:lead, :lead]) @ np.asarray(y, dtype=float)
         if not np.all(np.isfinite(out)):
             raise OperatorExpError(
                 f"e^(tL) overflowed for t={t} and ||L||={np.linalg.norm(self.mat, 2):.3e}")

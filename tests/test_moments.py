@@ -15,7 +15,7 @@ from oracle import (
 )
 from strategies import admissible_cases
 
-from affinehs import library
+from affinehs import library, moments
 from affinehs.exceptions import OperatorExpError
 from affinehs.moments import (
     derivative_bundle,
@@ -383,6 +383,35 @@ def test_defective_generator_takes_the_dense_route(rng):
     assert not bundle.exp.use_eig
     for t in (0.25, 1.0, 2.0):
         assert_matches_oracle(p, random_psd(rng, 2), t, random_psd(rng, 2), random_psd(rng, 2))
+
+
+def assert_mean_is_the_full_transport(p, x, t, v):
+    """mean, which transports <x, v> by the leading (1 + n) block of e^{tG}
+    alone, against the transport of the full coefficient vector, to 1e-12
+    relative."""
+    bundle = moments._bundle(p)
+    n = bundle.basis.n
+    coefs = np.zeros(len(bundle.G))
+    coefs[1: n + 1] = bundle.basis.vec(v)
+    full = moments._at(bundle.basis.vec(x), moments._transport(bundle, t, coefs)[: n + 1])
+    got = mean(p, x, t, v)
+    assert abs(got - full) <= 1e-12 * abs(full), (t, got, full)
+
+
+def test_mean_is_the_full_transport_on_library_sets(bench):
+    for s in bench:
+        p = truncate(s.params, 4)
+        for t in (0.25, 1.0, 2.0):
+            assert_mean_is_the_full_transport(p, s.x0, t, s.u)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_mean_is_the_full_transport_on_random_admissible_sets(case):
+    p, x, u, w, t = case
+    assert_mean_is_the_full_transport(p, x, t, u)
+    assert_mean_is_the_full_transport(p, x, t, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,6 +39,12 @@ from affinehs.symcone import ZeroOperator, frob_norm, inner, min_eigenvalue, ran
 
 from oracle import field_by_kind, growth_rate, rk4, rk4_scalar_batch, truncated_lipschitz_bound
 from strategies import admissible_cases
+
+
+def level_solutions(p_set, u, T, ks, t_eval):
+    """One RiccatiSolution per level of a stacked solve, in the order of ks."""
+    levels = _solve_levels(p_set, u, T, ks, t_eval)
+    return [levels.solution(i) for i in range(len(ks))]
 
 
 def unit_dir(d=2):
@@ -437,6 +444,69 @@ def test_growth_bound_tight_linear_case():
     assert sol.psi_final[0, 0] == pytest.approx(math.exp(3.0), rel=1e-8)
 
 
+def test_growth_bound_at_a_long_horizon_does_not_overflow():
+    # growth rate 10 up to T = 100: e^(rate t) is not finite past t = 70.98,
+    # where the growth cap is +inf; the solve raises no overflow warning
+    p = build_admissible(2, beta=-5.0 * np.eye(2))
+    assert riccati._growth_rates(p, [0.0]).tolist() == [10.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_riccati(p, np.eye(2), 100.0)
+    assert sol.t[-1] == 100.0
+    assert sol.min_eig.min() >= -riccati._CONE_TOL
+
+
+def test_extended_product_gives_the_step_and_both_error_estimates():
+    # the last three rows of h _A_EXT, with 1 for y in _B's row, times the
+    # extended stage array [y, k_1, ..., k_12] give y + h (_B @ k), h (_E5 @ k)
+    # and h (_E3 @ k): every entry to 1e-14 of the sum of its terms'
+    # magnitudes, on a one-level transform field and a seven-level cascade field
+    cascade = library.get("cascade-04")
+    d5 = library.get("mixed-d5-02")
+    cases = [(truncate(d5.params, 4), (None,), d5.u),
+             (cascade.params, riccati._K_SCHEDULE, cascade.u)]
+    for p, ks, u in cases:
+        cuts = tuple(0.0 if k is None else truncation_cut(k) for k in ks)
+        field, _, rates = riccati._levels(p, cuts)
+        levels = len(rates)
+        assert levels == len(ks)
+        y = np.concatenate([np.zeros(levels), np.tile(field.basis.vec(u), levels)])
+        for h in (0.05, 0.4):
+            stages = np.zeros((12, y.size))
+            for i, row in enumerate(riccati._A):
+                stages[i] = field.rhs(y[levels:] + h * (row @ stages[:i, levels:]))
+            ext = np.vstack([y, stages])
+            coef = h * np.asarray(riccati._A_EXT)
+            coef[:13, 0] = 1.0
+            got = coef[12:] @ ext
+            terms = np.abs(coef[12:]) @ np.abs(ext)
+            want = (y + h * (riccati._B @ stages), h * (riccati._E5 @ stages),
+                    h * (riccati._E3 @ stages))
+            for name, g, w, size in zip(("y_new", "e5", "e3"), got, want, terms):
+                assert np.all(np.abs(g - w) <= 1e-14 * size), (ks, h, name)
+
+
+def test_rhs_into_a_work_buffer_is_bit_identical(bench):
+    # every library field untruncated and at k = 4 (one level), and the
+    # seven-level cascade field of the infinite-activity sets
+    cascade_cuts = tuple(truncation_cut(k) for k in riccati._K_SCHEDULE)
+    for st in bench:
+        fields = [riccati._levels(p, (0.0,))[0] for p in (st.params, truncate(st.params, 4))]
+        if not st.params.is_finite_activity:
+            fields.append(riccati._levels(st.params, cascade_cuts)[0])
+            assert fields[-1].member.shape[1] == 7
+        for field in fields:
+            n_lev = field.member.shape[1]
+            work, out = np.empty(len(field.expand)), np.empty(len(field.collect))
+            for s in FOLD_SLOPES:
+                psi = np.tile(field.basis.vec(s * st.u), n_lev)
+                want = field.rhs(psi)
+                got = field.rhs(psi, out=out, work=work)
+                assert got is out
+                assert np.array_equal(got, want), (st.name, n_lev, s)
+                assert np.array_equal(field.rhs(psi, work=work), want)
+
+
 def test_rhs_eval_count(monkeypatch):
     # a u on the cone's boundary and a vanishing cone tolerance make the
     # rounding of the step land outside the cone now and then
@@ -501,7 +571,7 @@ def test_cascade_levels_match_dop853():
     for s in library.benchmark_sets():
         if s.params.is_finite_activity:
             continue
-        levels = _solve_levels(s.params, s.u, 1.0, ks, (0.0, 1.0))
+        levels = level_solutions(s.params, s.u, 1.0, ks, (0.0, 1.0))
         for k, sol in zip(ks, levels):
             field = _Field(truncate(s.params, k))
             y0 = np.concatenate([[0.0], field.basis.vec(s.u)])
@@ -688,7 +758,7 @@ def test_cascade_levels_on_random_admissible_sets(case):
     p, _, u, _, t = case
     ks = riccati._K_SCHEDULE
     grid = (0.0, 0.5 * t, t)
-    levels = _solve_levels(p, u, t, ks, grid)
+    levels = level_solutions(p, u, t, ks, grid)
     for i, (k, sol) in enumerate(zip(ks, levels)):
         assert sol.min_eig.min() >= -1e-9
         for deeper in levels[i + 1:]:
@@ -706,8 +776,8 @@ def test_stacked_levels_do_not_depend_on_their_order():
     mu = OperatorJumpMeasure(1, (ray(np.eye(1), PowerLawDensity(1.0, 0.9, 0.0, 1.0), np.eye(1)),))
     p = build_admissible(1, beta=-0.5 * np.eye(1), mu=mu, b_extra=0.5 * np.eye(1))
     grid = (0.0, 0.5, 1.0)
-    first = _solve_levels(p, np.eye(1), 1.0, (1, 64), grid)
-    last = _solve_levels(p, np.eye(1), 1.0, (64, 1), grid)
+    first = level_solutions(p, np.eye(1), 1.0, (1, 64), grid)
+    last = level_solutions(p, np.eye(1), 1.0, (64, 1), grid)
     assert first[0].diagnostics["n_steps"] == last[0].diagnostics["n_steps"]
     for a, b in zip(first, last[::-1]):
         assert np.abs(a.psi - b.psi).max() <= 1e-12 * np.abs(a.psi).max()

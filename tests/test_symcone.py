@@ -208,6 +208,28 @@ def test_exp_propagator_matches_expm(rng):
                                        rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("use_eig", [True, False])
+def test_exp_propagator_leading_block(rng, use_eig):
+    # a block upper-triangular M leaves the span of its leading coordinates
+    # invariant, so dot(t, y, lead) is the leading block of e^{tM} applied to
+    # y; a Jordan block in the leading block takes the dense route
+    lead_block = rng.standard_normal((3, 3)) if use_eig else np.diag([1.0, 1.0], 1)
+    mat = np.zeros((5, 5))
+    mat[:3, :3] = lead_block
+    mat[:3, 3:] = rng.standard_normal((3, 2))
+    mat[3:, 3:] = rng.standard_normal((2, 2))
+    prop = ExpPropagator(mat)
+    assert prop.use_eig is use_eig
+    y = rng.standard_normal(3)
+    np.testing.assert_array_equal(prop.dot(0.0, y, 3), y)
+    for t in (0.3, 1.7):
+        got = prop.dot(t, y, 3)
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, scipy.linalg.expm(t * mat)[:3, :3] @ y, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got, prop.dot(t, np.concatenate([y, [0.0, 0.0]]))[:3],
+                                   rtol=1e-12, atol=1e-14)
+
+
 @pytest.mark.parametrize("mat, use_eig", [
     (20.0 * np.eye(2), True),
     (np.array([[20.0, 1.0], [0.0, 20.0]]), False),   # a Jordan block: the dense route
