@@ -86,9 +86,12 @@ def _transport(bundle, t, coefs, lead=None):
 
 
 def _at(x_vec, coefs):
-    """A polynomial with coefficients coefs on (1, x_k, x_i x_j) evaluated at x."""
-    mono = np.concatenate([[1.0], x_vec, _monomials(x_vec)])
-    return float(mono[: len(coefs)] @ coefs)
+    """A polynomial with coefficients coefs on (1, x_k, x_i x_j) evaluated at
+    x; a degree-1 polynomial (1 + n coefficients) reads only (1, x)."""
+    parts = [[1.0], x_vec]
+    if len(coefs) > 1 + len(x_vec):
+        parts.append(_monomials(x_vec))
+    return float(np.concatenate(parts) @ coefs)
 
 
 def _product(basis, v, w):

@@ -8,19 +8,22 @@ radial densities.  Jump times are drawn by inversion (Devroye 1986, VI.1):
 the integrated intensity Lambda(s) along the flow has a closed form in the
 eigen-coordinates of the flow, and a path with an Exp(1) draw E jumps at the
 root of Lambda(s) = E, found by safeguarded Halley steps, or reaches the
-horizon without a jump when Lambda stays below E.
+horizon without a jump when Lambda stays below E.  The first guess of each
+segment is itself one Halley step from s = 0, where Lambda, lambda and
+lambda' are known without an exponential.
 
 The paths of a block are simulated in lockstep: every step evaluates the
 clock of all live paths at once (one batched exponential in the
-eigen-coordinates of the augmented generator), and a path that jumps in a
-step starts its next segment in the same step.  Every random number comes
-from a counter-based stream.  Draw j of path i is a pure function of
-(seed, i, j), and blocks of _BLOCK paths have fixed boundaries, so results
-are bitwise identical for a fixed (seed, n_paths) regardless of how many
-worker processes are used.  A path reads the level of its first segment,
-then per jump one window of three draws: the component, a ray's radius and
-the next level.  The stream computes 8 draws per path at its first fill,
-which most paths never outrun, and 32 at every refill.
+eigen-coordinates of the augmented generator, over one eigenvalue of each
+complex-conjugate pair), and a path that jumps in a step starts its next
+segment in the same step.  Every random number comes from a counter-based
+stream.  Draw j of path i is a pure function of (seed, i, j), and blocks of
+_BLOCK paths have fixed boundaries, so results are bitwise identical for a
+fixed (seed, n_paths) regardless of how many worker processes are used.  A
+path reads the level of its first segment, then per jump one window of three
+draws: the component, a ray's radius and the next level.  The stream
+computes 8 draws per path at its first fill, which most paths never outrun,
+and 32 at every refill.
 """
 
 from __future__ import annotations
@@ -97,9 +100,14 @@ class FlowPropagator:
     and `advance` moves any number of them, each by its own time, with one
     elementwise exponential and one product.  `clock` gives the integrated
     intensity of the jump rate m_total + <kappa, x> along the same flow.
-    A defective block matrix takes one dense exponential per anchor of the
-    generator [[Btilde, btilde, 0], [0, 0, 0], [kappa, m_total, 0]], which
-    maps (x, 1, 0) to (x(s), 1, Lambda(s)).
+    The matrix is real, so a complex eigenvalue comes with its conjugate,
+    whose coordinate and terms are the conjugates of its own: the anchors
+    keep one eigenvalue of each pair (the one with positive imaginary part)
+    and count it twice, which takes the real part of the pair's sum.  A
+    real spectrum keeps every coordinate.  A defective block matrix takes
+    one dense exponential per anchor of the generator
+    [[Btilde, btilde, 0], [0, 0, 0], [kappa, m_total, 0]], which maps
+    (x, 1, 0) to (x(s), 1, Lambda(s)).
     """
 
     def __init__(self, drift, kappa=None, m_total=0.0):
@@ -114,17 +122,20 @@ class FlowPropagator:
         # the intensity as a row on (x, 1)
         rate = np.append(np.zeros(n) if kappa is None else kappa, m_total)
         if self._aug.use_eig:
-            w = self._aug._w
-            self._to_coords = self._aug._vinv[:, :n].T.copy()
-            self._coords_of_one = self._aug._vinv[:, n].copy()
-            self._from_coords = self._aug._vr[:n].T.copy()
+            # LAPACK returns each complex pair as exact conjugates, the eigenvectors too
+            keep = np.flatnonzero(self._aug._w.imag >= 0)
+            self._w = w = self._aug._w[keep]
+            mult = np.where(w.imag > 0, 2.0, 1.0)
+            self._to_coords = self._aug._vinv[keep, :n].T.copy()
+            self._coords_of_one = self._aug._vinv[keep, n].copy()
+            self._from_coords = np.ascontiguousarray(self._aug._vr[:n, keep].T * mult[:, None])
             # lambda(s) = Re sum_k c_k z_k e^{s w_k}; Lambda integrates each
             # term to c_k z_k (e^{s w_k} - 1) / w_k, or to c_k z_k s where w_k = 0
-            c = self._aug._vr.T @ rate
+            c = (self._aug._vr.T @ rate)[keep] * mult
             inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w != 0)
             self._clock_w = np.stack([c * inv_w, c, c * w], axis=1)
             self._clock_w0 = np.stack([c * (w == 0), c, c * w], axis=1)
-            for arr in (self._to_coords, self._coords_of_one, self._from_coords, self._clock_w0):
+            for arr in (w, self._to_coords, self._coords_of_one, self._from_coords, self._clock_w0):
                 arr.setflags(write=False)
         else:
             gen = np.zeros((n + 2, n + 2))
@@ -153,7 +164,7 @@ class FlowPropagator:
         """States (..., n) reached from anchors z after times t (...)."""
         t = np.asarray(t, dtype=float)
         if self._aug.use_eig:
-            e = np.exp(t[..., None] * self._aug._w)
+            e = np.exp(t[..., None] * self._w)
             e *= z
             return np.real(e @ self._from_coords)
         return self._dense_dot(z, t)[..., : self._n]
@@ -167,8 +178,8 @@ class FlowPropagator:
         lambda'(s) along the flow from anchors z (P, .) after times s (P,).
         base is clock_base(z), computed here when not given."""
         if self._aug.use_eig:
-            g = np.expm1(np.multiply.outer(s, self._aug._w))
             with np.errstate(over="ignore", invalid="ignore"):  # the caller checks finiteness
+                g = np.expm1(np.multiply.outer(s, self._w))
                 g *= z
                 out = (g @ self._clock_w).real
             base = self.clock_base(z) if base is None else base
@@ -203,6 +214,8 @@ class _JumpTable:
     radius, taken without a draw, or a ray's radius drawn through the
     closed-form inverse CDF of laws[c].  mass[c], the law's total, scales
     both const[c] and rows[c] and the radius draws, so they share one value.
+    The cumulative masses of components 0..c at x are cum_const[c] +
+    x @ cum_rows[:, c], one product for every component at once.
     """
 
     def __init__(self, p_set, basis):
@@ -221,16 +234,19 @@ class _JumpTable:
         self.atom_radius = np.array([1.0 if ray else law.r0 for law, ray in zip(self.laws, self.is_ray)])
         self.m_total = float(sum(self.const))
         self.kappa_vec = self.rows.sum(axis=0)
+        self.cum_const = np.cumsum(self.const)
+        self.cum_rows = np.cumsum(self.rows, axis=0).T
         for arr in (self.size_vecs, self.mass, self.const, self.rows, self.directions, self.is_ray,
-                    self.atom_radius, self.kappa_vec):
+                    self.atom_radius, self.kappa_vec, self.cum_const, self.cum_rows):
             arr.setflags(write=False)
 
     def choose(self, x_vecs, u):
         """Jump component at each state of x_vecs (J, n): the first whose
         cumulative mass reaches u times the total."""
-        cum = np.cumsum(self.const + x_vecs @ self.rows.T, axis=1)
+        cum = x_vecs @ self.cum_rows
+        cum += self.cum_const
         total = cum[:, -1]
-        if not np.all(total > 0.0):
+        if not total.min() > 0.0:   # also false on NaN
             raise SimulationError("jump drawn at zero intensity")
         return np.minimum((cum < (u * total)[:, None]).sum(axis=1), len(self.const) - 1)
 
@@ -373,6 +389,19 @@ class SimPath:
 _BLOCK = 4096   # paths simulated in lockstep; fixed, so rows do not depend on workers
 
 
+def _first_guess(level, rate, slope, hi):
+    """First guess of the root of Lambda(s) = level, capped at hi: one Halley
+    step from s = 0, where Lambda = 0, lambda = rate and lambda' = slope.
+
+    Where that step or its denominator is not positive, the guess is the
+    Newton step level / rate, which is hi at a zero rate.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = 2.0 * rate * rate + level * slope
+        s = 2.0 * level * rate / den
+        return np.fmin(np.where((den > 0.0) & (s > 0.0), s, level / rate), hi)
+
+
 def _initial_state(x0):
     x0 = symcone.check_symmetric(x0)
     if min_eigenvalue(x0) < -1e-9 * (1.0 + frob_norm(x0)):
@@ -401,9 +430,11 @@ class PathSimulator:
         a jump without a ray gives the third draw back and reads E second.
         The flow from the last jump (the anchor) jumps at the root s of
         Lambda(s) = E, where Lambda is nondecreasing since the intensity is
-        nonnegative on the cone.  Each step evaluates the clock of every live
-        path once and shrinks its bracket [lo, hi] of the root: a Halley step
-        inside the bracket is taken, a step out of it goes to the horizon
+        nonnegative on the cone.  A segment starts from `_first_guess`, one
+        Halley step from s = 0 with the exact rate m_total + <kappa, x> and
+        the slope of the clock base.  Each step evaluates the clock of every
+        live path once and shrinks its bracket [lo, hi] of the root: a Halley
+        step inside the bracket is taken, a step out of it goes to the horizon
         while the horizon is unevaluated and bisects after.  A path whose
         Lambda at the horizon is below E ends there; a path that jumps starts
         its next segment in the same step.  Returns the terminal states and
@@ -427,9 +458,9 @@ class PathSimulator:
         level = -np.log1p(-stream.take(live))
         t, lo, hi = np.zeros(n_paths), np.zeros(n_paths), np.full(n_paths, float(T))
         open_end = np.ones(n_paths, dtype=bool)   # hi is the horizon, not yet evaluated
-        # Halley's denominator and the first guess's rate may be 0; the clock is checked
+        s = _first_guess(level, table.m_total + x @ table.kappa_vec, base[:, 2], hi)
+        # Halley's denominator may be 0; the clock is checked
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.fmin(level / (table.m_total + x @ table.kappa_vec), hi)
             while live.size:
                 lam_int, lam, dlam = fp.clock(z, s, base)
                 finite = np.isfinite(lam_int) & np.isfinite(lam)
@@ -468,12 +499,12 @@ class PathSimulator:
                         record.append((rows, th, comp, sizes, xh, stream._cursor[rows] - 1))
                     # the next segment starts at the post-jump state, in this step
                     z[hit] = zh = fp.coords(xh)
-                    base[hit] = fp.clock_base(zh)
+                    base[hit] = bh = fp.clock_base(zh)
                     t[hit] = th
                     level[hit] = lh = -np.log1p(-np.where(ray, u[:, 2], u[:, 1]))
                     lo[hit], open_end[hit] = 0.0, True
                     hi[hit] = hh = T - th
-                    s[hit] = np.fmin(lh / (table.m_total + xh @ table.kappa_vec), hh)
+                    s[hit] = _first_guess(lh, table.m_total + xh @ table.kappa_vec, bh[:, 2], hh)
                 e = np.flatnonzero(end)
                 if e.size:
                     terminal[live[e]] = fp.advance(z.take(e, axis=0), hi[e])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from affinehs.pdmpsim import (
     CounterStream,
     FlowPropagator,
     PathSimulator,
+    _first_guess,
     drift_data,
     jump_intensity,
     mc_summary,
@@ -149,6 +151,56 @@ def test_flow_defective_generator_matches_expm(rng):
                                    rtol=1e-7, atol=1e-9)
 
 
+def test_flow_keeps_one_eigenvalue_of_each_conjugate_pair(bench):
+    # a dropped eigenvalue and its eigenvector are the exact conjugates of a
+    # kept pair, which counts twice; a real spectrum keeps every coordinate
+    n_complex = 0
+    for s in bench:
+        fp = PathSimulator(truncate(s.params, 4)).flowprop
+        w, vr = fp._aug._w, fp._aug._vr
+        if not np.iscomplexobj(w):
+            assert np.array_equal(fp._w, w)
+            assert np.array_equal(fp._from_coords, vr[:-1].T)
+            continue
+        n_complex += 1
+        kept = np.flatnonzero(w.imag >= 0)
+        assert np.array_equal(fp._w, w[kept])
+        for k in np.flatnonzero(w.imag < 0):
+            j = kept[np.flatnonzero(fp._w == np.conj(w[k]))]
+            assert j.size == 1 and w[j[0]].imag > 0, (s.name, w)
+            assert np.array_equal(vr[:, k], np.conj(vr[:, j[0]]))
+        assert 2 * np.sum(fp._w.imag > 0) + np.sum(fp._w.imag == 0) == len(w)
+    assert n_complex == 20
+
+
+def test_paired_flow_and_clock_match_the_full_spectrum(rng, bench):
+    # advance against expm of the augmented matrix; (Lambda, lambda, lambda')
+    # against the sum over every eigenvalue of c_k z_k (e^{s w_k} - 1) / w_k,
+    # c_k z_k e^{s w_k} and c_k z_k w_k e^{s w_k}
+    sims = [PathSimulator(truncate(s.params, 4)) for s in bench]
+    sims = [sim for sim in sims if np.iscomplexobj(sim.flowprop._aug._w)]
+    assert len(sims) == 20
+    s = np.array([0.05, 0.5, 1.5])
+    for sim in sims:
+        fp = sim.flowprop
+        w, vr, vinv = fp._aug._w, fp._aug._vr, fp._aug._vinv
+        c = vr.T @ np.append(sim.table.kappa_vec, sim.table.m_total)
+        for x in (np.eye(sim.dim), random_psd(rng, sim.dim)):
+            x_aug = np.append(sim.basis.vec(x), 1.0)
+            z = np.repeat(fp.coords(x_aug[:-1])[None], len(s), axis=0)
+            got = fp.advance(z, s)
+            for row, si in zip(got, s):
+                want = (scipy.linalg.expm(si * fp._aug.mat) @ x_aug)[:-1]
+                assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want)), sim
+            cz = c * (vinv @ x_aug)
+            sw = np.multiply.outer(s, w)
+            integrals = np.where(w == 0, s[:, None], np.expm1(sw) / np.where(w == 0, 1.0, w))
+            terms = cz * np.exp(sw)
+            want = np.real([(cz * integrals).sum(axis=1), terms.sum(axis=1), terms @ w])
+            for got_k, want_k in zip(fp.clock(z, s), want):
+                np.testing.assert_allclose(got_k, want_k, rtol=1e-12, atol=0.0)
+
+
 def defective_set():
     """B = 0 with a drift and jumps: the augmented generator is a Jordan block."""
     m = ScalarJumpMeasure(2, (atom(0.7 * unit_dir(), 1.5),))
@@ -204,6 +256,65 @@ def test_jump_times_are_roots_of_the_clock():
         assert n_jumps > 30
 
 
+def first_guess_at(sim, x, level, hi):
+    """_first_guess at states x (P, n) from the exact rate and the clock base."""
+    fp, table = sim.flowprop, sim.table
+    slope = fp.clock_base(fp.coords(x))[:, 2]
+    return _first_guess(level, table.m_total + x @ table.kappa_vec, slope, hi), slope
+
+
+def assert_guess_in_range(guess, hi):
+    assert np.all(np.isfinite(guess) & (((0.0 < guess) & (guess <= hi)) | (guess == hi))), guess
+
+
+def test_first_guess_at_zero_rate_is_the_horizon():
+    # the zero-intensity start of the rising set: the guess is the horizon
+    mu = OperatorJumpMeasure(2, (atom(2.0 * unit_dir(), 3.0 * unit_dir()),))
+    sim = PathSimulator(build_admissible(2, beta=-0.5 * np.eye(2), mu=mu, b_extra=np.eye(2)))
+    assert sim.table.m_total == 0.0
+    level, hi = np.array([1e-3, 0.7, 5.0]), np.full(3, 2.0)
+    guess, slope = first_guess_at(sim, np.zeros((3, sim.basis.n)), level, hi)
+    assert np.all(slope > 0.0)
+    assert np.array_equal(guess, hi)
+
+
+def test_first_guess_falls_back_to_newton_on_a_falling_rate():
+    # lambda' < 0 and a level past 2 lambda^2 / |lambda'|: Halley's
+    # denominator is negative, and the guess is the Newton step E / lambda
+    mu = OperatorJumpMeasure(2, (atom(2.0 * unit_dir(), unit_dir()),))
+    sim = PathSimulator(build_admissible(2, beta=-5.0 * np.eye(2), mu=mu, b_extra=0.1 * np.eye(2)))
+    x = np.repeat(sim.basis.vec(10.0 * np.eye(2))[None], 2, axis=0)
+    rate = sim.table.m_total + x @ sim.table.kappa_vec
+    slope = first_guess_at(sim, x, np.ones(2), np.ones(2))[1]
+    assert np.all(slope < 0.0)
+    level = np.array([2.0, 4.0]) * rate ** 2 / -slope
+    for hi in (np.full(2, 1e3), np.full(2, 0.01)):
+        guess = first_guess_at(sim, x, level, hi)[0]
+        assert np.all(2.0 * rate ** 2 + level * slope <= 0.0)
+        assert np.array_equal(guess, np.fmin(level / rate, hi))
+        assert_guess_in_range(guess, hi)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(admissible_cases())
+def test_first_guess_is_in_the_bracket_on_random_admissible_sets(case):
+    # finite and in (0, hi], from states along paths and from random states
+    p, x, _, _, t = case
+    sim = PathSimulator(truncate(p, 4))
+    rng = np.random.default_rng(3)
+    states = [sim.basis.vec(x), np.zeros(sim.basis.n)]
+    states += [sim.basis.vec(random_psd(rng, p.dim, scale)) for scale in (1e-3, 1.0, 30.0)]
+    states += [sim.basis.vec(y) for _, ys, _ in sim.events(x, t, 5, 20) for y in ys]
+    states = np.array(states)
+    level = -np.log1p(-rng.random(len(states)))
+    hi = np.full(len(states), t)
+    guess = first_guess_at(sim, states, level, hi)[0]
+    rate = sim.table.m_total + states @ sim.table.kappa_vec
+    assert_guess_in_range(guess[rate > 0.0], hi[rate > 0.0])
+    assert np.all(guess[rate == 0.0] == t)
+
+
 def test_non_finite_clock_raises_with_context():
     # beta = 20 I overflows e^{s Btilde} long before T = 50: the error names
     # the stream, the path and t, and the named path fails again alone
@@ -215,6 +326,18 @@ def test_non_finite_clock_raises_with_context():
     path_id = int(re.search(message, str(err.value)).group(1))
     with pytest.raises(SimulationError, match=rf"seed 13, path {path_id}, t = "):
         PathSimulator(p).run(np.eye(2), 50.0, CounterStream(13, path_id))
+
+
+def test_clock_overflow_is_not_finite_without_a_warning():
+    # the exponential overflows inside the clock, which leaves the finiteness
+    # check to the caller instead of raising a RuntimeWarning
+    m = ScalarJumpMeasure(2, (atom(0.5 * unit_dir(), 1.0),))
+    p = build_admissible(2, beta=20.0 * np.eye(2), m=m, b_extra=np.eye(2))
+    fp = PathSimulator(p).flowprop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam_int, _, _ = fp.clock(fp.coords(fp.basis.vec(np.eye(2)))[None], np.array([40.0]))
+    assert not np.isfinite(lam_int[0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +369,38 @@ def draw_jumps(p, x, rng, n):
     comp = table.choose(np.broadcast_to(sim.basis.vec(x), (n, sim.basis.n)), rng.random(n))
     scales = table.scales(comp, lambda sel: rng.random(len(sel)))
     return scales[:, None, None] * np.array(table.directions)[comp]
+
+
+def test_choose_matches_a_cumsum_oracle(bench):
+    # the first component whose cumulative mass reaches u times the total,
+    # on states and uniforms at least 1e-9 away from every boundary
+    rng = np.random.default_rng(8)
+    n_sets = n_checked = 0
+    for s in bench:
+        sim = PathSimulator(truncate(s.params, 4))
+        table = sim.table
+        if len(table.const) < 2:
+            continue
+        n_sets += 1
+        x = np.array([sim.basis.vec(random_psd(rng, sim.dim, scale))
+                      for scale in rng.uniform(0.0, 3.0, 400)])
+        u = rng.random(len(x))
+        cum = np.cumsum(table.const + x @ table.rows.T, axis=1)
+        target = u * cum[:, -1]
+        clear = np.all(np.abs(cum - target[:, None]) >= 1e-9, axis=1)
+        want = np.argmax(cum >= target[:, None], axis=1)
+        assert np.array_equal(table.choose(x[clear], u[clear]), want[clear]), s.name
+        n_checked += clear.sum()
+    assert n_sets >= 30 and n_checked >= 0.99 * 400 * n_sets
+
+
+def test_choose_refuses_zero_or_nan_intensity():
+    mu = OperatorJumpMeasure(2, (atom(2.0 * unit_dir(), unit_dir()),))
+    sim = PathSimulator(build_admissible(2, beta=-np.eye(2), mu=mu, b_extra=np.eye(2)))
+    ones = sim.basis.vec(np.eye(2))
+    for bad in (np.zeros(sim.basis.n), np.full(sim.basis.n, np.nan)):
+        with pytest.raises(SimulationError, match="zero intensity"):
+            sim.table.choose(np.array([ones, bad]), np.full(2, 0.5))
 
 
 def test_sample_jump_single_atom(rng):
