@@ -95,8 +95,14 @@ def _at(x_vec, coefs):
 
 
 def _product(basis, v, w):
-    """Coefficients of <x, v><x, w> on (1, x_k, x_i x_j)."""
-    return np.concatenate([np.zeros(1 + basis.n), _fold(np.outer(basis.vec(v), basis.vec(w)))])
+    """Coefficients of <x, v><x, w> on (1, x_k, x_i x_j): the fold of the
+    outer product of vec v and vec w, without forming it."""
+    a = basis.vec(v)
+    b = a if w is v else basis.vec(w)
+    iu, ju = _triu(basis.n)
+    out = np.zeros(1 + basis.n + iu.size)
+    out[1 + basis.n:] = (a[iu] * b[ju] + a[ju] * b[iu]) * np.where(iu == ju, 0.5, 1.0)
+    return out
 
 
 def derivative_bundle(p_set):

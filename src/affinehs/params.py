@@ -193,7 +193,13 @@ class ExponentialDensity(_RadialRange):
         return np.where((r >= self.rmin) & (r <= self.rmax), out, 0.0)
 
     def partial_moment(self, p, lo=0.0, hi=_INF):
-        """integral of r^p rho(r) dr over [lo, hi] within the support, for integer p >= 0."""
+        """integral of r^p rho(r) dr over [lo, hi] within the support, for integer p >= 0.
+
+        A finite range is the difference of the upper tails, T(a) - T(b), or
+        of the lower parts over [0, b] and [0, a], whichever pair has the
+        smaller sum: the tails cancel where both are most of the whole,
+        near 0, and there the lower parts are small.
+        """
         if not float(p).is_integer() or p < 0:
             raise MeasureError(f"exponential partial moments need an integer p >= 0, got p = {p}")
         p = int(p)
@@ -201,7 +207,13 @@ class ExponentialDensity(_RadialRange):
         b = min(hi, self.rmax)
         if b <= a:
             return 0.0
-        return self._tail(p, a) - (0.0 if b == _INF else self._tail(p, b))
+        upper_a = self._tail(p, a)
+        if b == _INF:
+            return upper_a
+        upper_b = self._tail(p, b)
+        if upper_a + upper_b <= self._tail(p, 0.0):
+            return upper_a - upper_b
+        return self._head(p, b) - self._head(p, a)
 
     def _tail(self, p, x):
         """integral of r^p c e^(-lam r) dr over [x, inf): c lam^(-s) Gamma(s, lam x),
@@ -209,6 +221,19 @@ class ExponentialDensity(_RadialRange):
         y = self.lam * x
         series = sum(y ** k / math.factorial(k) for k in range(p + 1))
         return self.c * self.lam ** -(p + 1.0) * math.factorial(p) * math.exp(-y) * series
+
+    def _head(self, p, x):
+        """integral of r^p c e^(-lam r) dr over [0, x]: c lam^(-s) gamma(s, lam x),
+        s = p + 1, from the positive series gamma(s, y) = y^s e^(-y) sum_k y^k
+        / (s (s+1) ... (s+k))."""
+        y = self.lam * x
+        term = total = math.exp(-y) / (p + 1)   # e^(-y) first: the terms never overflow
+        k = p + 1
+        while term > 1e-17 * total:
+            k += 1
+            term *= y / k
+            total += term
+        return self.c * self.lam ** -(p + 1.0) * y ** (p + 1) * total
 
     def cdf_mass(self, r):
         """Vectorized integral of rho over [rmin, r]: the mass of [rmin, inf) times

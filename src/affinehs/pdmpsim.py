@@ -170,8 +170,9 @@ class FlowPropagator:
         return self._dense_dot(z, t)[..., : self._n]
 
     def clock_base(self, z):
-        """The s-free part of `clock` at anchors z (P, .), zeros on the dense route."""
-        return (z @ self._clock_w0).real if self._aug.use_eig else np.zeros((len(z), 3))
+        """The s-free part of `clock` at anchors z (P, .); on the dense route,
+        the clock at s = 0, (0, lambda(0), lambda'(0))."""
+        return (z @ self._clock_w0).real if self._aug.use_eig else z @ self._clock_w
 
     def clock(self, z, s, base=None):
         """Integrated intensity Lambda(s), intensity lambda(s) and its slope

@@ -234,9 +234,16 @@ class _Field:
     The compensator small_j x_j is linear in psi, so it is folded once into
     the linear part (b and B*): lin_c = lin - out^T (small dirs).  A call is
     z = expand @ psi = (-x, lin_c psi), expm1 of the head of z in place, and
-    collect @ z, where collect = [-out^T, I].  An integrator passes its own
-    buffers for z (work) and for the result (out), so a call allocates
-    nothing; without them a call allocates both.
+    collect @ z, where collect = [-out^T, I].  bind(work) returns that call
+    as a stage function f(psi, out) that writes z into work and the result
+    into out, so an integrator's stage allocates nothing; rhs allocates both.
+
+    spare holds the solver workspaces (_workspace) that no solve is using.
+    A solve takes one with pop() or builds one, and gives it back with
+    append() when it returns; both are atomic under the GIL, so two threads
+    never share one, and a solve that raises drops its workspace.  No solve
+    reads a workspace buffer before writing it, so what a previous solve
+    left there never reaches an output.
     """
 
     def __init__(self, p_set, levels=None):
@@ -280,14 +287,24 @@ class _Field:
         self.collect[:, n_nodes:] = np.eye(m)
         for arr in (self.expand, self.collect, self.member):
             arr.setflags(write=False)
+        self.spare = []
+
+    def bind(self, work):
+        """The field as a stage function f(psi_vec, out) that writes the node
+        slopes z into work (len(expand) entries) and the result into out."""
+        expand, collect, dot, expm1 = self.expand, self.collect, np.dot, np.expm1
+        head = work[:self.n_nodes]
+
+        def f(psi_vec, out):
+            dot(expand, psi_vec, out=work)
+            expm1(head, out=head)
+            return dot(collect, work, out=out)
+        return f
 
     def rhs(self, psi_vec, out=None, work=None):
         """(F(psi), vec R(psi)) as one vector, stacked over the levels, written into out if given;
         the node slopes z go into work (len(expand) entries) if given."""
-        z = np.dot(self.expand, psi_vec, out=work)
-        head = z[:self.n_nodes]
-        np.expm1(head, out=head)
-        return np.dot(self.collect, z, out=out)
+        return self.bind(np.empty(len(self.expand)) if work is None else work)(psi_vec, out)
 
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving Ordinary
@@ -349,7 +366,9 @@ def solve_riccati(p_set, u, T, t_eval=None):
 
     Returns a RiccatiSolution whose grid values satisfy phi(0) = 0,
     psi(0) = u, cone positivity within _CONE_TOL, and the exponential
-    growth bound of the field.
+    growth bound of the field.  Solves of one set share its compiled field
+    and reuse its workspaces (see _Field), one per solve in progress, so
+    they may run in several threads and give the bits of a solve alone.
     """
     return _solve_levels(p_set, u, T, (None,), t_eval).solution(0)
 
@@ -423,6 +442,22 @@ class _Levels(NamedTuple):
                                self.step_size, self.ks[i], self.diagnostics)
 
 
+def _workspace(field):
+    """The buffers and views of one _solve_levels call on field: the extended
+    stage array ext (state in row 0, stage i in row i + 1), the scaled
+    tableau coef, the stage argument arg, comb (y_new and both error
+    estimates), the error scale, |y| and |y_new|, the squared psi of y_new,
+    the psi matrices of y_new (levels, d, d), the views of each stage's sum,
+    and the field bound to its own work buffer."""
+    levels, d = field.member.shape[1], field.basis.dim
+    size = len(field.collect)
+    ext, coef, comb = np.empty((13, size)), np.empty(_A_EXT.shape), np.empty((3, size))
+    stage_sums = [(coef[i, :i + 1], ext[:i + 1, levels:], ext[i + 1]) for i in range(1, 12)]
+    return (ext, coef, np.empty(size - levels), comb, np.empty(size), np.empty(size),
+            np.empty(size), np.empty(size - levels), np.empty((levels, d, d)), stage_sums,
+            field.bind(np.empty(len(field.expand))))
+
+
 def _solve_levels(p_set, u, T, ks, t_eval):
     """Integrate the truncation levels ks (None: untruncated) under one controller.
 
@@ -442,10 +477,12 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     rows before it, over the psi coordinates (the field does not read phi),
     and y_new with both error estimates is one product of the last three
     rows of h _A_EXT (with 1 for y in _B's row) with the whole array.  The
-    solve allocates its buffers and stage views once, and every right-hand
-    side writes its node slopes into one work buffer.  The min_eig of an
-    output time is the cone check of the step that landed on it.
-    Returns the levels stacked in the order of ks (_Levels).
+    buffers, the stage views and the bound field come from a workspace the
+    field keeps between solves (_Field.spare).  The first stage of the next
+    step is evaluated after a step is accepted, unless it was the last, so
+    a solve to T > 0 makes 1 + 11 attempts + n_steps field evaluations.
+    The min_eig of an output time is the cone check of the step that landed
+    on it.  Returns the levels stacked in the order of ks (_Levels).
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -459,32 +496,29 @@ def _solve_levels(p_set, u, T, ks, t_eval):
 
     field, slot, rates = _levels(p_set, cuts)
     d, n, levels = p_set.dim, field.basis.n, len(rates)
-    rhs, member, psi_member = field.rhs, field.member, field.member[levels:]
+    member, psi_member = field.member, field.member[levels:]
     rate_list = rates.tolist()
     fudge = 1.0 + _GROWTH_FUDGE
     bound_slack = 1e-12 * (1.0 + u_norm)
     emb_t = symcone._embedding(d).T
 
-    def matrices(ys):
-        """The psi matrices of stacked states, (len(ys), levels, d, d)."""
-        return (ys[..., levels:].reshape(-1, levels, n) @ emb_t).reshape(-1, levels, d, d)
-
     times = np.linspace(0.0, T, _N_GRID) if t_eval is None else np.asarray(t_eval, dtype=float)
     grid = np.array(sorted({0.0, T, *(x for x in times.ravel().tolist() if 0.0 <= x <= T)}))
 
-    size = levels * (n + 1)
-    ext, coef, arg = np.empty((13, size)), np.empty(_A_EXT.shape), np.empty(levels * n)
-    work, comb, fsal = np.empty(len(field.expand)), np.empty((3, size)), np.empty(size)
-    scale, abs_y, abs_new = np.empty(size), np.empty(size), np.empty(size)
-    stage_sums = [(coef[i, :i + 1], ext[:i + 1, levels:], ext[i + 1]) for i in range(1, 12)]
+    try:   # pop() is atomic; a test of the list before it would race another thread
+        ws = field.spare.pop()
+    except IndexError:
+        ws = _workspace(field)
+    ext, coef, arg, comb, scale, abs_y, abs_new, psi_sq, mats, stage_sums, f = ws
     step_rows, y, y_new, errs = coef[12:], ext[0], comb[0], comb[1:]
     psi, psi_new = y[levels:], y_new[levels:]
+    new_rows, mat_rows = psi_new.reshape(levels, n), mats.reshape(levels, d * d)
     y[:levels] = 0.0
     psi.reshape(levels, n)[:] = field.basis.vec(u)
     np.abs(y, out=abs_y)
     out_y, out_h, out_min = [y.copy()], [0.0], [[u_min] * levels]
-    diag = {"n_steps": 0, "n_rejected_error": 0, "n_rejected_cone": 0,
-            "n_rhs_evals": 0, "max_cone_violation": 0.0}
+    n_steps = n_rejected_error = n_rejected_cone = n_evals = 0
+    max_violation = 0.0
 
     def level_norms(v):
         """RMS norm of v / scale over each level's coordinates, for v one state or a stack."""
@@ -495,7 +529,7 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     if T > 0.0:
         # starting step (Hairer, Norsett & Wanner, II.4): an Euler probe of
         # 1% of the state sizes the second derivative; the smallest over the levels
-        rhs(psi, out=ext[1], work=work)
+        f(psi, ext[1])
         np.multiply(_REL_TOL, abs_y, out=scale)
         scale += _ABS_TOL
         d0, d1 = level_norms(ext[:2]).tolist()
@@ -503,15 +537,16 @@ def _solve_levels(p_set, u, T, ks, t_eval):
                       for a, b in zip(d0, d1)))
         np.multiply(h0, ext[1, levels:], out=arg)
         arg += psi
-        probe = rhs(arg, out=ext[2], work=work)
+        probe = f(arg, ext[2])
         probe -= ext[1]
-        diag["n_rhs_evals"] += 2
+        n_evals = 2
         h1 = min(max(1e-6, 1e-3 * h0) if d2 <= 1e-15 else (0.01 / d2) ** 0.125
                  for d2 in (max(a, b / h0) for a, b in zip(d1, level_norms(probe).tolist())))
         h_ctrl = min(_START_FACTOR * min(100.0 * h0, h1), T)
         h_land = _LAND_SLACK * h_ctrl   # the longest step that lands on an output time
     h_cap = _INF   # after a rejection, the next step is no longer than the rejected one
     h_floor = 1e-14 * T
+    land_tol = 1e-12 * max(1.0, T)   # a step ending this close to an output time is on it
     while next_out < len(grid):
         target = grid[next_out]
         h = target - t
@@ -524,10 +559,9 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         coef[:13, 0] = 1.0
         for row, prev, stage in stage_sums:
             np.dot(row, prev, out=arg)
-            rhs(arg, out=stage, work=work)
+            f(arg, stage)
         np.dot(step_rows, ext, out=comb)
-        rhs(psi_new, out=fsal, work=work)   # the first stage of the next step
-        diag["n_rhs_evals"] += 12   # stages 2 to 12 and the next step's first
+        n_evals += 11   # stages 2 to 12
         np.abs(y_new, out=abs_new)
         np.maximum(abs_y, abs_new, out=scale)
         scale *= _REL_TOL
@@ -540,23 +574,25 @@ def _solve_levels(p_set, u, T, ks, t_eval):
                        for a, b in zip(e5, e3))
 
         if err_norm > 1.0:
-            diag["n_rejected_error"] += 1
+            n_rejected_error += 1
             h_ctrl, h_cap = h * max(0.2, 0.9 * err_norm ** -0.125), h
             h_land = _LAND_SLACK * h_ctrl
             continue
 
-        mins = min_eigenvalue(matrices(y_new))[0].tolist()
+        np.matmul(new_rows, emb_t, out=mat_rows)
+        mins = min_eigenvalue(mats).tolist()
         me = min(mins)
         if me < -_CONE_TOL:
-            diag["n_rejected_cone"] += 1
+            n_rejected_cone += 1
             h_ctrl, h_cap = 0.5 * h, h
             h_land = _LAND_SLACK * h_ctrl
             continue
-        diag["max_cone_violation"] = max(diag["max_cone_violation"], -me)
+        max_violation = max(max_violation, -me)
 
         t_new = t + h
         # the growth cap is +inf where its exponential would overflow
-        norms = [math.sqrt(a) for a in (np.square(psi_new) @ psi_member).tolist()]
+        np.square(psi_new, out=psi_sq)
+        norms = [math.sqrt(a) for a in (psi_sq @ psi_member).tolist()]
         caps = [(math.exp(x) if x <= _LOG_MAX else _INF) * u_norm * fudge + bound_slack
                 for x in (rate * t_new for rate in rate_list)]
         if any(a > b for a, b in zip(norms, caps)):
@@ -566,27 +602,39 @@ def _solve_levels(p_set, u, T, ks, t_eval):
                 f"||psi|| = {norms[lvl]:.6g} > {caps[lvl]:.6g}")
 
         t = t_new
-        y[:], ext[1] = y_new, fsal
+        y[:] = y_new
         abs_y, abs_new = abs_new, abs_y
-        diag["n_steps"] += 1
-        if diag["n_steps"] > _MAX_STEPS:
+        n_steps += 1
+        if n_steps > _MAX_STEPS:
             raise RiccatiSolverError(f"exceeded max_steps = {_MAX_STEPS}")
-        if abs(t - target) <= 1e-12 * max(1.0, T):
+        if abs(t - target) <= land_tol:
             t = target
             out_y.append(y.copy())
             out_h.append(h)
             out_min.append(mins)
             next_out += 1
+            if next_out == len(grid):
+                break
+        f(psi, ext[1])   # the first stage of the next step
+        n_evals += 1
         # growing past a rejected step would only be rejected again; not
         # growing at all would aim every retry at the same rejected point
         grow = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.125)
         h_ctrl = min(h * grow, h_cap)
         h_land, h_cap = min(_LAND_SLACK * h_ctrl, h_cap), _INF
 
+    field.spare.append(ws)
+    diag = {"n_steps": n_steps, "n_rejected_error": n_rejected_error,
+            "n_rejected_cone": n_rejected_cone, "n_rhs_evals": n_evals,
+            "max_cone_violation": max_violation}
     ys = np.array(out_y)
-    order = list(slot)
-    return _Levels(tuple(ks), grid, ys[:, order].T, matrices(ys).swapaxes(0, 1)[order],
-                   np.array(out_min).T[order], np.array(out_h), diag)
+    psis = (ys[:, levels:].reshape(-1, levels, n) @ emb_t).reshape(-1, levels, d, d)
+    phis, mins = ys[:, :levels].T, np.array(out_min).T
+    psis = psis.swapaxes(0, 1)
+    if slot != tuple(range(levels)):
+        order = list(slot)
+        phis, psis, mins = phis[order], psis[order], mins[order]
+    return _Levels(tuple(ks), grid, phis, psis, mins, np.array(out_h), diag)
 
 
 # ---------------------------------------------------------------------------

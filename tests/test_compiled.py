@@ -8,13 +8,19 @@ only while the set lives.
 
 import dataclasses
 import gc
+import os
 import pickle
+import subprocess
+import sys
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affinehs import library, moments, params, pdmpsim, riccati
+from affinehs.exceptions import RiccatiSolverError
 from affinehs.params import truncate
 
 NAMES = ["cascade-00", "mixed-d5-02", "mc2-00"]
@@ -88,6 +94,96 @@ def test_solves_on_the_same_compiled_fields_do_not_interfere(names):
     again = _solves(pa, sa.u)
     for got, want in ((first, alone), (second, alone_2u), (again, alone)):
         _assert_same(got, want)
+
+
+def _arrays(sol):
+    """Every array of a RiccatiSolution, and its diagnostics."""
+    return [sol.t, sol.phi, sol.psi, sol.min_eig, sol.step_size, sol.diagnostics]
+
+
+# the solves of the test below, in a new process, as the hex of their bytes
+_FRESH = """
+import sys
+import numpy as np
+from affinehs import library, riccati
+from affinehs.params import truncate
+s, T = library.get(sys.argv[1]), float(sys.argv[2])
+one = riccati.solve_riccati(truncate(s.params, 4), s.u, T)
+sol, _ = riccati.solve_cascade(s.params, s.u, T)
+print(np.concatenate([a.ravel() for sol in (one, sol) for a in (sol.phi, sol.psi)]).tobytes().hex())
+"""
+
+
+def test_a_solve_after_one_that_raised_matches_a_new_process(monkeypatch):
+    # a solve that raises drops its workspace with whatever it wrote there;
+    # the next solve of the same fields gives the bits of a new process
+    name, T = "cascade-00", 0.7
+    s = library.get(name)
+    p = truncate(s.params, 4)
+    riccati.solve_riccati(p, s.u, T)
+    riccati.solve_cascade(s.params, s.u, T)
+    fields = [riccati._levels(p, (0.0,))[0],
+              riccati._levels(s.params, tuple(1.0 / k for k in riccati._K_SCHEDULE))[0]]
+    assert [len(f.spare) for f in fields] == [1, 1]
+    with monkeypatch.context() as m:
+        m.setattr(riccati, "_GROWTH_FUDGE", -0.5)
+        with pytest.raises(RiccatiSolverError, match="growth bound breached"):
+            riccati.solve_riccati(p, 2.0 * s.u, T)
+        with pytest.raises(RiccatiSolverError, match="growth bound breached"):
+            riccati.solve_cascade(s.params, 2.0 * s.u, T)
+    assert [len(f.spare) for f in fields] == [0, 0]
+    one = riccati.solve_riccati(p, s.u, T)
+    sol, _ = riccati.solve_cascade(s.params, s.u, T)
+    got = np.concatenate([a.ravel() for sol in (one, sol) for a in (sol.phi, sol.psi)])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _FRESH, name, repr(T)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert got.tobytes().hex() == proc.stdout.strip()
+
+
+def test_interleaved_solves_of_two_sets_match_the_solves_alone():
+    # two sets, each on its own output grid, solved in turn on their compiled
+    # fields (so each solve reuses the workspace of the one before), against
+    # each solve alone on a copy of its set, which compiles fields of its own
+    sa, sb = library.get("cascade-02"), library.get("mixed-d5-02")
+    pa, pb = truncate(sa.params, 4), truncate(sb.params, 4)
+    jobs = [(pa, sa.u, 0.9, (0.0, 0.3, 0.9)), (pb, sb.u, 1.2, None),
+            (pa, 2.0 * sa.u, 0.6, (0.0, 0.6)), (pb, 0.5 * sb.u, 0.4, (0.0, 0.1, 0.25, 0.4)),
+            (pa, sa.u, 1.5, None), (pb, sb.u, 1.2, None)]
+    got = [_arrays(riccati.solve_riccati(p, u, T, t_eval=grid)) for p, u, T, grid in jobs]
+    for (p, u, T, grid), arrays in zip(jobs, got):
+        _assert_same(arrays, _arrays(riccati.solve_riccati(dataclasses.replace(p), u, T, t_eval=grid)))
+
+
+def test_two_threads_solving_one_set_match_the_sequential_solves():
+    # each thread takes a workspace of its own, so 50 solves in each of two
+    # threads, switching every few microseconds, give the sequential bits
+    s = library.get("mixed-d3-01")
+    p = truncate(s.params, 4)
+    cases = [(s.u * (0.5 + 0.03 * i), 0.25 + 0.02 * i) for i in range(100)]
+    want = [_arrays(riccati.solve_riccati(p, u, T)) for u, T in cases]
+    got = [None] * len(cases)
+    start = threading.Barrier(2)
+
+    def solve(part):
+        start.wait()
+        for i in range(part, len(cases), 2):
+            got[i] = _arrays(riccati.solve_riccati(p, *cases[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(part,)) for part in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for arrays, ref in zip(got, want):
+        _assert_same(arrays, ref)
+    assert 1 <= len(riccati._levels(p, (0.0,))[0].spare) <= 2
 
 
 @pytest.mark.parametrize("name", NAMES)

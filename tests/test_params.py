@@ -111,6 +111,25 @@ def test_exponential_moments_match_mpmath_on_library_laws(bench):
                         (law, p, lo, hi)
 
 
+def test_exponential_moments_near_zero_match_mpmath(bench):
+    # narrow ranges near 0, where the two upper tails are most of the whole
+    # and their difference cancels, against mpmath's gammainc at 30 digits;
+    # the library laws and three rates that put lam * b on both sides of 1
+    import mpmath
+    laws = {j.law for s in bench for j in s.params.m.jumps + s.params.mu.jumps
+            if isinstance(j.law, ExponentialDensity)}
+    laws.update(ExponentialDensity(c=0.8, lam=lam) for lam in (0.05, 7.0, 40.0))
+    assert len(laws) > 10
+    with mpmath.workdps(30):
+        for law in laws:
+            for p in range(4):
+                for a, b in ((1 / 64, 1 / 16), (1e-6, 1e-3), (0.25, 0.5)):
+                    ref = law.c * mpmath.mpf(law.lam) ** -(p + 1) \
+                        * mpmath.gammainc(p + 1, law.lam * a, law.lam * b)
+                    assert law.partial_moment(p, a, b) == pytest.approx(float(ref), rel=1e-14, abs=0.0), \
+                        (law, p, a, b)
+
+
 def test_exponential_moments_refuse_non_integer_orders():
     den = ExponentialDensity(c=0.7, lam=2.3)
     for p in (1.5, -1, 0.25):

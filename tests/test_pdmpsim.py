@@ -267,6 +267,20 @@ def assert_guess_in_range(guess, hi):
     assert np.all(np.isfinite(guess) & (((0.0 < guess) & (guess <= hi)) | (guess == hi))), guess
 
 
+def test_clock_base_is_the_clock_at_zero_on_the_dense_route(rng):
+    # the defective generator takes the dense route; its clock base must be
+    # (0, lambda(0), lambda'(0)), or the first guess loses its slope
+    sim = PathSimulator(defective_set())
+    fp = sim.flowprop
+    assert not fp._aug.use_eig
+    z = fp.coords(np.array([sim.basis.vec(random_psd(rng, 2)) for _ in range(4)]))
+    base = fp.clock_base(z)
+    lam_int, lam, dlam = fp.clock(z, np.zeros(len(z)))
+    assert np.array_equal(base[:, 0], np.zeros(len(z)))
+    assert np.allclose(base[:, 1:], np.stack([lam, dlam], axis=1), rtol=1e-12, atol=0.0)
+    assert np.all(base[:, 2] != 0.0)
+
+
 def test_first_guess_at_zero_rate_is_the_horizon():
     # the zero-intensity start of the rising set: the guess is the horizon
     mu = OperatorJumpMeasure(2, (atom(2.0 * unit_dir(), 3.0 * unit_dir()),))
