@@ -628,9 +628,8 @@ def _solve_levels(p_set, u, T, ks, t_eval):
             "n_rejected_cone": n_rejected_cone, "n_rhs_evals": n_evals,
             "max_cone_violation": max_violation}
     ys = np.array(out_y)
-    psis = (ys[:, levels:].reshape(-1, levels, n) @ emb_t).reshape(-1, levels, d, d)
+    psis = (ys[:, levels:].reshape(-1, levels, n) @ emb_t).reshape(-1, levels, d, d).swapaxes(0, 1)
     phis, mins = ys[:, :levels].T, np.array(out_min).T
-    psis = psis.swapaxes(0, 1)
     if slot != tuple(range(levels)):
         order = list(slot)
         phis, psis, mins = phis[order], psis[order], mins[order]
