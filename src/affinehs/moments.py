@@ -53,23 +53,25 @@ class DerivativeBundle:
 
 @functools.cache
 def _triu(n):
-    """Index arrays (i, j), i <= j, of the quadratic monomials of n variables (read-only)."""
+    """Index arrays (i, j), i <= j, of the quadratic monomials of n variables,
+    and the weight of each in a fold (0.5 where i == j, else 1); read-only."""
     iu, ju = np.triu_indices(n)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    half = np.where(iu == ju, 0.5, 1.0)
+    for arr in (iu, ju, half):
+        arr.setflags(write=False)
+    return iu, ju, half
 
 
 def _monomials(y):
     """Quadratic monomials y_i y_j, i <= j, of the rows of y (..., n)."""
-    iu, ju = _triu(y.shape[-1])
-    return y[..., iu] * y[..., ju]
+    iu, ju, _ = _triu(y.shape[-1])
+    return y.take(iu, axis=-1) * y.take(ju, axis=-1)
 
 
 def _fold(mat):
     """Coefficients on the monomials x_i x_j, i <= j, of x^T mat x, for a stack (..., n, n)."""
-    iu, ju = _triu(mat.shape[-1])
-    return (mat[..., iu, ju] + mat[..., ju, iu]) * np.where(iu == ju, 0.5, 1.0)
+    iu, ju, half = _triu(mat.shape[-1])
+    return (mat[..., iu, ju] + mat[..., ju, iu]) * half
 
 
 def _transport(bundle, t, coefs, lead=None):
@@ -88,10 +90,13 @@ def _transport(bundle, t, coefs, lead=None):
 def _at(x_vec, coefs):
     """A polynomial with coefficients coefs on (1, x_k, x_i x_j) evaluated at
     x; a degree-1 polynomial (1 + n coefficients) reads only (1, x)."""
-    parts = [[1.0], x_vec]
-    if len(coefs) > 1 + len(x_vec):
-        parts.append(_monomials(x_vec))
-    return float(np.concatenate(parts) @ coefs)
+    n = len(x_vec)
+    z = np.empty(len(coefs))
+    z[0] = 1.0
+    z[1:n + 1] = x_vec
+    if len(z) > n + 1:
+        z[n + 1:] = _monomials(x_vec)
+    return float(z @ coefs)
 
 
 def _product(basis, v, w):
@@ -99,9 +104,14 @@ def _product(basis, v, w):
     outer product of vec v and vec w, without forming it."""
     a = basis.vec(v)
     b = a if w is v else basis.vec(w)
-    iu, ju = _triu(basis.n)
+    iu, ju, half = _triu(basis.n)
+    terms = a.take(iu) * b.take(ju)
+    if b is a:
+        terms += terms   # a_j a_i = a_i a_j
+    else:
+        terms += a.take(ju) * b.take(iu)
     out = np.zeros(1 + basis.n + iu.size)
-    out[1 + basis.n:] = (a[iu] * b[ju] + a[ju] * b[iu]) * np.where(iu == ju, 0.5, 1.0)
+    np.multiply(terms, half, out=out[1 + basis.n:])
     return out
 
 
@@ -128,7 +138,7 @@ def derivative_bundle(p_set):
     jumps, dirs, outs = jump_rows(p_set, basis)
     coefs = np.array([j.law.partial_moment(2) for j in jumps])
 
-    iu, ju = _triu(n)
+    iu, ju, _ = _triu(n)
     cols = np.arange(iu.size)
     sym = np.zeros((n, n, iu.size))   # x_i x_j = x^T sym[:, :, p] x for p = (i, j)
     sym[iu, ju, cols] = 0.5
@@ -151,24 +161,47 @@ def _bundle(p_set):
     return compiled(p_set, "bundle", lambda: derivative_bundle(p_set))
 
 
+def _expectation(p_set, x, t, coefs_of, **inputs):
+    """E[p(X_t) | X_0 = x] for the polynomial p with coefficients coefs_of(basis).
+
+    Its leading len(coefs) coefficients are transported, so a polynomial of
+    degree <= 1 (1 + n coefficients) reads only the leading blocks of
+    e^{tG}.  x and the keyword inputs are tested for non-finite entries only
+    where the value came out non-finite or the transport raised
+    (ExpPropagator.dot refuses a non-finite y, and under warnings as errors
+    a product with an infinite entry raises RuntimeWarning), so a finite
+    input pays nothing for the test; a non-finite one raises ValueError
+    naming it.
+    """
+    bundle = _bundle(p_set)
+    try:
+        coefs = coefs_of(bundle.basis)
+        value = _at(bundle.basis.vec(x), _transport(bundle, t, coefs, len(coefs)))
+    except (ValueError, RuntimeWarning):
+        symcone._require_finite(x=x, **inputs)
+        raise
+    if not math.isfinite(value):
+        symcone._require_finite(x=x, **inputs)
+    return value
+
+
 def mean(p_set, x, t, v):
     """E[<X_t, v> | X_0 = x]: <x, v> transported by e^{tG}, evaluated at x.
 
     G maps the polynomials of degree <= 1 into themselves, so <x, v> is
-    transported by the leading (1 + n) block of e^{tG} alone.
+    transported by the leading (1 + n) block of e^{tG} alone.  A non-finite
+    x or v raises ValueError naming it.
     """
-    bundle = _bundle(p_set)
-    basis = bundle.basis
-    coefs = np.zeros(basis.n + 1)
-    coefs[1:] = basis.vec(v)
-    return _at(basis.vec(x), _transport(bundle, t, coefs, lead=basis.n + 1))
+    return _expectation(p_set, x, t, lambda basis: np.concatenate([[0.0], basis.vec(v)]), v=v)
 
 
 def second_moment(p_set, x, t, v, w=None):
-    """E[<X_t, v><X_t, w> | X_0 = x]: <x, v><x, w> transported by e^{tG}, evaluated at x."""
-    bundle = _bundle(p_set)
-    coefs = _transport(bundle, t, _product(bundle.basis, v, v if w is None else w))
-    return _at(bundle.basis.vec(x), coefs)
+    """E[<X_t, v><X_t, w> | X_0 = x]: <x, v><x, w> transported by e^{tG}, evaluated at x.
+
+    A non-finite x, v or w raises ValueError naming it.
+    """
+    w = v if w is None else w
+    return _expectation(p_set, x, t, lambda basis: _product(basis, v, w), v=v, w=w)
 
 
 def laplace(p_set, x, t, u):
@@ -176,13 +209,15 @@ def laplace(p_set, x, t, u):
 
     Solves the transform ODEs directly, also for infinite-activity sets:
     the ray rules absorb the singular endpoint r = 0.  At t = 0 the solve
-    takes no step, but it still refuses a u outside the PSD cone.
+    takes no step, but it still refuses a u outside the PSD cone.  A
+    non-finite x or u raises ValueError naming it.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    x = symcone.check_symmetric(x)
+    x = symcone.check_symmetric(x, name="x")
     sol = _riccati.solve_riccati(p_set, u, t, t_eval=(0.0, t))
-    return math.exp(-sol.phi_final - inner(x, sol.psi_final))
+    # <x, psi(t)> as symcone.inner computes it; both are d x d
+    return math.exp(-sol.phi_final - float(np.dot(x.ravel(), sol.psi_final.ravel())))
 
 
 def generator_exp(p_set, u, x):

@@ -443,19 +443,24 @@ class _Levels(NamedTuple):
 
 
 def _workspace(field):
-    """The buffers and views of one _solve_levels call on field: the extended
-    stage array ext (state in row 0, stage i in row i + 1), the scaled
-    tableau coef, the stage argument arg, comb (y_new and both error
-    estimates), the error scale, |y| and |y_new|, the squared psi of y_new,
-    the psi matrices of y_new (levels, d, d), the views of each stage's sum,
-    and the field bound to its own work buffer."""
-    levels, d = field.member.shape[1], field.basis.dim
+    """The buffers and views of one _solve_levels call on field, in this order:
+    the extended stage array ext (the state y in row 0, stage i in row i + 1);
+    the scaled tableau coef and its last three rows, which give comb (y_new
+    and both error estimates, errs); y and y_new, their psi coordinates, and
+    the same by level; the psi matrices of y_new, whole and by level; the
+    stage argument, the error scale, |y|, |y_new| and the squared psi of
+    y_new; the views of each stage's sum; the transposed embedding; and the
+    field bound to its own work buffer."""
+    levels, d, n = field.member.shape[1], field.basis.dim, field.basis.n
     size = len(field.collect)
     ext, coef, comb = np.empty((13, size)), np.empty(_A_EXT.shape), np.empty((3, size))
-    stage_sums = [(coef[i, :i + 1], ext[:i + 1, levels:], ext[i + 1]) for i in range(1, 12)]
-    return (ext, coef, np.empty(size - levels), comb, np.empty(size), np.empty(size),
-            np.empty(size), np.empty(size - levels), np.empty((levels, d, d)), stage_sums,
-            field.bind(np.empty(len(field.expand))))
+    y, y_new, mats = ext[0], comb[0], np.empty((levels, d, d))
+    psi, psi_new = y[levels:], y_new[levels:]
+    return (ext, coef, coef[12:], comb, comb[1:], y, y_new, psi, psi_new, psi.reshape(levels, n),
+            psi_new.reshape(levels, n), mats, mats.reshape(levels, d * d), np.empty(size - levels),
+            np.empty(size), np.empty(size), np.empty(size), np.empty(size - levels),
+            [(coef[i, :i + 1], ext[:i + 1, levels:], ext[i + 1]) for i in range(1, 12)],
+            symcone._embedding(d).T, field.bind(np.empty(len(field.expand))))
 
 
 def _solve_levels(p_set, u, T, ks, t_eval):
@@ -471,25 +476,28 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     levels (see _Field).  The error norm is the largest of the levels'
     combined 5th/3rd-order estimates; a step is rejected, with half the
     step, when any level dips below the cone tolerance; each level keeps its
-    own growth bound.  The per-level tests run on Python floats.
+    own growth bound.  The per-level tests run on Python floats, each from
+    one product with a member matrix.
     A step holds the state in row 0 of an extended stage array and stage i
     in row i + 1: stage i's argument is one product of [1, h _A[i]] with the
     rows before it, over the psi coordinates (the field does not read phi),
     and y_new with both error estimates is one product of the last three
     rows of h _A_EXT (with 1 for y in _B's row) with the whole array.  The
-    buffers, the stage views and the bound field come from a workspace the
-    field keeps between solves (_Field.spare).  The first stage of the next
-    step is evaluated after a step is accepted, unless it was the last, so
-    a solve to T > 0 makes 1 + 11 attempts + n_steps field evaluations.
-    The min_eig of an output time is the cone check of the step that landed
-    on it.  Returns the levels stacked in the order of ks (_Levels).
+    buffers, their views and the bound field come from a workspace the
+    field keeps between solves (_Field.spare); the starting-step estimate
+    squares its scaled vectors in the error-estimate rows.  The first stage
+    of the next step is evaluated after a step is accepted, unless it was
+    the last, so a solve to T > 0 makes 1 + 11 attempts + n_steps field
+    evaluations.  Each output time's row of the state, min_eig (the cone
+    check of the step that landed on it) and step size is written as the
+    step lands.  Returns the levels stacked in the order of ks (_Levels).
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     if T > _MAX_T:
         raise ValueError(f"T = {T} exceeds the horizon limit {_MAX_T}")
     cuts = tuple(0.0 if k is None else truncation_cut(k) for k in ks)
-    u, u_norm = symcone._check_symmetric_norm(u)
+    u, u_norm = symcone._check_symmetric_norm(u, name="u")
     u_min = min_eigenvalue(u)
     if u_min < -_CONE_TOL * (1.0 + u_norm):
         raise ValueError("initial condition u must lie in the PSD cone")
@@ -497,51 +505,50 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     field, slot, rates = _levels(p_set, cuts)
     d, n, levels = p_set.dim, field.basis.n, len(rates)
     member, psi_member = field.member, field.member[levels:]
-    rate_list = rates.tolist()
+    n1, rate_list, sqrt = n + 1, rates.tolist(), math.sqrt
     fudge = 1.0 + _GROWTH_FUDGE
     bound_slack = 1e-12 * (1.0 + u_norm)
-    emb_t = symcone._embedding(d).T
 
     times = np.linspace(0.0, T, _N_GRID) if t_eval is None else np.asarray(t_eval, dtype=float)
-    grid = np.array(sorted({0.0, T, *(x for x in times.ravel().tolist() if 0.0 <= x <= T)}))
+    grid = sorted({0.0, T, *(x for x in times.ravel().tolist() if 0.0 <= x <= T)})
 
     try:   # pop() is atomic; a test of the list before it would race another thread
         ws = field.spare.pop()
     except IndexError:
         ws = _workspace(field)
-    ext, coef, arg, comb, scale, abs_y, abs_new, psi_sq, mats, stage_sums, f = ws
-    step_rows, y, y_new, errs = coef[12:], ext[0], comb[0], comb[1:]
-    psi, psi_new = y[levels:], y_new[levels:]
-    new_rows, mat_rows = psi_new.reshape(levels, n), mats.reshape(levels, d * d)
+    (ext, coef, step_rows, comb, errs, y, y_new, psi, psi_new, psi_rows, new_rows, mats,
+     mat_rows, arg, scale, abs_y, abs_new, psi_sq, stage_sums, emb_t, f) = ws
     y[:levels] = 0.0
-    psi.reshape(levels, n)[:] = field.basis.vec(u)
+    psi_rows[:] = field.basis.vec(u)
     np.abs(y, out=abs_y)
-    out_y, out_h, out_min = [y.copy()], [0.0], [[u_min] * levels]
+    out_y, out_min, out_h = np.empty((len(grid), len(y))), np.empty((len(grid), levels)), np.zeros(len(grid))
+    out_y[0], out_min[0] = y, u_min
     n_steps = n_rejected_error = n_rejected_cone = n_evals = 0
     max_violation = 0.0
-
-    def level_norms(v):
-        """RMS norm of v / scale over each level's coordinates, for v one state or a stack."""
-        return np.sqrt((v / scale) ** 2 @ member / (n + 1))
 
     t = 0.0
     next_out = 1
     if T > 0.0:
         # starting step (Hairer, Norsett & Wanner, II.4): an Euler probe of
-        # 1% of the state sizes the second derivative; the smallest over the levels
+        # 1% of the state sizes the second derivative; the smallest over the
+        # levels.  Each norm is the RMS of v / scale over a level's coordinates.
         f(psi, ext[1])
         np.multiply(_REL_TOL, abs_y, out=scale)
         scale += _ABS_TOL
-        d0, d1 = level_norms(ext[:2]).tolist()
-        h0 = min(T, *(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / max(b, 1e-5)
-                      for a, b in zip(d0, d1)))
+        np.divide(ext[:2], scale, out=errs)
+        np.square(errs, out=errs)
+        d0, d1 = ([sqrt(x / n1) for x in row] for row in (errs @ member).tolist())
+        h0 = min(T, *[1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / max(b, 1e-5)
+                      for a, b in zip(d0, d1)])
         np.multiply(h0, ext[1, levels:], out=arg)
         arg += psi
         probe = f(arg, ext[2])
         probe -= ext[1]
+        np.divide(probe, scale, out=probe)
+        np.square(probe, out=probe)
         n_evals = 2
-        h1 = min(max(1e-6, 1e-3 * h0) if d2 <= 1e-15 else (0.01 / d2) ** 0.125
-                 for d2 in (max(a, b / h0) for a, b in zip(d1, level_norms(probe).tolist())))
+        h1 = min([max(1e-6, 1e-3 * h0) if d2 <= 1e-15 else (0.01 / d2) ** 0.125
+                  for d2 in [max(a, sqrt(x / n1) / h0) for a, x in zip(d1, (probe @ member).tolist())]])
         h_ctrl = min(_START_FACTOR * min(100.0 * h0, h1), T)
         h_land = _LAND_SLACK * h_ctrl   # the longest step that lands on an output time
     h_cap = _INF   # after a rejection, the next step is no longer than the rejected one
@@ -570,8 +577,7 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         np.square(errs, out=errs)
         e5, e3 = (errs @ member).tolist()
         # a level whose 5th-order estimate vanishes has error 0
-        err_norm = max(a / math.sqrt((a + 0.01 * b) * (n + 1)) if a else 0.0
-                       for a, b in zip(e5, e3))
+        err_norm = max([a / sqrt((a + 0.01 * b) * n1) if a else 0.0 for a, b in zip(e5, e3)])
 
         if err_norm > 1.0:
             n_rejected_error += 1
@@ -592,10 +598,10 @@ def _solve_levels(p_set, u, T, ks, t_eval):
         t_new = t + h
         # the growth cap is +inf where its exponential would overflow
         np.square(psi_new, out=psi_sq)
-        norms = [math.sqrt(a) for a in (psi_sq @ psi_member).tolist()]
+        norms = [sqrt(x) for x in (psi_sq @ psi_member).tolist()]
         caps = [(math.exp(x) if x <= _LOG_MAX else _INF) * u_norm * fudge + bound_slack
-                for x in (rate * t_new for rate in rate_list)]
-        if any(a > b for a, b in zip(norms, caps)):
+                for x in [rate * t_new for rate in rate_list]]
+        if any([a > b for a, b in zip(norms, caps)]):
             lvl = max(range(levels), key=lambda i: norms[i] - caps[i])
             raise RiccatiSolverError(
                 f"growth bound breached at t = {t_new:.6g}, level k = {ks[slot.index(lvl)]}: "
@@ -609,9 +615,7 @@ def _solve_levels(p_set, u, T, ks, t_eval):
             raise RiccatiSolverError(f"exceeded max_steps = {_MAX_STEPS}")
         if abs(t - target) <= land_tol:
             t = target
-            out_y.append(y.copy())
-            out_h.append(h)
-            out_min.append(mins)
+            out_y[next_out], out_min[next_out], out_h[next_out] = y, mins, h
             next_out += 1
             if next_out == len(grid):
                 break
@@ -627,13 +631,12 @@ def _solve_levels(p_set, u, T, ks, t_eval):
     diag = {"n_steps": n_steps, "n_rejected_error": n_rejected_error,
             "n_rejected_cone": n_rejected_cone, "n_rhs_evals": n_evals,
             "max_cone_violation": max_violation}
-    ys = np.array(out_y)
-    psis = (ys[:, levels:].reshape(-1, levels, n) @ emb_t).reshape(-1, levels, d, d).swapaxes(0, 1)
-    phis, mins = ys[:, :levels].T, np.array(out_min).T
+    psis = (out_y[:, levels:].reshape(-1, levels, n) @ emb_t).reshape(-1, levels, d, d).swapaxes(0, 1)
+    phis, mins = out_y[:, :levels].T, out_min.T
     if slot != tuple(range(levels)):
         order = list(slot)
         phis, psis, mins = phis[order], psis[order], mins[order]
-    return _Levels(tuple(ks), grid, phis, psis, mins, np.array(out_h), diag)
+    return _Levels(tuple(ks), np.array(grid), phis, psis, mins, out_h, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ each held as its coordinate matrix, together with their exponentials.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,26 +57,50 @@ def symmetrize(a):
     return 0.5 * (a + a.T)
 
 
-def check_symmetric(a, rel_tol=1e-12):
-    """Validate that `a` is square and symmetric within a relative tolerance.
+def check_symmetric(a, rel_tol=1e-12, name="matrix"):
+    """Validate that `a` is square, finite and symmetric within a relative tolerance.
 
     Returns the symmetrized array.  Raises DimensionMismatchError on
-    non-square input and ValueError when the asymmetry exceeds
+    non-square input, ValueError naming the argument (`name`) when an entry
+    is not finite, and ValueError when the asymmetry exceeds
     rel_tol * (1 + ||a||).
     """
-    return _check_symmetric_norm(a, rel_tol)[0]
+    return _check_symmetric_norm(a, rel_tol, name)[0]
 
 
-def _check_symmetric_norm(a, rel_tol=1e-12):
-    """check_symmetric(a, rel_tol) and the Frobenius norm ||a|| its test computed."""
+def _check_symmetric_norm(a, rel_tol=1e-12, name="matrix"):
+    """check_symmetric(a, rel_tol, name) and the Frobenius norm ||a|| its test computed.
+
+    The norm is sqrt(a . a) over the entries in memory order, as
+    np.linalg.norm computes it.  It is finite unless an entry is not or the
+    sum overflows, so a finite norm needs no test of the entries.  a - a.T
+    is antisymmetric, so its largest entry is its largest |entry|.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
-    asym = np.abs(a - a.T).max()
+    flat = a.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))
+    if not norm < math.inf:
+        _require_finite(**{name: a})
+    at = a.T
+    asym = (a - at).max()
     if asym > rel_tol * (1.0 + norm):
         raise ValueError(f"matrix is asymmetric: max |a - a.T| = {asym:.3e} exceeds {rel_tol:.1e}*(1+||a||)")
-    return symmetrize(a), norm
+    out = a + at
+    out *= 0.5
+    return out, norm
+
+
+def _require_finite(**arrays):
+    """Raise ValueError naming the first of the keyword arrays with a non-finite entry.
+
+    Callers test their inputs only where a norm or a result already came
+    out non-finite, so finite inputs pay nothing.
+    """
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has non-finite entries")
 
 
 def _check_same_dim(a, b):
@@ -148,6 +173,19 @@ def chi(xi):
 _SQRT2 = np.sqrt(2.0)
 
 
+@functools.cache
+def _indices(dim):
+    """The index tables of VecBasis(dim), built once per dimension (read-only):
+    the diagonal and strict upper-triangle index pairs, the flat indices of
+    the coordinates' entries in C order, and their weights (1, then sqrt 2)."""
+    di, iu = np.diag_indices(dim), np.triu_indices(dim, k=1)
+    flat = np.concatenate([di[0] * (dim + 1), iu[0] * dim + iu[1]])
+    weights = np.concatenate([np.ones(dim), np.full(iu[0].size, _SQRT2)])
+    for arr in (*di, *iu, flat, weights):
+        arr.setflags(write=False)
+    return di, iu, flat, weights
+
+
 class VecBasis:
     """Orthonormal coordinates for d x d symmetric matrices.
 
@@ -161,16 +199,15 @@ class VecBasis:
             raise DimensionMismatchError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
         self.n = self.dim * (self.dim + 1) // 2
-        self._iu = np.triu_indices(self.dim, k=1)
-        self._di = np.diag_indices(self.dim)
+        self._di, self._iu, self._flat, self._weights = _indices(self.dim)
 
     def vec(self, a):
+        """The coordinates a[i, i], then sqrt(2) a[i, j] for i < j: one gather and one product."""
         a = np.asarray(a, dtype=float)
         if a.shape != (self.dim, self.dim):
             raise DimensionMismatchError(f"expected shape {(self.dim, self.dim)}, got {a.shape}")
-        out = np.empty(self.n)
-        out[: self.dim] = a[self._di]
-        out[self.dim:] = _SQRT2 * a[self._iu]
+        out = a.take(self._flat)
+        out *= self._weights
         return out
 
     def unvec(self, v):
@@ -384,7 +421,7 @@ class ExpPropagator:
     uses of scipy, each imported where it runs; no library set is defective.
     Results agree with scipy.linalg.expm to ~1e-12 on well-conditioned
     eigenbases.  Either route raises OperatorExpError when e^{tM} y is not
-    finite.
+    finite, or ValueError when y itself is not.
     """
 
     def __init__(self, mat):
@@ -419,12 +456,12 @@ class ExpPropagator:
             return np.array(y, dtype=float)   # e^{0M} = I exactly, on either route
         with np.errstate(invalid="ignore", over="ignore"):
             if self.use_eig:
-                vr, vinv = self._vr[:lead], self._vinv[:, :lead]
-                out = np.real(vr @ (np.exp(t * self._w) * (vinv @ y)))
+                out = (self._vr[:lead] @ (np.exp(t * self._w) * (self._vinv[:, :lead] @ y))).real
             else:
                 import scipy.linalg
                 out = scipy.linalg.expm(t * self.mat[:lead, :lead]) @ np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
+            _require_finite(y=y)
             raise OperatorExpError(
                 f"e^(tL) overflowed for t={t} and ||L||={np.linalg.norm(self.mat, 2):.3e}")
         return out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,37 @@ def test_moments_reject_negative_t(mc_truncated):
         second_moment(p, x, -0.5, u)
 
 
+# each entry point with each of its matrix arguments (in the transform
+# requests, the moments' v and w are u)
+_NONFINITE_CALLS = {
+    "solve_riccati": (lambda p, a: solve_riccati(p, a["u"], 1.0), ("u",)),
+    "laplace": (lambda p, a: laplace(p, a["x"], 1.0, a["u"]), ("x", "u")),
+    "mean": (lambda p, a: mean(p, a["x"], 1.0, a["v"]), ("x", "v")),
+    "second_moment": (lambda p, a: second_moment(p, a["x"], 1.0, a["v"], a["w"]), ("x", "v", "w")),
+}
+
+
+@pytest.mark.parametrize("name", ["scalar-00", "mixed-d3-01"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call, arg", [(call, arg) for call, (_, args) in _NONFINITE_CALLS.items()
+                                       for arg in args])
+def test_non_finite_matrices_raise_value_error_naming_the_argument(name, value, call, arg):
+    # a NaN u used to give NaN after 32 steps on scalar-00 and an
+    # EigenSolverError on mixed-d3-01, a NaN x a NaN moment, and a NaN v an
+    # OperatorExpError; no warning escapes on the way to the ValueError
+    s = library.get(name)
+    p = truncate(s.params, 4)
+    args = {"x": s.x0, "u": s.u, "v": s.u, "w": s.u}
+    bad = args[arg].copy()
+    bad[0, 0] = value
+    fn = _NONFINITE_CALLS[call][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn(p, args)   # the finite arguments pass
+        with pytest.raises(ValueError, match=f"^{arg} has non-finite entries$"):
+            fn(p, {**args, arg: bad})
+
+
 # ---------------------------------------------------------------------------
 # e^{tG} c from the factors of G against scipy's dense expm
 # ---------------------------------------------------------------------------
@@ -396,6 +428,26 @@ def assert_mean_is_the_full_transport(p, x, t, v):
     full = moments._at(bundle.basis.vec(x), moments._transport(bundle, t, coefs)[: n + 1])
     got = mean(p, x, t, v)
     assert abs(got - full) <= 1e-12 * abs(full), (t, got, full)
+
+
+def test_product_and_evaluation_are_the_explicit_formulas_bit_for_bit(bench, rng):
+    # _product folds vec v vec w^T with gathers of index tables built once
+    # per n, and _at fills one vector of monomials: each value equals the
+    # explicit formula's
+    for s in bench:
+        basis = VecBasis(s.params.dim)
+        n = basis.n
+        iu, ju = np.triu_indices(n)
+        half = np.where(iu == ju, 0.5, 1.0)
+        for w in (s.u, s.x0):   # w is v, and w is another matrix
+            a, b = basis.vec(s.u), basis.vec(w)
+            want = np.concatenate([np.zeros(1 + n), (a[iu] * b[ju] + a[ju] * b[iu]) * half])
+            assert moments._product(basis, s.u, w).tolist() == want.tolist()
+        x = basis.vec(s.x0)
+        for size in (1 + n, 1 + n + iu.size):
+            coefs = rng.standard_normal(size)
+            parts = [[1.0], x] + ([x[iu] * x[ju]] if size > 1 + n else [])
+            assert moments._at(x, coefs) == float(np.concatenate(parts) @ coefs)
 
 
 def test_mean_is_the_full_transport_on_library_sets(bench):

@@ -444,6 +444,25 @@ def test_growth_bound_tight_linear_case():
     assert sol.psi_final[0, 0] == pytest.approx(math.exp(3.0), rel=1e-8)
 
 
+def test_growth_bound_breached_late_in_a_solve(monkeypatch):
+    # the tight linear case (psi = e^(3t)) with a growth rate 6e-8 below 3:
+    # the cap e^(rate t) (1 + 1e-6) ||u|| falls below e^(3t) at t = 16.67,
+    # and below the computed psi (which runs about 8e-9 t relative below
+    # e^(3t)) near t = 18 of T = 20, where rate t is about 54: a cap that
+    # gave up once rate t > 50 would miss the breach
+    from affinehs.symcone import DenseOperator
+    rate = 3.0 - 6e-8
+    monkeypatch.setattr(riccati, "_growth_rates", lambda p_set, cuts: np.full(len(cuts), rate))
+    p = ParameterSet(1, np.zeros((1, 1)), DenseOperator(1, np.array([[3.0]])),
+                     ScalarJumpMeasure(1), OperatorJumpMeasure(1))
+    u = np.array([[1.0]])
+    assert solve_riccati(p, u, 16.7).t[-1] == 16.7
+    with pytest.raises(RiccatiSolverError, match="growth bound breached") as err:
+        solve_riccati(p, u, 20.0)
+    t_breach = float(str(err.value).split("at t = ")[1].split(",")[0])
+    assert 17.0 < t_breach < 19.0 and rate * t_breach > 50.0
+
+
 def test_growth_bound_at_a_long_horizon_does_not_overflow():
     # growth rate 10 up to T = 100: e^(rate t) is not finite past t = 70.98,
     # where the growth cap is +inf; the solve raises no overflow warning

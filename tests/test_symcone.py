@@ -4,6 +4,7 @@ import scipy.linalg
 from oracle import matrix_by_basis_loop, structured_apply
 from strategies import random_symmetric
 
+from affinehs import library
 from affinehs.exceptions import DimensionMismatchError, OperatorExpError
 from affinehs.symcone import (
     CongruenceSum,
@@ -14,6 +15,8 @@ from affinehs.symcone import (
     RankOneSum,
     VecBasis,
     ZeroOperator,
+    _check_symmetric_norm,
+    check_symmetric,
     chi,
     cone_leq,
     expm_action,
@@ -96,6 +99,43 @@ def test_vec_isometry(rng):
             rhs = float(basis.vec(a) @ basis.vec(b))
             assert abs(lhs - rhs) <= 1e-13 * max(1.0, frob_norm(a) * frob_norm(b))
             np.testing.assert_allclose(basis.unvec(basis.vec(a)), a, atol=0.0)
+
+
+def library_and_random_matrices(rng):
+    """Every library set's u and x0, and random matrices of d = 1..5: symmetric,
+    not symmetric, transposed, strided and Fortran-ordered."""
+    mats = [m for s in library.benchmark_sets() for m in (s.u, s.x0)]
+    for d in range(1, 6):
+        for _ in range(20):
+            a = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-3, 4)
+            wide = rng.standard_normal((d, 2 * d))
+            mats += [a, a + a.T, a.T, wide[:, ::2], np.asfortranarray(a + a.T)]
+    return mats
+
+
+def test_vec_is_the_per_entry_formula_bit_for_bit(rng):
+    # one gather of precomputed flat indices and one product: a[i, i], then
+    # sqrt(2) a[i, j] for i < j, each exactly as the per-entry formula
+    for a in library_and_random_matrices(rng):
+        d = a.shape[0]
+        want = [a[i, i] for i in range(d)] + [np.sqrt(2.0) * a[i, j]
+                                              for i in range(d) for j in range(i + 1, d)]
+        got = VecBasis(d).vec(a)
+        assert got.tolist() == want
+        assert VecBasis(d).vec(a).tolist() == want   # the index table is shared
+
+
+def test_check_symmetric_norm_is_numpys_norm_bit_for_bit(rng):
+    # sqrt(a . a) over the entries in memory order is what np.linalg.norm
+    # computes, and the symmetrized copy is 0.5 (a + a.T); an infinite
+    # tolerance lets the asymmetric matrices through to compare their norms
+    for a in library_and_random_matrices(rng):
+        got, norm = _check_symmetric_norm(a, rel_tol=np.inf)
+        assert norm == float(np.linalg.norm(a))
+        assert got.tolist() == (0.5 * (a + a.T)).tolist()
+        if not np.array_equal(a, a.T):
+            with pytest.raises(ValueError, match="asymmetric"):
+                check_symmetric(a)
 
 
 def test_cone_monotonicity(rng):
